@@ -276,7 +276,9 @@ mod tests {
 
     #[test]
     fn one_epoch_point_matches_dataset_filters() {
-        let scan = &testsupport::study().1.scan;
+        // A private copy: other tests walk the shared dataset at the
+        // same time, which would race this walk count.
+        let scan = &testsupport::study().1.scan.clone();
         let walks_before = scan.walks();
         let p = epoch_point("epoch 0", scan);
         assert_eq!(

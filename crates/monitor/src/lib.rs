@@ -616,5 +616,11 @@ mod tests {
             "epoch scans must be thread-count invariant"
         );
         assert!(a.len() > 400, "small world is non-trivial");
+        // Pinned across commits: the evolved epoch-2 world, realized and
+        // scanned, must not move.
+        assert_eq!(
+            Snapshot::digest_of(&a).unwrap().to_hex(),
+            "a3f7d9b76c4afe4a843e38fcd4f0a8093a2a28fdf77a839df49437fd30289f17"
+        );
     }
 }

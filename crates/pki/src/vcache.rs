@@ -40,11 +40,10 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use govscan_asn1::Time;
 use govscan_crypto::Fingerprint;
-use parking_lot::Mutex;
 
 use crate::cert::Certificate;
 use crate::trust::TrustStore;
@@ -70,6 +69,13 @@ struct Shard {
     /// the exact fingerprint sequence (collisions in `seen` can promote
     /// early but can never replay the wrong verdict).
     map: HashMap<Box<[Fingerprint]>, Verdict>,
+}
+
+/// Lock a shard, ignoring poisoning: every write under the lock is a
+/// single insert or clear, so a panicked holder cannot leave a shard
+/// half-updated.
+fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A sharded, thread-safe memo of structural chain verdicts for one
@@ -143,7 +149,7 @@ impl ChainVerdictCache {
         }
         let shard = &self.shards[shard_idx];
         {
-            let mut s = shard.lock();
+            let mut s = lock(shard);
             if s.seen.insert(hash) {
                 // First sighting: record the hash only. Compute outside
                 // the lock and return without memoizing — most chains
@@ -169,7 +175,7 @@ impl ChainVerdictCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let key: Box<[Fingerprint]> = peer_chain.iter().map(|c| c.fingerprint()).collect();
         let verdict = validate_chain_structure(peer_chain, &self.trust, self.now).map(Arc::new);
-        shard.lock().map.insert(key, verdict.clone());
+        lock(shard).map.insert(key, verdict.clone());
         verdict
     }
 
@@ -188,7 +194,7 @@ impl ChainVerdictCache {
     /// Number of distinct chains memoized. Lazy insertion means chains
     /// sighted exactly once are not counted — they were never stored.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.shards.iter().map(|s| lock(s).map.len()).sum()
     }
 
     /// True when no verdict has been cached yet.
@@ -201,7 +207,7 @@ impl ChainVerdictCache {
     /// trust store and scan time are unchanged).
     pub fn clear(&self) {
         for shard in &self.shards {
-            let mut s = shard.lock();
+            let mut s = lock(shard);
             s.seen.clear();
             s.map.clear();
         }

@@ -515,19 +515,17 @@ pub fn phishing(env: &mut Env) -> String {
     let pipeline = StudyPipeline::new(&env.world);
     let ctx = pipeline.context();
     let filter = GovFilter::standard();
-    let candidates: Vec<String> = env.world.net.hostnames().map(str::to_string).collect();
+    // `SimNet::hostnames()` is hash order; sorted, the table lists the
+    // same twins in the same order on every run.
+    let mut candidates: Vec<&str> = env.world.net.hostnames().collect();
+    candidates.sort_unstable();
     let collapsed: std::collections::HashSet<String> = env
         .index()
         .hosts
         .iter()
         .map(|h| h.hostname.replace('.', ""))
         .collect();
-    let report = analysis::phishing::detect(
-        &ctx,
-        &filter,
-        candidates.iter().map(|s| s.as_str()),
-        &collapsed,
-    );
+    let report = analysis::phishing::detect(&ctx, &filter, candidates.into_iter(), &collapsed);
     let mut out = report.render();
     out.push_str(&cmp_row(
         "*gov.us-style twins (scaled 85)",
@@ -742,4 +740,25 @@ pub fn all() -> Vec<Experiment> {
         ("ablation_probe_config (§5.3)", ablation_probe_config),
         ("disclosure (Figure 13, §7.2)", disclosure),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn phishing_rows_are_in_hostname_order() {
+        let out = phishing(&mut Env::with(0x7415, 0.05));
+        // The table body: after the dashed rule, before the indented
+        // paper-vs-measured rows.
+        let rows: Vec<&str> = out
+            .lines()
+            .skip_while(|l| !l.starts_with('-'))
+            .skip(1)
+            .take_while(|l| !l.starts_with("  "))
+            .filter_map(|l| l.split_whitespace().next())
+            .collect();
+        assert!(rows.len() >= 5, "enough twins to order: {rows:?}");
+        assert!(rows.windows(2).all(|w| w[0] < w[1]), "{rows:?}");
+    }
 }

@@ -212,6 +212,12 @@ mod tests {
         let m = tmp("mat");
         let reference = materialize_scan_archive(&cfg, &m).expect("materialized arm");
         assert!(reference.hosts > 500, "world is non-trivial");
+        // Pinned across commits: any change to generation or scanning
+        // that moves a byte of this archive fails here.
+        assert_eq!(
+            reference.digest,
+            "fe9a288f693d8a76e5d07e7426a814a5d5a2ef30e4d7ead6955c6e53061b2262"
+        );
         // Thread count and window size must both be invisible in the
         // archive bytes; window=1 is the degenerate strict-alternation
         // pipeline.

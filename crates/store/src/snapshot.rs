@@ -59,6 +59,8 @@ const HEADER_LEN: u64 = 24;
 pub(crate) const HOST_RECORD_LEN: usize = 35;
 const CERT_RECORD_LEN: usize = 95;
 const CAA_RECORD_LEN: usize = 5;
+/// One section-table entry: id, offset, length, checksum.
+const TABLE_ENTRY_LEN: usize = 4 + 8 + 8 + 8;
 
 /// Sentinel for "no certificate" in a host record.
 const NO_CERT: u32 = u32::MAX;
@@ -542,7 +544,11 @@ impl Layout {
             })?;
         let mut table = Decoder::new(table_bytes, "section table");
         let count = table.u32()?;
-        let mut sections = Vec::with_capacity(count as usize);
+        // The count is read from the file: reserve no more entries than
+        // the table's bytes can hold, so a damaged count ends in
+        // `Truncated` below rather than an aborted allocation.
+        let mut sections =
+            Vec::with_capacity((count as usize).min(table.remaining() / TABLE_ENTRY_LEN));
         for _ in 0..count {
             let id = table.u32()?;
             let offset = table.u64()?;

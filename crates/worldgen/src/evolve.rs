@@ -40,7 +40,6 @@
 use std::collections::HashSet;
 
 use govscan_asn1::Time;
-use govscan_net::dns::DnsBehavior;
 use govscan_net::SimNet;
 use rand::Rng;
 
@@ -50,7 +49,7 @@ use crate::hostgen::HostnameGen;
 use crate::hosting::HostingAssigner;
 use crate::posture::{self, PostureRates};
 use crate::stream::{stream_shards, StreamPlan, StreamSeeder};
-use crate::world::{cloud_share, worldwide_country_records, Realizer};
+use crate::world::cloud_share;
 
 /// Per-epoch mutation rates. Defaults ([`EvolveConfig::weekly`]) are
 /// tuned for weekly epochs: renewal pressure matches ~90-day automated
@@ -117,7 +116,7 @@ impl EvolveConfig {
 /// bookkeeping the mutation streams and the realizer need.
 #[derive(Debug, Clone)]
 pub struct EpochHost {
-    /// Ground truth, as [`worldwide_country_records`] shapes it.
+    /// Ground truth, as [`StreamPlan`]'s country records shape it.
     pub record: HostRecord,
     /// Bumped on every behaviour change. Selects the host's realization
     /// RNG stream, so an unchanged host re-realizes identically and a
@@ -186,23 +185,10 @@ impl MonitorPlan {
     /// generator's records with §5.3.3 cluster postures applied, plus a
     /// scheduled validity window for every valid-https host.
     pub fn shard_base(&self, idx: usize) -> Vec<EpochHost> {
-        let country = self.plan.countries()[idx];
         let seeder = self.plan.seeder();
-        let mut records = worldwide_country_records(
-            self.plan.config(),
-            seeder,
-            country,
-            self.plan.total_weight(),
-        );
-        for rec in &mut records {
-            if let Some(&ci) = self.plan.shared_chain_of().get(&rec.hostname) {
-                rec.posture = Posture::InvalidHttps {
-                    error: self.plan.clusters()[ci].error,
-                };
-            }
-        }
         let base_time = self.plan.scan_time();
-        records
+        self.plan
+            .country_records(idx)
             .into_iter()
             .map(|record| {
                 let window = record
@@ -426,27 +412,10 @@ impl MonitorPlan {
         for &i in indices {
             let h = &state[i];
             let shard = format!("{}@g{}", h.record.hostname, h.generation);
-            let mut r = Realizer::for_shard(
-                self.plan.config(),
-                self.plan.cadb(),
-                self.plan.clusters(),
-                self.plan.shared_chain_of(),
-                self.plan.seeder(),
-                "evolve",
-                &shard,
-            );
+            let mut r = self.plan.realizer("evolve", &shard);
             r.set_validity_override(h.window);
             r.realize(h.record.clone(), &[]);
-            let batch = r.into_batch();
-            for host in batch.hosts {
-                net.add_host(host);
-            }
-            for name in batch.dns_timeouts {
-                net.set_dns_behavior(&name, DnsBehavior::Timeout);
-            }
-            for (name, set) in batch.caa {
-                net.dns.publish_caa(&name, set);
-            }
+            r.into_batch().install(&mut net);
         }
         net
     }

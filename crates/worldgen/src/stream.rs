@@ -1,5 +1,5 @@
-//! Deterministic per-shard RNG streams behind parallel world generation,
-//! and the streamed (bounded-memory) counterpart of [`World::generate`].
+//! Deterministic per-shard RNG streams, and the world plan that every
+//! generator entry point runs on.
 //!
 //! The generator never threads one `StdRng` through its phases. Instead
 //! each (phase, shard) pair — e.g. `("realize", "br")` — hashes to an
@@ -16,23 +16,18 @@
 //! and then yields one [`ShardWorld`] per country in deterministic shard
 //! order, never holding more than the in-flight shards in memory. The
 //! streamed generate→scan→archive pipeline in `govscan-repro` is built
-//! on it; DESIGN.md §14 has the determinism argument.
+//! on it, and [`World::generate`] folds the same country shards into the
+//! materialized world, so a streamed shard is its slice of that world by
+//! construction (DESIGN.md §14).
 //!
 //! The worker pool itself lives in [`govscan_exec`]: shards run on the
-//! shared work-stealing chunked executor ([`par_map`] is a re-export),
-//! which replaced the per-item rendezvous-channel dispatch this module
-//! used to carry. The old path claimed chunking "would only serialize
-//! the tail"; measurement said otherwise — the per-item lock + rendezvous
-//! put the pool at 0.92× *serial* at 2 workers (`BENCH_worldgen.json`),
-//! while contiguous chunk seeding with half-batch stealing keeps the
-//! tail balanced at a fraction of the coordination cost (DESIGN.md §11).
+//! shared work-stealing chunked executor ([`par_map`] is a re-export).
 //!
 //! [`World::generate`]: crate::World::generate
 
 use std::collections::HashMap;
 
 use govscan_asn1::Time;
-use govscan_net::dns::DnsBehavior;
 use govscan_net::SimNet;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -40,11 +35,12 @@ use rand::SeedableRng;
 use crate::cadb::CaDb;
 use crate::config::WorldConfig;
 use crate::countries::{self, Country};
-use crate::host::Posture;
+use crate::host::{HostRecord, Posture};
 use crate::rankings::RankingList;
+use crate::webgraph::WebGraph;
 use crate::world::{
     build_tranco, cluster_candidate_cap, cluster_candidate_countries, plan_reuse_clusters,
-    ranked_pool_accept, worldwide_country_records, RealizeItem, Realizer, SharedCluster,
+    ranked_pool_accept, worldwide_country_records, RealizeBatch, SharedCluster,
 };
 
 /// Derives independent RNG streams from the world seed.
@@ -118,11 +114,11 @@ pub use govscan_exec::par_map;
 /// Plan a streamed world: run the cross-shard phases once, cheaply, and
 /// return a [`StreamPlan`] that realizes one country shard at a time.
 ///
-/// Equivalent to [`World::generate`] for the worldwide government
-/// population — same seed, same hosts, same wire behaviour — but the
-/// plan holds only the cross-shard state (ranking list, §5.3.3 cluster
-/// chains, CA roster), never the realized hosts. Peak memory is set by
-/// how many [`ShardWorld`]s the caller keeps in flight, not by
+/// The worldwide government population of [`World::generate`] — same
+/// seed, same hosts, same wire behaviour — but the plan holds only the
+/// cross-shard state (ranking list, §5.3.3 cluster chains, CA roster),
+/// never the realized hosts. Peak memory is set by how many
+/// [`ShardWorld`]s the caller keeps in flight, not by
 /// [`WorldConfig::scale`].
 ///
 /// [`World::generate`]: crate::World::generate
@@ -130,25 +126,26 @@ pub fn stream_shards(config: &WorldConfig) -> StreamPlan {
     StreamPlan::new(config)
 }
 
-/// The cross-shard state of a streamed world — everything whose
-/// construction must see more than one country.
+/// The cross-shard state of a world — everything whose construction
+/// must see more than one country — and the one generator of its
+/// worldwide population.
 ///
-/// Built by one planning walk that replays, draw for draw, the RNG
-/// streams of the materialized generator's cross-shard phases:
+/// Built by one planning walk:
 ///
 /// 1. **Transient population pass** — each country's records are
-///    generated from its own `("worldwide", cc)` stream (the same kernel
-///    [`World::generate`] uses) and immediately reduced to what the
-///    plan needs: ranked-pool membership draws in global host order, and
-///    a capped per-country candidate prefix for the cluster walk.
+///    generated from its own `("worldwide", cc)` stream and immediately
+///    reduced to what the plan needs: ranked-pool membership draws in
+///    global host order, and a capped per-country candidate prefix for
+///    the cluster walk.
 /// 2. **§5.3.3 cluster plan** — [`plan_reuse_clusters`], RNG-free.
 /// 3. **Tranco** — the `("rankings", "")` stream, stopping where the
-///    materialized path moves on to the majestic list (which only feeds
-///    discovery, not the scanned population).
+///    other two ranking lists (which only feed discovery, not the
+///    scanned population) would start.
 ///
 /// [`Self::realize_shard`] then regenerates a country's records from the
-/// same streams and applies the plan, so every shard is bit-identical to
-/// its slice of the materialized world at any thread count.
+/// same streams and applies the plan. [`World::generate`] folds the same
+/// per-country kernel into the materialized world, so every shard is
+/// bit-identical to its slice of that world at any thread count.
 ///
 /// [`World::generate`]: crate::World::generate
 pub struct StreamPlan {
@@ -166,6 +163,13 @@ pub struct StreamPlan {
 impl StreamPlan {
     /// Run the planning walk for `config`.
     pub fn new(config: &WorldConfig) -> StreamPlan {
+        StreamPlan::for_world(config).0
+    }
+
+    /// [`Self::new`], also handing back what the materialized world's
+    /// other two ranking lists continue from: the `("rankings", "")`
+    /// stream where Tranco left it, and the ranked pool Tranco drew.
+    pub(crate) fn for_world(config: &WorldConfig) -> (StreamPlan, StdRng, Vec<String>) {
         let config = config.clone();
         let seeder = StreamSeeder::new(config.seed);
         let mut cadb = CaDb::build(config.seed);
@@ -185,9 +189,8 @@ impl StreamPlan {
             let cap = cluster_candidate_cap(&config, country.code);
             let mut cand: Vec<String> = Vec::new();
             for rec in &records {
-                // One membership draw per host in global generation
-                // order keeps the rankings stream in lockstep with the
-                // materialized walk.
+                // One membership draw per host, in global generation
+                // order.
                 if ranked_pool_accept(&mut rankings_rng, rec.country) {
                     pool.push(rec.hostname.clone());
                 }
@@ -201,20 +204,28 @@ impl StreamPlan {
                 candidates.insert(country.code, cand);
             }
         }
-        let plan = plan_reuse_clusters(&config, &mut cadb, &candidates);
-        let (_ranked_pool, tranco) = build_tranco(&config, &mut rankings_rng, pool);
+        let cluster_plan = plan_reuse_clusters(&config, &mut cadb, &candidates);
+        let (ranked_pool, tranco) = build_tranco(&config, &mut rankings_rng, pool);
 
-        StreamPlan {
+        let plan = StreamPlan {
             config,
             seeder,
             cadb,
             countries,
             total_weight,
-            clusters: plan.clusters,
-            shared_chain_of: plan.shared_chain_of,
+            clusters: cluster_plan.clusters,
+            shared_chain_of: cluster_plan.shared_chain_of,
             tranco,
             host_count,
-        }
+        };
+        (plan, rankings_rng, ranked_pool)
+    }
+
+    /// The parts a materialized world keeps once every batch is
+    /// realized: the config, the CA roster (its CT log already holding
+    /// the §5.3.3 cluster leaves) and the Tranco list.
+    pub(crate) fn into_world_parts(self) -> (WorldConfig, CaDb, RankingList) {
+        (self.config, self.cadb, self.tranco)
     }
 
     /// Number of shards (one per active country), fixed by the config.
@@ -249,17 +260,17 @@ impl StreamPlan {
         self.config.scan_time
     }
 
-    /// The stream seeder (evolution model: per-epoch mutation streams).
+    /// The stream seeder every phase derives its RNG streams from.
     pub(crate) fn seeder(&self) -> StreamSeeder {
         self.seeder
     }
 
-    /// The §5.3.3 cluster table (evolution model: per-host realization).
+    /// The §5.3.3 cluster table.
     pub(crate) fn clusters(&self) -> &[SharedCluster] {
         &self.clusters
     }
 
-    /// hostname → cluster index (evolution model: per-host realization).
+    /// hostname → index into [`Self::clusters`].
     pub(crate) fn shared_chain_of(&self) -> &HashMap<String, usize> {
         &self.shared_chain_of
     }
@@ -269,22 +280,11 @@ impl StreamPlan {
         &self.countries
     }
 
-    /// Sum of active-country host weights (the population denominator).
-    pub(crate) fn total_weight(&self) -> f64 {
-        self.total_weight
-    }
-
-    /// Realize shard `idx` (a country) into a self-contained
-    /// [`ShardWorld`]: regenerate its records from the country's RNG
-    /// streams, apply the cluster plan's posture flips, issue chains,
-    /// and populate a per-shard [`SimNet`].
-    ///
-    /// Pure in `&self`: shards can be realized in any order, in
-    /// parallel, or repeatedly — the result is always bit-identical to
-    /// the materialized world's slice for that country.
-    pub fn realize_shard(&self, idx: usize) -> ShardWorld {
+    /// Country `idx`'s government records in generation order, with the
+    /// §5.3.3 cluster postures applied: the population that shards, the
+    /// materialized world and the evolution model all start from.
+    pub(crate) fn country_records(&self, idx: usize) -> Vec<HostRecord> {
         let country = self.countries[idx];
-        let cc = country.code;
         let mut records =
             worldwide_country_records(&self.config, self.seeder, country, self.total_weight);
         for rec in &mut records {
@@ -294,41 +294,50 @@ impl StreamPlan {
                 };
             }
         }
-        let hostnames: Vec<String> = records.iter().map(|r| r.hostname.clone()).collect();
-        // Empty link lists: the webgraph only shapes page *bodies*, which
-        // scanning never reads, and link assignment draws from its own
-        // ("webgraph", "") stream — skipping it cannot shift any draw the
-        // realizer makes.
-        let items: Vec<RealizeItem> = records.into_iter().map(|rec| (rec, Vec::new())).collect();
-        let mut r = Realizer::for_shard(
-            &self.config,
-            &self.cadb,
-            &self.clusters,
-            &self.shared_chain_of,
-            self.seeder,
-            "realize",
-            cc,
-        );
-        r.plan_shared_chains(cc, &items);
-        for (rec, links) in items {
-            r.realize(rec, &links);
+        records
+    }
+
+    /// The per-country realize kernel: realize country `idx`'s
+    /// `records` (as [`Self::country_records`] returns them) on the
+    /// country's `("realize", cc)` stream.
+    ///
+    /// `graph` supplies each host's outbound links; without one, pages
+    /// carry none. Links only shape page *bodies*, which scanning never
+    /// reads, and link assignment draws from its own `("webgraph", "")`
+    /// stream, so leaving them out cannot shift any draw the realizer
+    /// makes.
+    pub(crate) fn realize_country(
+        &self,
+        idx: usize,
+        records: Vec<HostRecord>,
+        graph: Option<&WebGraph>,
+    ) -> RealizeBatch {
+        let cc = self.countries[idx].code;
+        let mut r = self.realizer("realize", cc);
+        r.plan_shared_chains(cc, &records);
+        for rec in records {
+            let links = graph.map_or(&[][..], |g| g.links_for(&rec.hostname));
+            r.realize(rec, links);
         }
-        let batch = r.into_batch();
+        r.into_batch()
+    }
+
+    /// Realize shard `idx` (a country) into a self-contained
+    /// [`ShardWorld`]: regenerate its records, issue chains, and populate
+    /// a per-shard [`SimNet`].
+    ///
+    /// Pure in `&self`: shards can be realized in any order, in
+    /// parallel, or repeatedly — the result is always bit-identical to
+    /// the materialized world's slice for that country.
+    pub fn realize_shard(&self, idx: usize) -> ShardWorld {
+        let batch = self.realize_country(idx, self.country_records(idx), None);
         let mut net = SimNet::new();
-        for host in batch.hosts {
-            net.add_host(host);
-        }
-        for name in batch.dns_timeouts {
-            net.set_dns_behavior(&name, DnsBehavior::Timeout);
-        }
-        for (name, set) in batch.caa {
-            net.dns.publish_caa(&name, set);
-        }
         // CT appends are dropped: the scanner never consults the log and
         // the snapshot stores no CT data.
+        let (records, _ct) = batch.install(&mut net);
         ShardWorld {
-            country: cc,
-            hostnames,
+            country: self.countries[idx].code,
+            hostnames: records.into_iter().map(|r| r.hostname).collect(),
             net,
         }
     }
@@ -406,34 +415,14 @@ mod tests {
     }
 
     #[test]
-    fn stream_plan_matches_materialized_world() {
-        let config = WorldConfig::small(0x57E4);
-        let world = crate::World::generate(&config);
-        let plan = stream_shards(&config);
-
-        // Same population, same order.
-        assert_eq!(plan.host_count(), world.gov_hosts.len() as u64);
-        let streamed: Vec<String> = plan.shards().flat_map(|s| s.hostnames).collect();
-        assert_eq!(streamed, world.gov_hosts, "shard order is gov_hosts order");
-
-        // Same authoritative ranking list.
-        assert_eq!(plan.tranco().size, world.tranco.size);
-        assert_eq!(plan.tranco().entries.len(), world.tranco.entries.len());
-        for (a, b) in plan.tranco().entries.iter().zip(&world.tranco.entries) {
-            assert_eq!(
-                (a.rank, &a.hostname, a.is_gov),
-                (b.rank, &b.hostname, b.is_gov)
-            );
-        }
-    }
-
-    #[test]
     fn shard_nets_serve_the_materialized_wire_behaviour() {
         use govscan_net::{TcpOutcome, TlsClientConfig};
 
         let config = WorldConfig::small(0x57E5);
         let world = crate::World::generate(&config);
         let plan = stream_shards(&config);
+        // The planning walk's count agrees with the regenerated shards.
+        assert_eq!(plan.host_count(), world.gov_hosts.len() as u64);
         let client = TlsClientConfig::default();
 
         let mut chains = 0usize;

@@ -1,6 +1,7 @@
-//! The world orchestrator: generates every host population, injects the
-//! paper's pathologies, builds ranking lists and the web graph, and
-//! registers everything in a [`SimNet`].
+//! The materialized world: [`World::generate`] folds the [`StreamPlan`]'s
+//! country shards, the cross-country phases (rankings, whitelist, web
+//! graph) and the case-study, non-government and phishing populations
+//! into one [`SimNet`] with its ground truth.
 //!
 //! Generation is parallel but deterministic: every hot phase shards its
 //! population (by country, dataset or fixed-size chunk), each shard draws
@@ -8,11 +9,12 @@
 //! in a fixed order. The same seed therefore produces the same Internet
 //! byte for byte at any worker count — see DESIGN.md §9.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::net::Ipv4Addr;
 
 use govscan_asn1::Time;
 use govscan_crypto::{KeyAlgorithm, KeyPair, SignatureAlgorithm};
+use govscan_net::dns::DnsBehavior;
 use govscan_net::http::HttpResponse;
 use govscan_net::tls::{TlsQuirk, TlsServerConfig};
 use govscan_net::{CidrTable, HostConfig, SimNet};
@@ -30,9 +32,9 @@ use crate::host::{HostRecord, HostingClass, InjectedError, Posture};
 use crate::hostgen::{self, HostnameGen};
 use crate::hosting::{provider_table, HostingAssigner};
 use crate::posture::{self, PostureRates};
-use crate::rankings::{self, RankingList};
+use crate::rankings::{self, RankingEntry, RankingList};
 use crate::rok::{ROK, ROK_DEPARTMENTS};
-use crate::stream::{self, StreamSeeder};
+use crate::stream::{self, StreamPlan, StreamSeeder};
 use crate::usa::USA_DATASETS;
 use crate::webgraph::{self, GraphHost, WebGraph};
 
@@ -85,9 +87,72 @@ pub struct World {
 }
 
 impl World {
-    /// Generate a world.
+    /// Generate a world: run the [`StreamPlan`] once, then fold into one
+    /// world its country shards, the rankings, whitelist and web graph,
+    /// and the GSA, ROK, non-government and phishing populations. Realize
+    /// batches fold in that order, which fixes the CT log's leaf order.
     pub fn generate(config: &WorldConfig) -> World {
-        Generator::new(config.clone()).run()
+        let threads = stream::worldgen_threads();
+        let (plan, mut rankings_rng, ranked_pool) = StreamPlan::for_world(config);
+        let shards: Vec<usize> = (0..plan.shard_count()).collect();
+        let blocks = stream::par_map(threads, shards, |_, i| plan.country_records(i));
+        let gov: Vec<&HostRecord> = blocks.iter().flatten().collect();
+        let gov_hosts: Vec<String> = gov.iter().map(|r| r.hostname.clone()).collect();
+        let [majestic, cisco] = build_discovery_lists(&plan, &mut rankings_rng, ranked_pool);
+        // §4.1: the seed list is the deduplicated union of the lists'
+        // government rows (27,532 at paper scale).
+        let seed_list: Vec<String> = [plan.tranco(), &majestic, &cisco]
+            .into_iter()
+            .flat_map(RankingList::gov_entries)
+            .map(|e| e.hostname.clone())
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let whitelist = build_whitelist(&plan, &gov, &seed_list);
+        let webgraph = build_webgraph(&plan, &gov, &seed_list);
+
+        let mut fold = Fold::default();
+        let jobs: Vec<(usize, Vec<HostRecord>)> = blocks.into_iter().enumerate().collect();
+        for batch in stream::par_map(threads, jobs, |_, (i, records)| {
+            plan.realize_country(i, records, Some(&webgraph))
+        }) {
+            fold.apply(batch);
+        }
+        for e in plan.tranco().gov_entries() {
+            if let Some(rec) = fold.records.get_mut(&e.hostname) {
+                rec.tranco_rank = Some(e.rank);
+            }
+        }
+        for h in &seed_list {
+            if let Some(rec) = fold.records.get_mut(h) {
+                rec.in_seed = true;
+            }
+        }
+        let gsa_hosts = fold.apply_new(gsa_batches(&plan, threads));
+        let rok_hosts = fold.apply_new(rok_batches(&plan, threads));
+        fold.apply_new(nongov_batches(&plan, threads));
+        fold.apply_new(vec![phishing_batch(&plan)]);
+
+        let (config, mut cadb, tranco) = plan.into_world_parts();
+        for cert in &fold.ct {
+            cadb.ct_append(cert);
+        }
+        World {
+            config,
+            net: fold.net,
+            cadb,
+            records: fold.records,
+            gov_hosts,
+            seed_list,
+            whitelist,
+            tranco,
+            majestic,
+            cisco,
+            webgraph,
+            gsa_hosts,
+            rok_hosts,
+            provider_table: provider_table(),
+        }
     }
 
     /// Ground-truth record for a hostname.
@@ -119,599 +184,338 @@ pub(crate) struct SharedCluster {
     pub(crate) error: InjectedError,
 }
 
-struct Generator {
-    config: WorldConfig,
-    seeder: StreamSeeder,
-    threads: usize,
-    cadb: CaDb,
+/// The materialized world under construction. Realize batches fold in
+/// call order, and this is the only place worker output touches shared
+/// state, so the world depends on shard order alone — never on
+/// scheduling.
+#[derive(Default)]
+struct Fold {
     net: SimNet,
     records: HashMap<String, HostRecord>,
-    gov_hosts: Vec<String>,
-    /// Worldwide hostnames grouped by country, in generation order —
-    /// the shard layout for the realize phase.
-    gov_blocks: Vec<(&'static str, Vec<String>)>,
-    clusters: Vec<SharedCluster>,
-    shared_chain_of: HashMap<String, usize>,
+    /// CT-log leaves in issuance order, appended once the plan hands
+    /// over its CA roster.
+    ct: Vec<Certificate>,
 }
 
-impl Generator {
-    fn new(config: WorldConfig) -> Generator {
-        let seeder = StreamSeeder::new(config.seed);
-        let cadb = CaDb::build(config.seed);
-        Generator {
-            seeder,
-            threads: stream::worldgen_threads(),
-            cadb,
-            config,
-            net: SimNet::new(),
-            records: HashMap::new(),
-            gov_hosts: Vec::new(),
-            gov_blocks: Vec::new(),
-            clusters: Vec::new(),
-            shared_chain_of: HashMap::new(),
-        }
-    }
-
-    fn run(mut self) -> World {
-        // 1. Worldwide government population, per country.
-        self.generate_worldwide();
-        // 2. §5.3.3 reuse pathologies.
-        self.inject_reuse_clusters();
-        // 3. Rankings + seed list.
-        let (seed_list, tranco, majestic, cisco) = self.build_rankings();
-        // 4. Whitelist.
-        let whitelist = self.build_whitelist(&seed_list);
-        // 5. Web graph over worldwide gov hosts.
-        let webgraph = self.build_webgraph(&seed_list);
-        // 6. Realize worldwide hosts into the SimNet.
-        self.realize_worldwide(&webgraph);
-        // 7. Case-study populations.
-        let gsa_hosts = self.generate_gsa();
-        let rok_hosts = self.generate_rok();
-        // 8. Materialized non-government ranking hosts.
-        self.realize_nongov(&tranco);
-        // 9. Phishing twins (§7.3.2).
-        self.inject_phishing_twins();
-
-        World {
-            config: self.config,
-            net: self.net,
-            cadb: self.cadb,
-            records: self.records,
-            gov_hosts: self.gov_hosts,
-            seed_list,
-            whitelist,
-            tranco,
-            majestic,
-            cisco,
-            webgraph,
-            gsa_hosts,
-            rok_hosts,
-            provider_table: provider_table(),
-        }
-    }
-
-    /// Merge one shard's output into the world, in call order. This is
-    /// the only place worker results touch shared state, so the merged
-    /// world depends on shard order alone — never on scheduling.
+impl Fold {
     fn apply(&mut self, batch: RealizeBatch) {
-        for rec in batch.records {
+        let (records, ct) = batch.install(&mut self.net);
+        self.ct.extend(ct);
+        for rec in records {
             self.records.insert(rec.hostname.clone(), rec);
-        }
-        for host in batch.hosts {
-            self.net.add_host(host);
-        }
-        for name in batch.dns_timeouts {
-            self.net
-                .set_dns_behavior(&name, govscan_net::dns::DnsBehavior::Timeout);
-        }
-        for (name, set) in batch.caa {
-            self.net.dns.publish_caa(&name, set);
-        }
-        for cert in batch.ct {
-            self.cadb.ct_append(&cert);
         }
     }
 
     /// [`Self::apply`] for phases that add *new* populations (GSA, ROK,
-    /// non-gov rankings, phishing twins). Asserts no hostname shadows an
-    /// already-realized host: `SimNet::add_host` is last-insert-wins, so
-    /// a collision would silently rewrite a scanned host's wire
-    /// behaviour — and desynchronize the streamed pipeline, whose
-    /// per-shard nets never see later phases. The worldwide namer keeps
-    /// this disjoint by construction (hyphenated collision labels).
-    fn apply_new(&mut self, batch: RealizeBatch) {
-        debug_assert!(
-            batch
-                .records
-                .iter()
-                .all(|rec| !self.records.contains_key(&rec.hostname)),
-            "case-study phase would shadow an existing host"
-        );
-        self.apply(batch);
-    }
-
-    fn generate_worldwide(&mut self) {
-        let total_weight = countries::total_weight();
-        let shards: Vec<&'static Country> = countries::active_countries().collect();
-        let seeder = self.seeder;
-        let config = &self.config;
-        let blocks = stream::par_map(self.threads, shards, |_, country| {
-            (
-                country.code,
-                worldwide_country_records(config, seeder, country, total_weight),
-            )
-        });
-        for (cc, records) in blocks {
-            let mut names = Vec::with_capacity(records.len());
-            for rec in records {
-                names.push(rec.hostname.clone());
-                self.gov_hosts.push(rec.hostname.clone());
-                self.records.insert(rec.hostname.clone(), rec);
-            }
-            self.gov_blocks.push((cc, names));
-        }
-    }
-
-    /// Inject the §5.3.3 shared-certificate clusters: per-country
-    /// wildcard-scope misuse (Bangladesh 2 certs / 138 hosts, Colombia
-    /// 3 / 107, Dominica 1 / 28, Vietnam 3 / 21) plus the worldwide
-    /// localhost-certificate clusters (154 certs reused across 1,390
-    /// hosts in up to 24 countries). The walk itself lives in
-    /// [`plan_reuse_clusters`] so the streamed plan can replay it.
-    fn inject_reuse_clusters(&mut self) {
-        let needed = cluster_candidate_countries(&self.config);
-        let mut candidates: HashMap<&'static str, Vec<String>> = HashMap::new();
-        for (cc, hosts) in &self.gov_blocks {
-            if !needed.contains(cc) {
-                continue;
-            }
-            let list: Vec<String> = hosts
-                .iter()
-                .filter(|h| self.records[*h].posture.attempts_https())
-                .cloned()
-                .collect();
-            candidates.insert(cc, list);
-        }
-        let plan = plan_reuse_clusters(&self.config, &mut self.cadb, &candidates);
-        for (host, &ci) in &plan.shared_chain_of {
-            let rec = self.records.get_mut(host).expect("cluster member exists");
-            rec.posture = Posture::InvalidHttps {
-                error: plan.clusters[ci].error,
-            };
-        }
-        self.clusters = plan.clusters;
-        self.shared_chain_of = plan.shared_chain_of;
-    }
-
-    /// Build ranking lists and derive the seed list (§4.1: the merged
-    /// top-million data contributed 27,532 unique government hostnames).
-    fn build_rankings(&mut self) -> (Vec<String>, RankingList, RankingList, RankingList) {
-        let mut rng = self.seeder.rng("rankings", "");
-        // Popularity pool: bias toward high-tech countries.
-        let pool: Vec<String> = self
-            .gov_hosts
-            .iter()
-            .filter(|h| ranked_pool_accept(&mut rng, self.records[*h].country))
-            .cloned()
-            .collect();
-        // Tranco materializes non-gov hosts for §5.5; the other two lists
-        // only need their government overlap counts (Table 1).
-        let (ranked_pool, tranco) = build_tranco(&self.config, &mut rng, pool);
-        let size = tranco.size;
-        // The other lists materialize nothing, so their namer is never
-        // consulted (`build_list` draws zero non-gov rows at rate 0).
-        let mut no_namer =
-            |_: &mut dyn rand::RngCore| -> String { unreachable!("materialize rate is 0") };
-        let mut draw = ranked_pool;
-        draw.shuffle(&mut rng);
-        let majestic = rankings::build_list(
-            &mut rng,
-            "majestic",
-            size,
-            rankings::MAJESTIC_OVERLAP,
-            self.config.discovery_scale(),
-            &draw,
-            0.0,
-            &mut no_namer,
-        );
-        draw.shuffle(&mut rng);
-        let cisco = rankings::build_list(
-            &mut rng,
-            "cisco",
-            size,
-            rankings::CISCO_OVERLAP,
-            self.config.discovery_scale(),
-            &draw,
-            0.0,
-            &mut no_namer,
-        );
-        // §4.1: the seed list is the deduplicated union of the lists'
-        // government rows (27,532 at paper scale).
-        let mut seed_set: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-        for list in [&tranco, &majestic, &cisco] {
-            for e in list.gov_entries() {
-                seed_set.insert(e.hostname.clone());
-            }
-        }
-        let seed_list: Vec<String> = seed_set.into_iter().collect();
-        // Mark records.
-        for e in tranco.gov_entries() {
-            if let Some(rec) = self.records.get_mut(&e.hostname) {
-                rec.tranco_rank = Some(e.rank);
-            }
-        }
-        for h in &seed_list {
-            if let Some(rec) = self.records.get_mut(h) {
-                rec.in_seed = true;
-            }
-        }
-        (seed_list, tranco, majestic, cisco)
-    }
-
-    fn build_whitelist(&mut self, seed: &[String]) -> Vec<String> {
-        let mut rng = self.seeder.rng("whitelist", "");
-        let mut whitelist: Vec<String> = Vec::new();
-        // Whitelist-only countries (Germany, Denmark, NL, Greenland,
-        // Gabon, …) enter exclusively through the whitelist.
-        for host in &self.gov_hosts {
-            let rec = &self.records[host];
-            let country = Country::by_code(rec.country).expect("known country");
-            if country.whitelist_only() {
-                whitelist.push(host.clone());
-            }
-        }
-        // Plus hand-curated extras from long-tail countries not in seed.
-        // Hand-curation does not grow with the world: saturates at the
-        // paper's 596 entries (discovery scale).
-        let extra = self.config.discovery_scaled(WHITELIST_EXTRA) as usize;
-        let mut candidates: Vec<String> = self
-            .gov_hosts
-            .iter()
-            .filter(|h| !seed.contains(h) && !whitelist.contains(h))
-            .cloned()
-            .collect();
-        candidates.shuffle(&mut rng);
-        whitelist.extend(candidates.into_iter().take(extra));
-        whitelist
-    }
-
-    fn build_webgraph(&mut self, seed: &[String]) -> WebGraph {
-        let mut rng = self.seeder.rng("webgraph", "");
-        let seed_set: std::collections::HashSet<&String> = seed.iter().collect();
-        let hosts: Vec<GraphHost> = self
-            .gov_hosts
-            .iter()
-            .map(|h| GraphHost {
-                hostname: h.clone(),
-                country: self.records[h].country,
-                is_seed: seed_set.contains(h),
-                alive: !matches!(self.records[h].posture, Posture::Unreachable),
-            })
-            .collect();
-        let mut counter = 0u64;
-        let mut graph = webgraph::assign_links(&mut rng, &hosts, 0.0, move |_| {
-            counter += 1;
-            format!("cdn{counter}.example-ads.com")
-        });
-        // Cross-government links (§7.3.3 / Figure A.5): each country's
-        // portal links to a fixed palette of foreign governments, sized
-        // 2–15 (75% of countries link ≥7 others in the paper), with
-        // Austria as the 70-country hub. Palettes keep the per-country
-        // out-degree scale-independent.
-        let mut portals: std::collections::BTreeMap<&'static str, String> =
-            std::collections::BTreeMap::new();
-        let mut alive_by_country: std::collections::BTreeMap<&'static str, Vec<&String>> =
-            std::collections::BTreeMap::new();
-        for h in &self.gov_hosts {
-            let rec = &self.records[h];
-            if matches!(rec.posture, Posture::Unreachable) {
-                continue;
-            }
-            portals.entry(rec.country).or_insert_with(|| h.clone());
-            alive_by_country.entry(rec.country).or_default().push(h);
-        }
-        let countries: Vec<&'static str> = alive_by_country.keys().copied().collect();
-        for (cc, portal) in &portals {
-            let hash = cc.bytes().fold(self.config.seed, |a, b| {
-                a.wrapping_mul(131).wrapping_add(b as u64)
-            });
-            let palette_size = if *cc == "at" {
-                70
-            } else {
-                (2 + hash % 14) as usize
-            };
-            let start = (hash % countries.len() as u64) as usize;
-            let mut added = 0usize;
-            for step in 0..countries.len() {
-                if added >= palette_size {
-                    break;
-                }
-                // Stride 1: any fixed stride k would collapse the palette to
-                // len/gcd(k, len) distinct countries whenever k divides the
-                // alive-country count.
-                let target_cc = countries[(start + step + 1) % countries.len()];
-                if target_cc == *cc {
-                    continue;
-                }
-                let candidates = &alive_by_country[target_cc];
-                let target = candidates[(hash as usize + step) % candidates.len()];
-                graph
-                    .links
-                    .entry(portal.clone())
-                    .or_default()
-                    .push(format!("http://{target}/"));
-                added += 1;
-            }
-        }
-        graph
-    }
-
-    /// Realize the worldwide population: one shard per country, each
-    /// issuing chains against the shared `&CaDb` and emitting a batch
-    /// merged back in country order.
-    fn realize_worldwide(&mut self, graph: &WebGraph) {
-        let jobs: Vec<(&'static str, Vec<RealizeItem>)> = self
-            .gov_blocks
-            .iter()
-            .map(|(cc, hosts)| {
-                let items = hosts
-                    .iter()
-                    .map(|h| (self.records[h].clone(), graph.links_for(h).to_vec()))
-                    .collect();
-                (*cc, items)
-            })
-            .collect();
-        let seeder = self.seeder;
-        let config = &self.config;
-        let cadb = &self.cadb;
-        let clusters = &self.clusters[..];
-        let shared = &self.shared_chain_of;
-        let batches = stream::par_map(self.threads, jobs, |_, (cc, items)| {
-            let mut r = Realizer::for_shard(config, cadb, clusters, shared, seeder, "realize", cc);
-            r.plan_shared_chains(cc, &items);
-            for (rec, links) in items {
-                r.realize(rec, &links);
-            }
-            r.into_batch()
-        });
+    /// non-gov rankings, phishing twins); returns their hostnames in
+    /// emission order. Asserts no hostname shadows an already-realized
+    /// host: `SimNet::add_host` is last-insert-wins, so a collision would
+    /// silently rewrite a scanned host's wire behaviour — and
+    /// desynchronize the streamed pipeline, whose per-shard nets never
+    /// see later phases. The worldwide namer keeps this disjoint by
+    /// construction (hyphenated collision labels).
+    fn apply_new(&mut self, batches: Vec<RealizeBatch>) -> Vec<String> {
+        let mut names = Vec::new();
         for batch in batches {
+            debug_assert!(
+                batch
+                    .records
+                    .iter()
+                    .all(|rec| !self.records.contains_key(&rec.hostname)),
+                "case-study phase would shadow an existing host"
+            );
+            names.extend(batch.records.iter().map(|rec| rec.hostname.clone()));
             self.apply(batch);
         }
+        names
     }
+}
 
-    /// USA GSA case-study populations (§6.1, Tables A.1/A.2): one shard
-    /// per dataset.
-    fn generate_gsa(&mut self) -> Vec<String> {
-        let specs: Vec<_> = USA_DATASETS.to_vec();
-        let seeder = self.seeder;
-        let config = &self.config;
-        let cadb = &self.cadb;
-        let clusters = &self.clusters[..];
-        let shared = &self.shared_chain_of;
-        let results = stream::par_map(self.threads, specs, |_, spec| {
-            let mut r =
-                Realizer::for_shard(config, cadb, clusters, shared, seeder, "gsa", spec.tag());
-            let n = config.scaled(spec.total as u64);
-            let rates = spec.rates();
-            let mut hosts = Vec::with_capacity(n as usize);
-            for i in 0..n {
-                let hostname = format!("{}{}-usgsa.{}", spec.tag(), i, spec.suffix());
-                let posture = rates.sample(&mut r.rng);
-                let hosting = r.assigner.sample_class(&mut r.rng, 0.13);
-                let posture = posture::apply_cloud_boost(
-                    &mut r.rng,
-                    posture,
-                    hosting != HostingClass::Private,
-                );
-                let record = HostRecord {
-                    hostname: hostname.clone(),
-                    country: "us",
-                    is_gov: true,
-                    posture,
-                    issuer: None,
-                    hosting,
-                    tranco_rank: None,
-                    in_seed: false,
-                    gsa_datasets: vec![spec.dataset],
-                    in_rok_list: false,
-                    has_caa: r.rng.gen::<f64>() < 0.03,
-                    is_ev: false,
-                };
-                r.realize(record, &[]);
-                hosts.push(hostname);
-            }
-            (hosts, r.into_batch())
-        });
-        let mut gsa_hosts = Vec::new();
-        for (hosts, batch) in results {
-            gsa_hosts.extend(hosts);
-            self.apply_new(batch);
+/// The majestic and cisco lists (Table 1), continuing the plan's
+/// `("rankings", "")` stream where Tranco left it. They only need their
+/// government overlap counts, so they materialize no non-government
+/// rows.
+fn build_discovery_lists(
+    plan: &StreamPlan,
+    rng: &mut StdRng,
+    mut draw: Vec<String>,
+) -> [RankingList; 2] {
+    let (size, scale) = (plan.tranco().size, plan.config().discovery_scale());
+    // `build_list` draws zero non-gov rows at rate 0, so this namer is
+    // never consulted.
+    let mut no_namer =
+        |_: &mut dyn rand::RngCore| -> String { unreachable!("materialize rate is 0") };
+    [
+        ("majestic", rankings::MAJESTIC_OVERLAP),
+        ("cisco", rankings::CISCO_OVERLAP),
+    ]
+    .map(|(name, overlap)| {
+        draw.shuffle(rng);
+        rankings::build_list(rng, name, size, overlap, scale, &draw, 0.0, &mut no_namer)
+    })
+}
+
+/// The §4.2.3 whitelist: every host of a whitelist-only country, plus
+/// hand-curated extras from long-tail hosts not in the seed list.
+fn build_whitelist(plan: &StreamPlan, gov: &[&HostRecord], seed: &[String]) -> Vec<String> {
+    let mut rng = plan.seeder().rng("whitelist", "");
+    // Whitelist-only countries (Germany, Denmark, NL, Greenland,
+    // Gabon, …) enter exclusively through the whitelist.
+    let mut whitelist: Vec<String> = gov
+        .iter()
+        .filter(|r| {
+            Country::by_code(r.country)
+                .expect("known country")
+                .whitelist_only()
+        })
+        .map(|r| r.hostname.clone())
+        .collect();
+    // Hand-curation does not grow with the world: saturates at the
+    // paper's 596 entries (discovery scale).
+    let extra = plan.config().discovery_scaled(WHITELIST_EXTRA) as usize;
+    let listed: HashSet<&str> = seed.iter().chain(&whitelist).map(String::as_str).collect();
+    let mut candidates: Vec<String> = gov
+        .iter()
+        .filter(|r| !listed.contains(r.hostname.as_str()))
+        .map(|r| r.hostname.clone())
+        .collect();
+    candidates.shuffle(&mut rng);
+    whitelist.extend(candidates.into_iter().take(extra));
+    whitelist
+}
+
+/// The web graph over the worldwide government hosts.
+fn build_webgraph(plan: &StreamPlan, gov: &[&HostRecord], seed: &[String]) -> WebGraph {
+    let mut rng = plan.seeder().rng("webgraph", "");
+    let seed_set: HashSet<&String> = seed.iter().collect();
+    let hosts: Vec<GraphHost> = gov
+        .iter()
+        .map(|r| GraphHost {
+            hostname: r.hostname.clone(),
+            country: r.country,
+            is_seed: seed_set.contains(&r.hostname),
+            alive: !matches!(r.posture, Posture::Unreachable),
+        })
+        .collect();
+    let mut counter = 0u64;
+    let mut graph = webgraph::assign_links(&mut rng, &hosts, 0.0, move |_| {
+        counter += 1;
+        format!("cdn{counter}.example-ads.com")
+    });
+    // Cross-government links (§7.3.3 / Figure A.5): each country's
+    // portal links to a fixed palette of foreign governments, sized
+    // 2–15 (75% of countries link ≥7 others in the paper), with
+    // Austria as the 70-country hub. Palettes keep the per-country
+    // out-degree scale-independent.
+    let mut portals: BTreeMap<&'static str, &String> = BTreeMap::new();
+    let mut alive_by_country: BTreeMap<&'static str, Vec<&String>> = BTreeMap::new();
+    for rec in gov {
+        if matches!(rec.posture, Posture::Unreachable) {
+            continue;
         }
-        gsa_hosts
+        portals.entry(rec.country).or_insert(&rec.hostname);
+        alive_by_country
+            .entry(rec.country)
+            .or_default()
+            .push(&rec.hostname);
     }
-
-    /// South Korea Government24 population (§6.2, Tables A.3/A.4):
-    /// fixed-size chunks of the global index space.
-    fn generate_rok(&mut self) -> Vec<String> {
-        let n = self.config.scaled(ROK.total as u64);
-        let starts: Vec<u64> = (0..n).step_by(CHUNK).collect();
-        let seeder = self.seeder;
-        let config = &self.config;
-        let cadb = &self.cadb;
-        let clusters = &self.clusters[..];
-        let shared = &self.shared_chain_of;
-        let results = stream::par_map(self.threads, starts, |ci, start| {
-            let mut r = Realizer::for_shard(
-                config,
-                cadb,
-                clusters,
-                shared,
-                seeder,
-                "rok",
-                &ci.to_string(),
-            );
-            let rates = ROK.rates();
-            let end = (start + CHUNK as u64).min(n);
-            let mut hosts = Vec::with_capacity((end - start) as usize);
-            for i in start..end {
-                let dept = ROK_DEPARTMENTS[(i as usize) % ROK_DEPARTMENTS.len()];
-                let hostname = match i % 4 {
-                    0 => format!("www{}.{dept}.go.kr", i / ROK_DEPARTMENTS.len() as u64),
-                    1 => format!("minwon{}.{dept}.go.kr", i / ROK_DEPARTMENTS.len() as u64),
-                    2 => format!("{dept}{}.go.kr", i / ROK_DEPARTMENTS.len() as u64),
-                    _ => format!("e{}.{dept}.go.kr", i / ROK_DEPARTMENTS.len() as u64),
-                };
-                let posture = rates.sample(&mut r.rng);
-                let hosting = r.assigner.sample_class(&mut r.rng, 0.0021);
-                let record = HostRecord {
-                    hostname: hostname.clone(),
-                    country: "kr",
-                    is_gov: true,
-                    posture,
-                    issuer: None,
-                    hosting,
-                    tranco_rank: None,
-                    in_seed: false,
-                    gsa_datasets: Vec::new(),
-                    in_rok_list: true,
-                    has_caa: r.rng.gen::<f64>() < 0.005,
-                    is_ev: false,
-                };
-                r.realize(record, &[]);
-                hosts.push(hostname);
-            }
-            (hosts, r.into_batch())
+    let countries: Vec<&'static str> = alive_by_country.keys().copied().collect();
+    for (cc, portal) in &portals {
+        let hash = cc.bytes().fold(plan.config().seed, |a, b| {
+            a.wrapping_mul(131).wrapping_add(b as u64)
         });
-        let mut rok_hosts = Vec::new();
-        for (hosts, batch) in results {
-            rok_hosts.extend(hosts);
-            self.apply_new(batch);
-        }
-        rok_hosts
-    }
-
-    /// Materialize the tranco list's non-government rows as dialable
-    /// hosts with rank-dependent https quality (§5.5 / Figure 7: ~72%
-    /// valid at the top of the list declining to ~40% at the bottom).
-    fn realize_nongov(&mut self, tranco: &RankingList) {
-        let size = tranco.size as f64;
-        let entries: Vec<(u32, String)> = tranco
-            .nongov_entries()
-            .map(|e| (e.rank, e.hostname.clone()))
-            .collect();
-        let chunks: Vec<Vec<(u32, String)>> = entries.chunks(CHUNK).map(|c| c.to_vec()).collect();
-        let seeder = self.seeder;
-        let config = &self.config;
-        let cadb = &self.cadb;
-        let clusters = &self.clusters[..];
-        let shared = &self.shared_chain_of;
-        let batches = stream::par_map(self.threads, chunks, |ci, chunk| {
-            let mut r = Realizer::for_shard(
-                config,
-                cadb,
-                clusters,
-                shared,
-                seeder,
-                "nongov",
-                &ci.to_string(),
-            );
-            for (rank, hostname) in chunk {
-                let frac = rank as f64 / size;
-                let p_valid = 0.72 - 0.32 * frac;
-                let p_https = 0.88 - 0.25 * frac;
-                let roll = r.rng.gen::<f64>();
-                let posture = if roll < p_valid {
-                    Posture::ValidHttps {
-                        serves_http_too: r.rng.gen::<f64>() < 0.15,
-                        hsts: r.rng.gen::<f64>() < 0.4,
-                    }
-                } else if roll < p_https {
-                    let idx = crate::cadb::weighted_pick(&mut r.rng, &posture::WORLD_ERROR_MIX);
-                    Posture::InvalidHttps {
-                        error: InjectedError::ALL[idx],
-                    }
-                } else {
-                    Posture::HttpOnly
-                };
-                // Non-government top-million sites are far more cloud-hosted.
-                let hosting = r.assigner.sample_class(&mut r.rng, 0.45);
-                let record = HostRecord {
-                    hostname: hostname.clone(),
-                    country: "us",
-                    is_gov: false,
-                    posture,
-                    issuer: None,
-                    hosting,
-                    tranco_rank: Some(rank),
-                    in_seed: false,
-                    gsa_datasets: Vec::new(),
-                    in_rok_list: false,
-                    has_caa: r.rng.gen::<f64>() < 0.05,
-                    is_ev: false,
-                };
-                r.realize(record, &[]);
+        let palette_size = if *cc == "at" {
+            70
+        } else {
+            (2 + hash % 14) as usize
+        };
+        let start = (hash % countries.len() as u64) as usize;
+        let mut added = 0usize;
+        for step in 0..countries.len() {
+            if added >= palette_size {
+                break;
             }
-            r.into_batch()
-        });
-        for batch in batches {
-            self.apply_new(batch);
+            // Stride 1: any fixed stride k would collapse the palette to
+            // len/gcd(k, len) distinct countries whenever k divides the
+            // alive-country count.
+            let target_cc = countries[(start + step + 1) % countries.len()];
+            if target_cc == *cc {
+                continue;
+            }
+            let candidates = &alive_by_country[target_cc];
+            let target = candidates[(hash as usize + step) % candidates.len()];
+            graph
+                .links
+                .entry((*portal).clone())
+                .or_default()
+                .push(format!("http://{target}/"));
+            added += 1;
         }
     }
+    graph
+}
 
-    /// §7.3.2: lookalike registrations with perfectly valid certificates —
-    /// `etagov.sl` posing as `eta.gov.lk`, and `<word>gov.us` twins.
-    fn inject_phishing_twins(&mut self) {
-        let mut twins = vec![hostgen::phishing_twin("eta.gov.lk", "sl")];
-        let n = self.config.scaled(85);
+/// USA GSA case-study populations (§6.1, Tables A.1/A.2): one shard per
+/// dataset.
+fn gsa_batches(plan: &StreamPlan, threads: usize) -> Vec<RealizeBatch> {
+    stream::par_map(threads, USA_DATASETS.to_vec(), |_, spec| {
+        let mut r = plan.realizer("gsa", spec.tag());
+        let n = plan.config().scaled(spec.total as u64);
+        let rates = spec.rates();
         for i in 0..n {
-            let dept = [
-                "tax", "visa", "health", "travel", "permit", "id", "dmv", "irs",
-            ][(i as usize) % 8];
-            twins.push(format!("{dept}{i}gov.us"));
-        }
-        let mut r = Realizer::for_shard(
-            &self.config,
-            &self.cadb,
-            &self.clusters,
-            &self.shared_chain_of,
-            self.seeder,
-            "phishing",
-            "",
-        );
-        for hostname in twins {
+            let hostname = format!("{}{}-usgsa.{}", spec.tag(), i, spec.suffix());
+            let posture = rates.sample(&mut r.rng);
+            let hosting = r.assigner.sample_class(&mut r.rng, 0.13);
+            let posture =
+                posture::apply_cloud_boost(&mut r.rng, posture, hosting != HostingClass::Private);
             let record = HostRecord {
-                hostname: hostname.clone(),
+                hostname,
                 country: "us",
-                is_gov: false, // impersonation, not government
-                posture: Posture::ValidHttps {
-                    serves_http_too: false,
-                    hsts: false,
-                },
+                is_gov: true,
+                posture,
                 issuer: None,
-                hosting: HostingClass::Cdn("cloudflare"),
+                hosting,
                 tranco_rank: None,
                 in_seed: false,
-                gsa_datasets: Vec::new(),
+                gsa_datasets: vec![spec.dataset],
                 in_rok_list: false,
-                has_caa: false,
+                has_caa: r.rng.gen::<f64>() < 0.03,
                 is_ev: false,
             };
             r.realize(record, &[]);
         }
-        let batch = r.into_batch();
-        self.apply_new(batch);
+        r.into_batch()
+    })
+}
+
+/// South Korea Government24 population (§6.2, Tables A.3/A.4):
+/// fixed-size chunks of the global index space.
+fn rok_batches(plan: &StreamPlan, threads: usize) -> Vec<RealizeBatch> {
+    let n = plan.config().scaled(ROK.total as u64);
+    let starts: Vec<u64> = (0..n).step_by(CHUNK).collect();
+    stream::par_map(threads, starts, |ci, start| {
+        let mut r = plan.realizer("rok", &ci.to_string());
+        let rates = ROK.rates();
+        for i in start..(start + CHUNK as u64).min(n) {
+            let dept = ROK_DEPARTMENTS[(i as usize) % ROK_DEPARTMENTS.len()];
+            let hostname = match i % 4 {
+                0 => format!("www{}.{dept}.go.kr", i / ROK_DEPARTMENTS.len() as u64),
+                1 => format!("minwon{}.{dept}.go.kr", i / ROK_DEPARTMENTS.len() as u64),
+                2 => format!("{dept}{}.go.kr", i / ROK_DEPARTMENTS.len() as u64),
+                _ => format!("e{}.{dept}.go.kr", i / ROK_DEPARTMENTS.len() as u64),
+            };
+            let posture = rates.sample(&mut r.rng);
+            let hosting = r.assigner.sample_class(&mut r.rng, 0.0021);
+            let record = HostRecord {
+                hostname,
+                country: "kr",
+                is_gov: true,
+                posture,
+                issuer: None,
+                hosting,
+                tranco_rank: None,
+                in_seed: false,
+                gsa_datasets: Vec::new(),
+                in_rok_list: true,
+                has_caa: r.rng.gen::<f64>() < 0.005,
+                is_ev: false,
+            };
+            r.realize(record, &[]);
+        }
+        r.into_batch()
+    })
+}
+
+/// Materialize the tranco list's non-government rows as dialable
+/// hosts with rank-dependent https quality (§5.5 / Figure 7: ~72%
+/// valid at the top of the list declining to ~40% at the bottom).
+fn nongov_batches(plan: &StreamPlan, threads: usize) -> Vec<RealizeBatch> {
+    let size = plan.tranco().size as f64;
+    let entries: Vec<&RankingEntry> = plan.tranco().nongov_entries().collect();
+    let chunks: Vec<&[&RankingEntry]> = entries.chunks(CHUNK).collect();
+    stream::par_map(threads, chunks, |ci, chunk| {
+        let mut r = plan.realizer("nongov", &ci.to_string());
+        for e in chunk {
+            let frac = e.rank as f64 / size;
+            let p_valid = 0.72 - 0.32 * frac;
+            let p_https = 0.88 - 0.25 * frac;
+            let roll = r.rng.gen::<f64>();
+            let posture = if roll < p_valid {
+                Posture::ValidHttps {
+                    serves_http_too: r.rng.gen::<f64>() < 0.15,
+                    hsts: r.rng.gen::<f64>() < 0.4,
+                }
+            } else if roll < p_https {
+                let idx = crate::cadb::weighted_pick(&mut r.rng, &posture::WORLD_ERROR_MIX);
+                Posture::InvalidHttps {
+                    error: InjectedError::ALL[idx],
+                }
+            } else {
+                Posture::HttpOnly
+            };
+            // Non-government top-million sites are far more cloud-hosted.
+            let hosting = r.assigner.sample_class(&mut r.rng, 0.45);
+            let record = HostRecord {
+                hostname: e.hostname.clone(),
+                country: "us",
+                is_gov: false,
+                posture,
+                issuer: None,
+                hosting,
+                tranco_rank: Some(e.rank),
+                in_seed: false,
+                gsa_datasets: Vec::new(),
+                in_rok_list: false,
+                has_caa: r.rng.gen::<f64>() < 0.05,
+                is_ev: false,
+            };
+            r.realize(record, &[]);
+        }
+        r.into_batch()
+    })
+}
+
+/// §7.3.2: lookalike registrations with perfectly valid certificates —
+/// `etagov.sl` posing as `eta.gov.lk`, and `<word>gov.us` twins.
+fn phishing_batch(plan: &StreamPlan) -> RealizeBatch {
+    let mut twins = vec![hostgen::phishing_twin("eta.gov.lk", "sl")];
+    let n = plan.config().scaled(85);
+    for i in 0..n {
+        let dept = [
+            "tax", "visa", "health", "travel", "permit", "id", "dmv", "irs",
+        ][(i as usize) % 8];
+        twins.push(format!("{dept}{i}gov.us"));
     }
+    let mut r = plan.realizer("phishing", "");
+    for hostname in twins {
+        let record = HostRecord {
+            hostname,
+            country: "us",
+            is_gov: false, // impersonation, not government
+            posture: Posture::ValidHttps {
+                serves_http_too: false,
+                hsts: false,
+            },
+            issuer: None,
+            hosting: HostingClass::Cdn("cloudflare"),
+            tranco_rank: None,
+            in_seed: false,
+            gsa_datasets: Vec::new(),
+            in_rok_list: false,
+            has_caa: false,
+            is_ev: false,
+        };
+        r.realize(record, &[]);
+    }
+    r.into_batch()
 }
 
 // ---------------------------------------------------------------------
-// Shared generation kernels.
+// Generation kernels.
 //
-// Everything below is a pure function of (config, seeder, shard) — no
-// Generator state — so the materialized [`Generator`] and the streamed
-// plan ([`crate::stream::StreamPlan`]) both call them and, by
-// construction, draw identical RNG streams. This is what makes the
-// streamed archive byte-identical to the materialized one.
+// Everything below is a pure function of (config, seeder, shard), run by
+// the plan ([`crate::stream::StreamPlan`]). A shard therefore draws the
+// same RNG streams whether it is streamed or folded into a [`World`].
 // ---------------------------------------------------------------------
 
 /// Cloud/CDN adoption share of a country's government hosts.
@@ -871,10 +675,10 @@ impl ClusterPlan {
 /// `candidates` holds, per country, the https-attempting worldwide
 /// hostnames in generation order, judged by their *original* postures.
 /// The flips this plan implies keep `attempts_https`, so candidacy is
-/// insensitive to whether earlier clusters were already applied — which
-/// is what lets the materialized generator (flip-as-you-go) and the
-/// streamed plan (flip-at-realize) share this walk. Consumes no RNG;
-/// keys and serials derive from deterministic seeds.
+/// insensitive to whether earlier clusters were already applied, and the
+/// flips themselves can wait until a country's records are regenerated
+/// ([`StreamPlan::country_records`]). Consumes no RNG; keys and serials
+/// derive from deterministic seeds.
 pub(crate) fn plan_reuse_clusters(
     config: &WorldConfig,
     cadb: &mut CaDb,
@@ -965,10 +769,9 @@ pub(crate) fn plan_reuse_clusters(
     plan
 }
 
-/// One ranked-pool membership draw, per worldwide host in `gov_hosts`
-/// order — higher-tech countries are far more likely to be ranked. Both
-/// walks call this for *every* host so the `("rankings", "")` stream
-/// stays in lockstep.
+/// One ranked-pool membership draw, made by the planning walk for every
+/// worldwide host in generation order — higher-tech countries are far
+/// more likely to be ranked.
 pub(crate) fn ranked_pool_accept(rng: &mut StdRng, country: &'static str) -> bool {
     let tech = Country::by_code(country).map(|c| c.tech).unwrap_or(0.5);
     rng.gen::<f64>() < 0.18 + 0.6 * tech
@@ -978,9 +781,8 @@ pub(crate) fn ranked_pool_accept(rng: &mut StdRng, country: &'static str) -> boo
 /// shuffle the accepted pool, truncate to the (discovery-scaled) seed
 /// pool, and build the ranking with materialized non-government rows.
 /// Returns the ranked pool (the draw set for the other two lists) and
-/// the list. Consumes the `("rankings", "")` stream exactly as far as
-/// the materialized `build_rankings` does before the majestic shuffle,
-/// so the streamed plan can stop here.
+/// the list. [`World::generate`] continues the same `("rankings", "")`
+/// stream for the other two lists; the streamed plan stops here.
 pub(crate) fn build_tranco(
     config: &WorldConfig,
     rng: &mut StdRng,
@@ -1015,32 +817,43 @@ pub(crate) fn build_tranco(
     (ranked_pool, tranco)
 }
 
-/// One host's realization input: its ground-truth record plus the
-/// outbound links the webgraph gave it.
-pub(crate) type RealizeItem = (HostRecord, Vec<String>);
-
 /// Everything one shard wants to write into the world, in emission
-/// order. Workers fill a batch against shared `&` state; the generator
-/// applies batches in fixed shard order, which keeps the merged world
+/// order. Workers fill a batch against shared `&` state; consumers
+/// install batches in fixed shard order, which keeps the result
 /// independent of scheduling.
 #[derive(Default)]
 pub(crate) struct RealizeBatch {
     pub(crate) records: Vec<HostRecord>,
-    pub(crate) hosts: Vec<HostConfig>,
-    pub(crate) dns_timeouts: Vec<String>,
-    pub(crate) caa: Vec<(String, Vec<CaaRecord>)>,
+    hosts: Vec<HostConfig>,
+    dns_timeouts: Vec<String>,
+    caa: Vec<(String, Vec<CaaRecord>)>,
     /// Leaves to append to the CT log (in issuance order).
-    pub(crate) ct: Vec<Certificate>,
+    ct: Vec<Certificate>,
+}
+
+impl RealizeBatch {
+    /// Install the batch's wire behaviour — hosts, DNS timeout slices,
+    /// CAA sets — into `net`, in emission order. Returns the records and
+    /// the CT leaves, which only a materialized world keeps.
+    pub(crate) fn install(self, net: &mut SimNet) -> (Vec<HostRecord>, Vec<Certificate>) {
+        for host in self.hosts {
+            net.add_host(host);
+        }
+        for name in self.dns_timeouts {
+            net.set_dns_behavior(&name, DnsBehavior::Timeout);
+        }
+        for (name, set) in self.caa {
+            net.dns.publish_caa(&name, set);
+        }
+        (self.records, self.ct)
+    }
 }
 
 /// Per-shard host realizer: owns the shard's RNG stream and IP
-/// allocator, borrows the shared (read-only) CA roster and cluster
+/// allocator, borrows the plan's (read-only) CA roster and cluster
 /// table, and accumulates a [`RealizeBatch`].
 pub(crate) struct Realizer<'a> {
-    config: &'a WorldConfig,
-    cadb: &'a CaDb,
-    clusters: &'a [SharedCluster],
-    shared_chain_of: &'a HashMap<String, usize>,
+    plan: &'a StreamPlan,
     assigner: HostingAssigner,
     rng: StdRng,
     /// §9 consolidated hosting: hostname → index into `shared_chains`.
@@ -1049,32 +862,24 @@ pub(crate) struct Realizer<'a> {
     /// window instead of sampling one from the RNG stream. The evolution
     /// model (`crate::evolve`) schedules certificate lifetimes itself —
     /// it must know a cert's expiry without replaying realizer draws —
-    /// so it injects the window it already decided on. The materialized
-    /// and streamed generators never set this, so their draw sequences
-    /// are untouched.
+    /// so it injects the window it already decided on. No other phase
+    /// sets this, so their draw sequences are untouched.
     validity_override: Option<(Time, i64)>,
     /// (chain, issuing-CA label) per shared group.
     shared_chains: Vec<(Vec<Certificate>, String)>,
     batch: RealizeBatch,
 }
 
-impl<'a> Realizer<'a> {
-    pub(crate) fn for_shard(
-        config: &'a WorldConfig,
-        cadb: &'a CaDb,
-        clusters: &'a [SharedCluster],
-        shared_chain_of: &'a HashMap<String, usize>,
-        seeder: StreamSeeder,
-        phase: &str,
-        shard: &str,
-    ) -> Realizer<'a> {
-        let ip_tag = format!("{phase}/{shard}");
+impl StreamPlan {
+    /// A realizer on the `(phase, shard)` stream, with IP addresses from
+    /// the matching `("ip", "<phase>/<shard>")` base.
+    pub(crate) fn realizer(&self, phase: &str, shard: &str) -> Realizer<'_> {
+        let seeder = self.seeder();
         Realizer {
-            config,
-            cadb,
-            clusters,
-            shared_chain_of,
-            assigner: HostingAssigner::with_base(seeder.stream_id("ip", &ip_tag)),
+            plan: self,
+            assigner: HostingAssigner::with_base(
+                seeder.stream_id("ip", &format!("{phase}/{shard}")),
+            ),
             rng: seeder.rng(phase, shard),
             shared_group_of: HashMap::new(),
             validity_override: None,
@@ -1082,7 +887,9 @@ impl<'a> Realizer<'a> {
             batch: RealizeBatch::default(),
         }
     }
+}
 
+impl Realizer<'_> {
     pub(crate) fn into_batch(self) -> RealizeBatch {
         self.batch
     }
@@ -1104,7 +911,7 @@ impl<'a> Realizer<'a> {
             None => posture::sample_validity_window(
                 &mut self.rng,
                 valid,
-                self.config.scan_time,
+                self.plan.scan_time(),
                 expired,
             ),
         }
@@ -1113,7 +920,7 @@ impl<'a> Realizer<'a> {
     /// Issue a chain without touching shared state; the leaf's CT-log
     /// append (when the CA logs) is deferred into the batch.
     fn issue(&mut self, ca_idx: usize, profile: &LeafProfile) -> Vec<Certificate> {
-        let (chain, log_it) = self.cadb.issue_chain_pure(ca_idx, profile);
+        let (chain, log_it) = self.plan.cadb().issue_chain_pure(ca_idx, profile);
         if log_it {
             self.batch.ct.push(chain[0].clone());
         }
@@ -1126,8 +933,8 @@ impl<'a> Realizer<'a> {
     /// members, and SAN-packed certificates (≤50 names) for the rest —
     /// so distinct chains grow slower than TLS hosts, like real shared
     /// platforms. One key per (country, group): never cross-country.
-    pub(crate) fn plan_shared_chains(&mut self, cc: &str, items: &[RealizeItem]) {
-        let rate = self.config.shared_chain_rate;
+    pub(crate) fn plan_shared_chains(&mut self, cc: &str, records: &[HostRecord]) {
+        let rate = self.plan.config().shared_chain_rate;
         if rate <= 0.0 {
             return;
         }
@@ -1137,8 +944,10 @@ impl<'a> Realizer<'a> {
         let mut wildcard: std::collections::BTreeMap<&str, Vec<String>> =
             std::collections::BTreeMap::new();
         let mut san_pool: Vec<String> = Vec::new();
-        for (rec, _) in items {
-            if !rec.posture.is_valid_https() || self.shared_chain_of.contains_key(&rec.hostname) {
+        for rec in records {
+            if !rec.posture.is_valid_https()
+                || self.plan.shared_chain_of().contains_key(&rec.hostname)
+            {
                 continue;
             }
             if self.rng.gen::<f64>() >= rate {
@@ -1181,18 +990,18 @@ impl<'a> Realizer<'a> {
                 groups.push((chunk.to_vec(), chunk.to_vec()));
             }
         }
-        let scan = self.config.scan_time;
+        let scan = self.plan.scan_time();
         for (gi, (names, members)) in groups.into_iter().enumerate() {
             let key_alg = posture::sample_key_algorithm(&mut self.rng, true);
             let key = KeyPair::from_seed(key_alg, format!("sharedkey-{cc}-{gi}").as_bytes());
             let (not_before, days) =
                 posture::sample_validity_window(&mut self.rng, true, scan, false);
-            let ca_idx = self.cadb.pick(&mut self.rng, cc, true);
+            let ca_idx = self.plan.cadb().pick(&mut self.rng, cc, true);
             let mut profile = LeafProfile::dv(names[0].clone(), key.public(), not_before);
             profile.san = names;
             profile.validity_days = Some(days);
             let chain = self.issue(ca_idx, &profile);
-            let label = self.cadb.get(ca_idx).profile.label.to_string();
+            let label = self.plan.cadb().get(ca_idx).profile.label.to_string();
             let idx = self.shared_chains.len();
             self.shared_chains.push((chain, label));
             for m in members {
@@ -1276,8 +1085,10 @@ impl<'a> Realizer<'a> {
         page: HttpResponse,
     ) {
         // Shared-cluster members use the cluster chain verbatim.
-        let (chain, quirk, legacy) = if let Some(&ci) = self.shared_chain_of.get(&rec.hostname) {
-            let chain = self.clusters[ci].chain.clone();
+        let (chain, quirk, legacy) = if let Some(&ci) =
+            self.plan.shared_chain_of().get(&rec.hostname)
+        {
+            let chain = self.plan.clusters()[ci].chain.clone();
             rec.issuer = Some(chain[0].issuer_label());
             (chain, None, false)
         } else {
@@ -1354,12 +1165,12 @@ impl<'a> Realizer<'a> {
                 vec![format!("www.intranet-{}.example", rec.country)]
             }
         };
-        let ca_idx = self.cadb.pick(&mut self.rng, rec.country, true);
+        let ca_idx = self.plan.cadb().pick(&mut self.rng, rec.country, true);
         let mut profile = LeafProfile::dv(covered[0].clone(), key.public(), not_before);
         profile.san = covered;
         profile.validity_days = Some(days);
         // EV issuance (§5.3: ~4% of hosts carry EV policy OIDs).
-        let ca_profile = self.cadb.get(ca_idx).profile;
+        let ca_profile = self.plan.cadb().get(ca_idx).profile;
         if let Some(ev_oid) = ca_profile.ev_oid {
             if self.rng.gen::<f64>() < 0.18 {
                 profile.policies = vec![govscan_asn1::Oid::parse(ev_oid).expect("static")];
@@ -1374,10 +1185,10 @@ impl<'a> Realizer<'a> {
         let key_alg = posture::sample_key_algorithm(&mut self.rng, false);
         let key = KeyPair::from_seed(key_alg, format!("hostkey-{}", rec.hostname).as_bytes());
         let (not_before, days) = self.validity_window(false, true);
-        let ca_idx = self.cadb.pick(&mut self.rng, rec.country, true);
+        let ca_idx = self.plan.cadb().pick(&mut self.rng, rec.country, true);
         let mut profile = LeafProfile::dv(rec.hostname.clone(), key.public(), not_before);
         profile.validity_days = Some(days);
-        rec.issuer = Some(self.cadb.get(ca_idx).profile.label.to_string());
+        rec.issuer = Some(self.plan.cadb().get(ca_idx).profile.label.to_string());
         self.issue(ca_idx, &profile)
     }
 
@@ -1388,24 +1199,24 @@ impl<'a> Realizer<'a> {
         let key_alg = posture::sample_key_algorithm(&mut self.rng, false);
         let key = KeyPair::from_seed(key_alg, format!("hostkey-{}", rec.hostname).as_bytes());
         let (not_before, days) = self.validity_window(false, false);
-        let untrusted = self.cadb.untrusted_indices();
+        let untrusted = self.plan.cadb().untrusted_indices();
         let use_untrusted = rec.country == "kr" || self.rng.gen::<f64>() < 0.5;
         let ca_idx = if use_untrusted && !untrusted.is_empty() {
             if rec.country == "kr" {
                 // Prefer the NPKI sub-CAs.
                 *untrusted
                     .iter()
-                    .find(|&&i| self.cadb.get(i).profile.country == "KR")
+                    .find(|&&i| self.plan.cadb().get(i).profile.country == "KR")
                     .unwrap_or(&untrusted[0])
             } else {
                 untrusted[self.rng.gen_range(0..untrusted.len())]
             }
         } else {
-            self.cadb.pick(&mut self.rng, rec.country, true)
+            self.plan.cadb().pick(&mut self.rng, rec.country, true)
         };
         let mut profile = LeafProfile::dv(rec.hostname.clone(), key.public(), not_before);
         profile.validity_days = Some(days);
-        rec.issuer = Some(self.cadb.get(ca_idx).profile.label.to_string());
+        rec.issuer = Some(self.plan.cadb().get(ca_idx).profile.label.to_string());
         let mut chain = self.issue(ca_idx, &profile);
         if !use_untrusted {
             chain.truncate(1); // drop the intermediate: incomplete chain
@@ -1453,20 +1264,20 @@ impl<'a> Realizer<'a> {
         let key_alg = posture::sample_key_algorithm(&mut self.rng, false);
         let key = KeyPair::from_seed(key_alg, format!("hostkey-{}", rec.hostname).as_bytes());
         let (not_before, days) = self.validity_window(false, false);
-        let untrusted = self.cadb.untrusted_indices();
+        let untrusted = self.plan.cadb().untrusted_indices();
         let ca_idx = if rec.country == "kr" {
             *untrusted
                 .iter()
-                .find(|&&i| self.cadb.get(i).profile.country == "KR")
+                .find(|&&i| self.plan.cadb().get(i).profile.country == "KR")
                 .unwrap_or(&untrusted[0])
         } else {
             untrusted[self.rng.gen_range(0..untrusted.len())]
         };
         let mut profile = LeafProfile::dv(rec.hostname.clone(), key.public(), not_before);
         profile.validity_days = Some(days);
-        rec.issuer = Some(self.cadb.get(ca_idx).profile.label.to_string());
+        rec.issuer = Some(self.plan.cadb().get(ca_idx).profile.label.to_string());
         let mut chain = self.issue(ca_idx, &profile);
-        chain.push(self.cadb.get(ca_idx).root.cert.clone());
+        chain.push(self.plan.cadb().get(ca_idx).root.cert.clone());
         chain
     }
 }
@@ -1499,43 +1310,56 @@ mod tests {
         World::generate(&WorldConfig::small(1234))
     }
 
-    /// A stable digest over everything observable about a world: ground
-    /// truth, wire behaviour, DNS (including timeout slices), rankings,
-    /// web graph and the CT log. Two worlds with equal digests are
-    /// behaviourally identical.
-    fn world_digest(w: &World) -> u64 {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut h = DefaultHasher::new();
-        w.gov_hosts.hash(&mut h);
-        w.seed_list.hash(&mut h);
-        w.whitelist.hash(&mut h);
-        w.gsa_hosts.hash(&mut h);
-        w.rok_hosts.hash(&mut h);
+    /// A stable SHA-256 (hex) over everything observable about a world:
+    /// ground truth, wire behaviour, DNS (including timeout slices),
+    /// rankings, web graph and the CT log. Two worlds with equal digests
+    /// are behaviourally identical, and unlike a `DefaultHasher` value
+    /// the digest is fixed across toolchains, so tests can pin it.
+    fn world_digest(w: &World) -> String {
+        use govscan_crypto::{Digest, Sha256};
+        let mut h = Sha256::new();
+        // Every field is length-prefixed, so adjacent fields cannot run
+        // together.
+        let mut feed = |bytes: &[u8]| {
+            h.update(&(bytes.len() as u64).to_le_bytes());
+            h.update(bytes);
+        };
+        for list in [
+            &w.gov_hosts,
+            &w.seed_list,
+            &w.whitelist,
+            &w.gsa_hosts,
+            &w.rok_hosts,
+        ] {
+            feed(&(list.len() as u64).to_le_bytes());
+            for s in list {
+                feed(s.as_bytes());
+            }
+        }
         let mut keys: Vec<&String> = w.records.keys().collect();
         keys.sort();
         for k in keys {
-            k.hash(&mut h);
-            format!("{:?}", w.records[k]).hash(&mut h);
+            feed(k.as_bytes());
+            feed(format!("{:?}", w.records[k]).as_bytes());
         }
         let mut names: Vec<&str> = w.net.hostnames().collect();
         names.sort_unstable();
         for n in names {
-            format!("{:?}", w.net.host(n)).hash(&mut h);
-            format!("{:?}", w.net.caa_lookup(n)).hash(&mut h);
+            feed(format!("{:?}", w.net.host(n)).as_bytes());
+            feed(format!("{:?}", w.net.caa_lookup(n)).as_bytes());
         }
         for g in &w.gov_hosts {
-            format!("{:?}", w.net.resolve(g)).hash(&mut h);
+            feed(format!("{:?}", w.net.resolve(g)).as_bytes());
         }
-        format!("{:?}", w.tranco).hash(&mut h);
-        format!("{:?}", w.majestic).hash(&mut h);
-        format!("{:?}", w.cisco).hash(&mut h);
+        feed(format!("{:?}", w.tranco).as_bytes());
+        feed(format!("{:?}", w.majestic).as_bytes());
+        feed(format!("{:?}", w.cisco).as_bytes());
         let mut links: Vec<_> = w.webgraph.links.iter().collect();
         links.sort();
-        format!("{links:?}").hash(&mut h);
-        w.cadb.ct_log().root().hash(&mut h);
-        w.cadb.ct_log().size().hash(&mut h);
-        h.finish()
+        feed(format!("{links:?}").as_bytes());
+        feed(&w.cadb.ct_log().root());
+        feed(&w.cadb.ct_log().size().to_le_bytes());
+        govscan_crypto::hex::encode(&h.finalize())
     }
 
     #[test]
@@ -1546,6 +1370,12 @@ mod tests {
         assert_eq!(a.seed_list, b.seed_list);
         assert_eq!(a.net.len(), b.net.len());
         assert_eq!(world_digest(&a), world_digest(&b));
+        // Pinned across commits: any change that moves one byte of the
+        // generated world fails here.
+        assert_eq!(
+            world_digest(&a),
+            "ee8f293a515fb59d9942a81238aeed618a3879f936991d1f49de1852871b9ccc"
+        );
     }
 
     #[test]
