@@ -221,7 +221,7 @@ impl TrendSeries {
     }
 
     /// The series as a JSON array (one object per epoch), for the
-    /// `govscan-serve` `/trends` endpoint and the monitor bench.
+    /// `govscan-serve` `/trends` endpoint and `monitor --json`.
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::from("[");

@@ -9,10 +9,10 @@
 //! The previous design (one `sync_channel` sized to the worker count,
 //! its receiver behind a `Mutex`, one send per item) put a lock acquire,
 //! a channel rendezvous, and usually a context switch on the critical
-//! path of *every* item. `BENCH_worldgen.json` measured the result: at 2
-//! workers the parallel build ran at 0.92× the serial one — the dispatch
-//! cost more than it bought. This executor removes the rendezvous
-//! entirely:
+//! path of *every* item. The parallel-worldgen bench measured the result
+//! (CHANGES.md, "shared work-stealing chunked executor"): at 2 workers
+//! the parallel build ran at 0.92× the serial one — the dispatch cost
+//! more than it bought. This executor removes the rendezvous entirely:
 //!
 //! - **Contiguous chunk seeding.** The `n` item indices are split into
 //!   one contiguous range per worker up front. There is no dispatcher
@@ -27,8 +27,9 @@
 //!   locking while small lopsided inputs degrade to small-batch claims
 //!   for balance. The floor matters for cheap items: with per-item
 //!   claims an 8-worker sweep over fast shards spends more time in the
-//!   deque locks than in the shards (BENCH_worldgen.json once measured
-//!   0.83× serial at 8 workers on one core); claiming at least a few
+//!   deque locks than in the shards (this executor's first sweep measured
+//!   0.83× serial at 8 workers on one core; CHANGES.md, "streamed
+//!   generate→scan→archive pipeline"); claiming at least a few
 //!   items per lock acquisition keeps the lock traffic amortised while
 //!   the half-batch steal below still rebalances lopsided tails.
 //! - **Half-batch stealing.** An idle worker scans the other deques and
@@ -81,7 +82,7 @@ const MIN_CLAIM: usize = 4;
 /// `GOVSCAN_WORLDGEN_THREADS`, `GOVSCAN_SCAN_THREADS`), then the shared
 /// `GOVSCAN_THREADS` fallback, then the machine's available parallelism
 /// capped at [`DEFAULT_THREAD_CAP`]. Explicit values are floored at 1;
-/// benches and reproducibility runs pin them for stable numbers.
+/// the repository benchmark pins `GOVSCAN_THREADS` to the core count.
 pub fn resolve_threads(specific_var: &str) -> usize {
     for var in [specific_var, "GOVSCAN_THREADS"] {
         if let Some(n) = std::env::var(var)

@@ -581,7 +581,14 @@ mod tests {
                 e.archive_bytes
             );
         }
-        assert!(report.chain_bytes() < report.full_bytes());
+        // The storage economy: one archive plus deltas is at least half
+        // the size of storing every epoch in full.
+        assert!(
+            report.full_bytes() >= 2 * report.chain_bytes(),
+            "chain {} bytes vs full archives {} bytes",
+            report.chain_bytes(),
+            report.full_bytes()
+        );
         // Disclosure fires after epoch 1; the window epochs probe the
         // disclosed set (including http-only hosts that might adopt) on
         // top of the steady terms, so they are the expensive ones.
@@ -593,7 +600,7 @@ mod tests {
             .steady_state_probe_fraction(&config(5, None).evolve)
             .expect("epochs 4-5 are steady");
         assert!(
-            steady <= 0.35,
+            steady <= 0.30,
             "steady-state probes {:.1}% of hosts — the economy the monitor exists for",
             100.0 * steady
         );

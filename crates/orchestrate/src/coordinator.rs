@@ -14,7 +14,7 @@
 
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use govscan_exec::WorkerPool;
@@ -77,17 +77,19 @@ pub struct OrchestrationReport {
     pub workers_seen: usize,
 }
 
-/// Faults to inject into [`run_local_faulty`] workers. Grants are
-/// counted per worker, from 1.
+/// Faults to inject into [`run_local_faulty`] workers.
 #[derive(Debug, Default, Clone)]
 pub struct FaultPlan {
     /// `(worker, nth_grant)`: the worker exits upon its n-th grant
-    /// without committing — the lease is reclaimed by expiry.
+    /// (counted per worker, from 1) without committing — the lease is
+    /// reclaimed by expiry.
     pub deaths: Vec<(usize, u64)>,
-    /// `(worker, nth_grant, pause)`: the worker sleeps before scanning
-    /// its n-th grant — long enough and the lease expires under it,
-    /// and its eventual commit is a duplicate.
-    pub stalls: Vec<(usize, u64, Duration)>,
+    /// `(shard, attempt, pause)`: whichever worker is granted that
+    /// attempt at that shard sleeps before scanning it — long enough
+    /// and the lease expires under it, and its eventual commit is a
+    /// duplicate. Keyed by lease, not by worker, so the stall lands on
+    /// a grant every run makes: `(0, 1, _)` is the table's first grant.
+    pub stalls: Vec<(usize, u32, Duration)>,
 }
 
 /// Run a distributed scan with in-process worker threads. `scan` maps
@@ -122,22 +124,25 @@ where
 {
     let table = LeaseTable::new(hosts.len(), config.shard_size, config.lease_timeout);
     let workers = config.workers.max(1);
+    // Every worker is running before the first grant, so an injected
+    // fault never races the pool's start-up.
+    let started = Barrier::new(workers);
     std::thread::scope(|s| {
         for w in 0..workers {
             let table = &table;
             let scan = &scan;
+            let started = &started;
             s.spawn(move || {
+                started.wait();
                 let mut grants = 0u64;
                 while let Some(lease) = table.acquire() {
                     grants += 1;
                     if faults.deaths.contains(&(w, grants)) {
                         return; // dies holding the lease
                     }
-                    if let Some((_, _, pause)) = faults
-                        .stalls
-                        .iter()
-                        .find(|(fw, fg, _)| (*fw, *fg) == (w, grants))
-                    {
+                    if let Some((_, _, pause)) = faults.stalls.iter().find(|(shard, attempt, _)| {
+                        (*shard, *attempt) == (lease.shard.index, lease.attempt)
+                    }) {
                         std::thread::sleep(*pause);
                     }
                     let partial = scan(&hosts[lease.shard.start..lease.shard.end]);

@@ -139,7 +139,8 @@ fn stalled_worker_past_deadline_is_overtaken_and_deduplicated() {
     let cfg = config(2, 30, 150);
     let faults = FaultPlan {
         deaths: Vec::new(),
-        // Sleep far past the 150ms lease on the first grant; the healthy
+        // Sleep far past the 150ms lease on the table's first grant
+        // (shard 0, attempt 1), whichever worker draws it; the other
         // worker re-acquires the shard by expiry and commits it, then
         // the stalled worker wakes and delivers a duplicate.
         stalls: vec![(0, 1, Duration::from_secs(2))],

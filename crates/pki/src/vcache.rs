@@ -24,8 +24,9 @@
 //! generated world issues nearly one chain per TLS host outside the
 //! shared-chain clusters) therefore pays no key allocation, no verdict
 //! clone, and no map growth — the bookkeeping that once made a cold scan
-//! measurably *slower* than the uncached baseline
-//! (`BENCH_scan.json cold_speedup_vs_baseline: 0.97`). Chains that do
+//! measurably *slower* than the uncached baseline (0.97×, then 1.00×
+//! with lazy insertion; CHANGES.md, "streamed generate→scan→archive
+//! pipeline"). Chains that do
 //! repeat pay one extra structural validation (on their second
 //! sighting) and then hit forever. A hash collision between two
 //! distinct chains is harmless: the verdict map is still keyed by the
@@ -72,7 +73,7 @@ struct Shard {
 }
 
 /// Lock a shard, ignoring poisoning: every write under the lock is a
-/// single insert or clear, so a panicked holder cannot leave a shard
+/// single insert, so a panicked holder cannot leave a shard
 /// half-updated.
 fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
     shard.lock().unwrap_or_else(PoisonError::into_inner)
@@ -200,19 +201,6 @@ impl ChainVerdictCache {
     /// True when no verdict has been cached yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drop every memoized verdict and reset the hit/miss counters,
-    /// returning the cache to its freshly-constructed state (the bound
-    /// trust store and scan time are unchanged).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut s = lock(shard);
-            s.seen.clear();
-            s.map.clear();
-        }
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
     }
 }
 

@@ -1,31 +1,24 @@
 //! Streamed generate→scan→archive pipeline CLI (DESIGN.md §14).
 //!
 //! ```text
-//! pipeline --scale 10 --shard-window 4 --out big.snap      streamed run
-//! pipeline --scale 1 --out ref.snap --materialized         reference arm
-//! pipeline --scale 1 --out a.snap --self-check             both arms, assert
-//!                                                          equal digests
+//! pipeline --scale 10 --shard-window 4 --out big.snap   streamed run
+//! pipeline --scale 1 --out a.snap --self-check          then the materialized
+//!                                                       arm; assert equal digests
 //! ```
 //!
-//! `--json` prints the machine-readable receipt (one JSON object per
-//! arm) instead of prose — `benches/pipeline.rs` drives the binary this
-//! way to measure per-arm peak RSS in separate processes.
-//!
-//! Honours `GOVSCAN_SEED`, `GOVSCAN_PIPELINE_THREADS` (then
-//! `GOVSCAN_THREADS`), and `GOVSCAN_BENCH_SMOKE=1`, which multiplies the
-//! effective scale by 0.02 so CI exercises the full path in seconds.
+//! The receipt line carries hosts/s, the writer's peak pooled bytes and
+//! the process's peak RSS. Honours `GOVSCAN_SEED` and
+//! `GOVSCAN_PIPELINE_THREADS` (then `GOVSCAN_THREADS`).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use govscan_repro::env_params;
 use govscan_repro::pipeline::{materialize_scan_archive, pipeline_threads, stream_scan_archive};
 use govscan_worldgen::WorldConfig;
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: pipeline --scale <N> --out <path> [--shard-window <K>]\n\
-         \u{20}               [--materialized] [--self-check] [--json]"
-    );
+    eprintln!("usage: pipeline --scale <N> --out <path> [--shard-window <K>] [--self-check]");
     ExitCode::from(2)
 }
 
@@ -51,57 +44,30 @@ fn main() -> ExitCode {
         Some(Err(_)) => return usage(),
         None => 4,
     };
-    let materialized = args.iter().any(|a| a == "--materialized");
     let self_check = args.iter().any(|a| a == "--self-check");
-    let json = args.iter().any(|a| a == "--json");
 
-    let seed: u64 = std::env::var("GOVSCAN_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0x60765CA9);
-    let smoke = std::env::var("GOVSCAN_BENCH_SMOKE").is_ok_and(|v| v == "1");
+    let (seed, _) = env_params();
     let mut config = WorldConfig::paper_scale(seed);
-    config.scale = if smoke { scale * 0.02 } else { scale };
+    config.scale = scale;
 
     let threads = pipeline_threads();
-    if !json {
-        eprintln!(
-            "[pipeline] seed={seed} scale={} window={window} threads={threads}{}",
-            config.scale,
-            if smoke { " (smoke)" } else { "" },
-        );
-    }
+    eprintln!("[pipeline] seed={seed} scale={scale} window={window} threads={threads}");
 
-    let run = || {
-        if materialized {
-            materialize_scan_archive(&config, &out)
-        } else {
-            stream_scan_archive(&config, &out, window, threads)
-        }
-    };
-    let report = match run() {
+    let report = match stream_scan_archive(&config, &out, window, threads) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("pipeline: {e}");
             return ExitCode::FAILURE;
         }
     };
-    if json {
-        println!("{}", report.to_json());
-    } else {
-        print!("{}", report.render());
-    }
+    print!("{}", report.render());
 
     if self_check {
-        // Re-run the opposite arm next to `out` and compare digests.
+        // Re-run the materialized reference arm next to `out` and
+        // compare digests.
         let mut other = out.clone();
         other.set_extension("check.snap");
-        let check = if materialized {
-            stream_scan_archive(&config, &other, window, threads)
-        } else {
-            materialize_scan_archive(&config, &other)
-        };
-        let check = match check {
+        let check = match materialize_scan_archive(&config, &other) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("pipeline: self-check arm failed: {e}");
@@ -116,9 +82,7 @@ fn main() -> ExitCode {
             );
             return ExitCode::FAILURE;
         }
-        if !json {
-            println!("self-check ok: both arms digest {}", report.digest);
-        }
+        println!("self-check ok: both arms digest {}", report.digest);
     }
     ExitCode::SUCCESS
 }

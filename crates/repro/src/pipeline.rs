@@ -51,42 +51,26 @@ impl PipelineReport {
         self.hosts as f64 / self.elapsed.as_secs_f64().max(1e-9)
     }
 
-    /// One human-readable receipt line.
+    /// One human-readable receipt line, with the writer's peak pooled
+    /// bytes and this process's peak RSS so far.
     pub fn render(&self) -> String {
+        let rss = peak_rss_kb().map_or_else(|| "n/a".to_string(), |kb| format!("{kb} kB"));
         format!(
-            "{}: {} hosts -> {} bytes in {:.2}s ({:.0} hosts/s), digest {}\n",
-            self.mode,
-            self.hosts,
-            self.bytes,
-            self.elapsed.as_secs_f64(),
-            self.hosts_per_sec(),
-            self.digest,
-        )
-    }
-
-    /// The receipt as a JSON object (consumed by `benches/pipeline.rs`).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"mode\":\"{}\",\"hosts\":{},\"bytes\":{},\"seconds\":{:.3},",
-                "\"hosts_per_sec\":{:.1},\"peak_pooled_bytes\":{},\"peak_rss_kb\":{},",
-                "\"digest\":\"{}\"}}"
-            ),
+            "{}: {} hosts -> {} bytes in {:.2}s ({:.0} hosts/s), peak pooled {} bytes, \
+             peak RSS {rss}, digest {}\n",
             self.mode,
             self.hosts,
             self.bytes,
             self.elapsed.as_secs_f64(),
             self.hosts_per_sec(),
             self.peak_pooled_bytes,
-            peak_rss_kb().unwrap_or(0),
             self.digest,
         )
     }
 }
 
 /// This process's peak resident set (`VmHWM`) in kiB, from
-/// `/proc/self/status`. `None` off Linux — callers report 0 and the
-/// bench skips its memory assertion.
+/// `/proc/self/status`. `None` off Linux.
 pub fn peak_rss_kb() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;

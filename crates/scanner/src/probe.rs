@@ -167,8 +167,8 @@ const PARALLEL_THRESHOLD: usize = 64;
 /// Scan many hostnames on the shared work-stealing executor
 /// ([`govscan_exec`]). Results are returned in input order; the pool
 /// size adapts to the machine, or is pinned by the
-/// `GOVSCAN_SCAN_THREADS` environment variable (≥ 1; benches and
-/// reproducibility runs set it for stable numbers), with the
+/// `GOVSCAN_SCAN_THREADS` environment variable (≥ 1; reproducibility
+/// runs set it for stable numbers), with the
 /// workspace-wide `GOVSCAN_THREADS` as the shared fallback.
 ///
 /// Each worker is seeded a contiguous run of hostnames and writes every

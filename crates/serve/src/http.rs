@@ -11,8 +11,8 @@
 //! 400. Query strings are passed through verbatim — the API's query
 //! values (digest prefixes, labels, country codes) are plain ASCII.
 //! The same-file [`get`] client exists so the self-check binary mode,
-//! the integration tests, and the bench all speak to the daemon through
-//! one piece of code.
+//! the integration tests, and the repository benchmark's serve workload
+//! all speak to the daemon through one piece of code.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -169,7 +169,7 @@ impl Response {
 }
 
 /// Issue one GET and return `(status, body)`. The shared client for the
-/// self-check mode, integration tests, CI smoke, and the serve bench.
+/// self-check mode, integration tests, CI smoke, and the benchmark.
 pub fn get(addr: impl ToSocketAddrs, path_and_query: &str) -> std::io::Result<(u16, String)> {
     let mut stream = TcpStream::connect(addr)?;
     write!(

@@ -33,8 +33,9 @@
 //! The round-trip invariant — write → read yields a dataset that is
 //! semantically identical, proven by [`Snapshot::digest_of`] equality
 //! and byte-identical analysis renders — is asserted in this crate's
-//! tests at small scale and in `govscan-bench`'s `store` bench at the
-//! paper's 135,408-host scale.
+//! tests (`tests/roundtrip.rs`); the archive's first measurement also
+//! asserted it at the paper's 135,408-host scale before timing anything
+//! (CHANGES.md, "binary scan-snapshot archive").
 //!
 //! [`ScanDataset`]: govscan_scanner::ScanDataset
 

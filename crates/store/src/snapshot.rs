@@ -19,8 +19,8 @@
 //! never by the host count — and the reader validates the magic,
 //! version, and every section checksum before decoding a single record.
 //! Round-tripping is semantically lossless: the rebuilt dataset renders
-//! every analysis byte-identically (proven in tests and at paper scale
-//! in `benches/store.rs`), and re-encoding it reproduces the archive
+//! every analysis byte-identically (proven in `tests/roundtrip.rs`),
+//! and re-encoding it reproduces the archive
 //! byte for byte, which is what makes [`crate::Snapshot::digest`] a
 //! meaningful identity.
 //!

@@ -90,10 +90,10 @@ impl StreamSeeder {
 }
 
 /// Worker-pool size for world generation: the `GOVSCAN_WORLDGEN_THREADS`
-/// environment variable when set (≥ 1; benches pin it for stable
-/// numbers), then the workspace-wide `GOVSCAN_THREADS`, otherwise the
-/// machine's parallelism capped at 8 ([`govscan_exec::resolve_threads`]
-/// is the one implementation of that policy).
+/// environment variable when set (≥ 1), then the workspace-wide
+/// `GOVSCAN_THREADS`, otherwise the machine's parallelism capped at 8
+/// ([`govscan_exec::resolve_threads`] is the one implementation of that
+/// policy).
 pub fn worldgen_threads() -> usize {
     govscan_exec::resolve_threads("GOVSCAN_WORLDGEN_THREADS")
 }
