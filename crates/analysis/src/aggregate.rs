@@ -6,9 +6,9 @@
 //! per-host summaries (availability/https/validity flags, error
 //! category, certificate bits) plus pre-grouped indices (by country, by
 //! error category, by certificate fingerprint, by key fingerprint, by
-//! issuer). The ported analysis modules consume the index through their
-//! `build_from_index` entry points; their `build(&ScanDataset)`
-//! signatures remain as thin wrappers.
+//! issuer). The analysis modules consume the index through their
+//! `build_from_index` entry points, their only builders: a caller
+//! builds one index and passes it to each.
 //!
 //! The one-pass invariant is load-bearing and instrumented:
 //! [`AggregateIndex::build`] calls [`ScanDataset::records`] exactly

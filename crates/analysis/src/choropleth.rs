@@ -3,8 +3,6 @@
 
 use std::collections::BTreeMap;
 
-use govscan_scanner::ScanDataset;
-
 use crate::aggregate::AggregateIndex;
 use crate::stats::Share;
 use crate::table::{pct, TextTable};
@@ -44,12 +42,6 @@ impl CountryRow {
 pub struct Choropleth {
     /// Per-country rows keyed by ISO code.
     pub rows: BTreeMap<&'static str, CountryRow>,
-}
-
-/// Build from the worldwide scan. Thin wrapper over
-/// [`build_from_index`].
-pub fn build(scan: &ScanDataset) -> Choropleth {
-    build_from_index(&AggregateIndex::build(scan))
 }
 
 /// Build from a pre-built aggregation index, walking the per-country
@@ -100,10 +92,10 @@ impl Choropleth {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testsupport::study;
+    use crate::testsupport::index;
 
     fn fig() -> Choropleth {
-        build(&study().1.scan)
+        build_from_index(index())
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! from CT logs"), answered over the simulated ecosystem.
 
 use govscan_pki::ctlog::CtLog;
-use govscan_scanner::ScanDataset;
 
 use crate::aggregate::AggregateIndex;
 use crate::stats::Share;
@@ -34,13 +33,6 @@ pub struct CtReport {
     pub proofs_checked: u64,
     /// … that verified.
     pub proofs_ok: u64,
-}
-
-/// Build the report: look every scanned government certificate up in the
-/// log and spot-check inclusion proofs for the logged ones. Thin wrapper
-/// over [`build_from_index`].
-pub fn build(scan: &ScanDataset, log: &CtLog, net: &govscan_net::SimNet) -> CtReport {
-    build_from_index(&AggregateIndex::build(scan), log, net)
 }
 
 /// Build from a pre-built aggregation index.
@@ -128,11 +120,11 @@ impl CtReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testsupport::study;
+    use crate::testsupport::{index, study};
 
     fn report() -> CtReport {
-        let (world, out) = study();
-        build(&out.scan, world.cadb.ct_log(), &world.net)
+        let world = &study().0;
+        build_from_index(index(), world.cadb.ct_log(), &world.net)
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! validity durations.
 
 use govscan_pki::Time;
-use govscan_scanner::ScanDataset;
 
 use crate::aggregate::AggregateIndex;
 use crate::table::{pct, TextTable};
@@ -78,11 +77,6 @@ fn accumulate(stats: &mut DurationStats, issued: Time, days: i64) {
     if issued.0 <= 0 {
         stats.epoch_issued += 1;
     }
-}
-
-/// Build from a scan dataset. Thin wrapper over [`build_from_index`].
-pub fn build(scan: &ScanDataset) -> DurationFigure {
-    build_from_index(&AggregateIndex::build(scan))
 }
 
 /// Build from a pre-built aggregation index (points keep record order).
@@ -186,10 +180,10 @@ impl DurationFigure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testsupport::study;
+    use crate::testsupport::index;
 
     fn fig() -> DurationFigure {
-        build(&study().1.scan)
+        build_from_index(index())
     }
 
     #[test]

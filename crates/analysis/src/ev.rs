@@ -3,8 +3,6 @@
 
 use std::collections::BTreeMap;
 
-use govscan_scanner::ScanDataset;
-
 use crate::aggregate::AggregateIndex;
 use crate::stats::Share;
 use crate::table::{pct, TextTable};
@@ -27,11 +25,6 @@ pub struct EvReport {
     pub ev_hosts: u64,
     /// Per-issuer EV counts.
     pub by_issuer: BTreeMap<String, EvIssuerRow>,
-}
-
-/// Build from a scan dataset. Thin wrapper over [`build_from_index`].
-pub fn build(scan: &ScanDataset) -> EvReport {
-    build_from_index(&AggregateIndex::build(scan))
 }
 
 /// Build from a pre-built aggregation index.
@@ -110,10 +103,10 @@ impl EvReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testsupport::study;
+    use crate::testsupport::index;
 
     fn report() -> EvReport {
-        build(&study().1.scan)
+        build_from_index(index())
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use govscan_scanner::{ScanDataset, ScanRecord};
+use govscan_scanner::ScanRecord;
 
 use crate::aggregate::AggregateIndex;
 use crate::table::{pct, TextTable};
@@ -67,12 +67,6 @@ pub fn build<'a>(records: impl Iterator<Item = &'a ScanRecord>) -> HostingFigure
         }
     }
     fig
-}
-
-/// Build over a whole dataset. Thin wrapper over
-/// [`build_all_from_index`].
-pub fn build_all(scan: &ScanDataset) -> HostingFigure {
-    build_all_from_index(&AggregateIndex::build(scan))
 }
 
 /// Build over a pre-built aggregation index.
@@ -165,10 +159,10 @@ impl HostingFigure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testsupport::study;
+    use crate::testsupport::index;
 
     fn fig() -> HostingFigure {
-        build_all(&study().1.scan)
+        build_all_from_index(index())
     }
 
     #[test]

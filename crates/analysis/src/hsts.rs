@@ -4,8 +4,6 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use govscan_scanner::ScanDataset;
-
 use crate::aggregate::AggregateIndex;
 use crate::stats::Share;
 use crate::table::{pct, TextTable};
@@ -38,11 +36,6 @@ fn bump(row: &mut HstsRow, hsts: bool, enforcing: bool) {
     if enforcing {
         row.enforcing += 1;
     }
-}
-
-/// Build from a scan. Thin wrapper over [`build_from_index`].
-pub fn build(scan: &ScanDataset) -> HstsReport {
-    build_from_index(&AggregateIndex::build(scan))
 }
 
 /// Build from a pre-built aggregation index.
@@ -115,10 +108,10 @@ impl HstsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testsupport::study;
+    use crate::testsupport::index;
 
     fn report() -> HstsReport {
-        build(&study().1.scan)
+        build_from_index(index())
     }
 
     #[test]

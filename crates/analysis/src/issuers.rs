@@ -1,8 +1,6 @@
 //! Figures 2 / 8 / 11: top certificate issuers with valid and invalid
 //! counts (worldwide, USA, South Korea).
 
-use govscan_scanner::ScanDataset;
-
 use crate::aggregate::AggregateIndex;
 use crate::table::{pct, TextTable};
 
@@ -40,12 +38,6 @@ pub struct IssuerFigure {
     pub rows: Vec<IssuerRow>,
     /// Hosts whose certificates carried no issuer information.
     pub without_issuer: u64,
-}
-
-/// Build from a scan dataset, keeping the top `n` issuers (the paper
-/// shows 40 worldwide). Thin wrapper over [`build_from_index`].
-pub fn build(scan: &ScanDataset, n: usize) -> IssuerFigure {
-    build_from_index(&AggregateIndex::build(scan), n)
 }
 
 /// Build from a pre-built aggregation index: one row per pre-grouped
@@ -114,10 +106,10 @@ impl IssuerFigure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testsupport::study;
+    use crate::testsupport::index;
 
     fn fig() -> IssuerFigure {
-        build(&study().1.scan, 40)
+        build_from_index(index(), 40)
     }
 
     #[test]

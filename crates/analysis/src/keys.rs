@@ -4,7 +4,6 @@
 use std::collections::BTreeMap;
 
 use govscan_crypto::{KeyAlgorithm, SignatureAlgorithm};
-use govscan_scanner::ScanDataset;
 
 use crate::aggregate::AggregateIndex;
 use crate::table::{pct, TextTable};
@@ -43,11 +42,6 @@ pub struct KeyFigure {
     pub by_signature: BTreeMap<SignatureAlgorithm, ValidityCount>,
     /// Panel 3: the joint distribution.
     pub joint: BTreeMap<(SignatureAlgorithm, KeyAlgorithm), ValidityCount>,
-}
-
-/// Build from a scan dataset. Thin wrapper over [`build_from_index`].
-pub fn build(scan: &ScanDataset) -> KeyFigure {
-    build_from_index(&AggregateIndex::build(scan))
 }
 
 /// Build from a pre-built aggregation index.
@@ -162,10 +156,10 @@ impl KeyFigure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testsupport::study;
+    use crate::testsupport::index;
 
     fn fig() -> KeyFigure {
-        build(&study().1.scan)
+        build_from_index(index())
     }
 
     #[test]

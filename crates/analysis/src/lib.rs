@@ -1,9 +1,10 @@
 //! # govscan-analysis
 //!
 //! Builders for every table and figure in the paper's evaluation, plus
-//! the statistics utilities they need. Each module consumes a
-//! [`govscan_scanner::ScanDataset`] (or the crawl report) and produces a
-//! typed result with a text rendering whose rows match the paper's.
+//! the statistics utilities they need. Each module produces a typed
+//! result with a text rendering whose rows match the paper's. Modules
+//! over a scan have one builder, `build_from_index`, over a shared
+//! [`aggregate::AggregateIndex`]; the rest take their inputs directly.
 //!
 //! | Module | Reproduces |
 //! |---|---|
@@ -64,7 +65,10 @@ pub(crate) mod testsupport {
     use govscan_scanner::{StudyOutput, StudyPipeline};
     use govscan_worldgen::{World, WorldConfig};
 
+    use crate::aggregate::AggregateIndex;
+
     static STUDY: OnceLock<(World, StudyOutput)> = OnceLock::new();
+    static INDEX: OnceLock<AggregateIndex> = OnceLock::new();
 
     pub fn study() -> &'static (World, StudyOutput) {
         STUDY.get_or_init(|| {
@@ -72,5 +76,10 @@ pub(crate) mod testsupport {
             let output = StudyPipeline::new(&world).run();
             (world, output)
         })
+    }
+
+    /// The aggregation index over the shared study's scan.
+    pub fn index() -> &'static AggregateIndex {
+        INDEX.get_or_init(|| AggregateIndex::build(&study().1.scan))
     }
 }

@@ -4,7 +4,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use govscan_crypto::Fingerprint;
-use govscan_scanner::{ErrorCategory, ScanDataset};
+use govscan_scanner::ErrorCategory;
 
 use crate::aggregate::AggregateIndex;
 use crate::table::TextTable;
@@ -50,12 +50,6 @@ pub struct ReuseReport {
     pub clusters: Vec<ReuseCluster>,
     /// Same-certificate clusters with at least two hosts, largest first.
     pub cert_clusters: Vec<CertCluster>,
-}
-
-/// Build from the worldwide scan. Thin wrapper over
-/// [`build_from_index`].
-pub fn build(scan: &ScanDataset) -> ReuseReport {
-    build_from_index(&AggregateIndex::build(scan))
 }
 
 /// Build from a pre-built aggregation index: only the pre-grouped
@@ -244,10 +238,10 @@ impl ReuseReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testsupport::study;
+    use crate::testsupport::index;
 
     fn report() -> ReuseReport {
-        build(&study().1.scan)
+        build_from_index(index())
     }
 
     #[test]

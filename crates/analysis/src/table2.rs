@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use govscan_scanner::{ErrorCategory, ScanDataset};
+use govscan_scanner::ErrorCategory;
 
 use crate::aggregate::AggregateIndex;
 use crate::stats::Share;
@@ -25,12 +25,6 @@ pub struct Table2 {
     pub invalid: u64,
     /// Invalid counts per category.
     pub errors: BTreeMap<ErrorCategory, u64>,
-}
-
-/// Build Table 2 from a scan dataset (gov hosts only; pass the worldwide
-/// study scan). Thin wrapper over [`build_from_index`].
-pub fn build(scan: &ScanDataset) -> Table2 {
-    build_from_index(&AggregateIndex::build(scan))
 }
 
 /// Build Table 2 from a pre-built aggregation index: the spine comes
@@ -166,10 +160,10 @@ impl Table2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testsupport::study;
+    use crate::testsupport::index;
 
     fn table() -> Table2 {
-        build(&study().1.scan)
+        build_from_index(index())
     }
 
     #[test]

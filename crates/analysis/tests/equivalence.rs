@@ -1,7 +1,6 @@
-//! Aggregation-layer equivalence: every ported module must produce
-//! byte-identical tables whether it walks the dataset itself (`build`)
-//! or consumes the shared single-pass index (`build_from_index`), and
-//! the whole index-fed report set must cost exactly one dataset walk.
+//! Aggregation-layer invariants: the whole index-fed report set costs
+//! exactly one dataset walk, and the index keeps record order where a
+//! figure plots it.
 
 use std::sync::OnceLock;
 
@@ -19,54 +18,6 @@ fn study() -> &'static (World, StudyOutput) {
         let output = StudyPipeline::new(&world).run();
         (world, output)
     })
-}
-
-#[test]
-fn ported_modules_render_identically() {
-    let (world, out) = study();
-    let scan = &out.scan;
-    let index = AggregateIndex::build(scan);
-
-    assert_eq!(
-        table2::build(scan).render(),
-        table2::build_from_index(&index).render()
-    );
-    assert_eq!(
-        choropleth::build(scan).render(),
-        choropleth::build_from_index(&index).render()
-    );
-    let a = issuers::build(scan, 40);
-    let b = issuers::build_from_index(&index, 40);
-    assert_eq!(a.render(), b.render());
-    assert_eq!(a.without_issuer, b.without_issuer);
-    assert_eq!(
-        keys::build(scan).render(),
-        keys::build_from_index(&index).render()
-    );
-    assert_eq!(
-        durations::build(scan).render(),
-        durations::build_from_index(&index).render()
-    );
-    assert_eq!(
-        hosting::build_all(scan).render(),
-        hosting::build_all_from_index(&index).render()
-    );
-    assert_eq!(
-        hsts::build(scan).render(),
-        hsts::build_from_index(&index).render()
-    );
-    assert_eq!(
-        ev::build(scan).render(),
-        ev::build_from_index(&index).render()
-    );
-    assert_eq!(
-        ct::build(scan, world.cadb.ct_log(), &world.net).render(),
-        ct::build_from_index(&index, world.cadb.ct_log(), &world.net).render()
-    );
-    assert_eq!(
-        reuse::build(scan).render(),
-        reuse::build_from_index(&index).render()
-    );
 }
 
 #[test]
@@ -96,14 +47,22 @@ fn index_fed_report_set_costs_one_walk() {
 fn durations_points_keep_record_order() {
     let (_, out) = study();
     let scan = &out.scan;
-    let index = AggregateIndex::build(scan);
-    let direct = durations::build(scan);
-    let indexed = durations::build_from_index(&index);
-    assert_eq!(direct.points.len(), indexed.points.len());
-    for (a, b) in direct.points.iter().zip(&indexed.points) {
-        assert_eq!(
-            (a.issued, a.expires, a.valid),
-            (b.issued, b.expires, b.valid)
-        );
-    }
+    let indexed = durations::build_from_index(&AggregateIndex::build(scan));
+    // The plotted population: available hosts attempting https that
+    // presented a certificate, in record order.
+    let expected: Vec<_> = scan
+        .https_attempting()
+        .filter_map(|r| {
+            r.https
+                .meta()
+                .map(|m| (m.not_before, m.not_after, r.https.is_valid()))
+        })
+        .collect();
+    assert!(!expected.is_empty(), "fixture world has certificates");
+    let points: Vec<_> = indexed
+        .points
+        .iter()
+        .map(|p| (p.issued, p.expires, p.valid))
+        .collect();
+    assert_eq!(points, expected);
 }

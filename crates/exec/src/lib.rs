@@ -23,7 +23,7 @@
 //!   claims small batches from the *front* — the only synchronisation on
 //!   the hot path is one uncontended mutex lock per claimed batch, and
 //!   the claim size adapts (`remaining / (8 · workers)`, floored at
-//!   [`MIN_CLAIM`] and clamped to the range) so large inputs amortise
+//!   `MIN_CLAIM` (4) and clamped to the range) so large inputs amortise
 //!   locking while small lopsided inputs degrade to small-batch claims
 //!   for balance. The floor matters for cheap items: with per-item
 //!   claims an 8-worker sweep over fast shards spends more time in the
@@ -81,7 +81,7 @@ const MIN_CLAIM: usize = 4;
 /// Precedence: the caller's specific variable (e.g.
 /// `GOVSCAN_WORLDGEN_THREADS`, `GOVSCAN_SCAN_THREADS`), then the shared
 /// `GOVSCAN_THREADS` fallback, then the machine's available parallelism
-/// capped at [`DEFAULT_THREAD_CAP`]. Explicit values are floored at 1;
+/// capped at `DEFAULT_THREAD_CAP` (8). Explicit values are floored at 1;
 /// the repository benchmark pins `GOVSCAN_THREADS` to the core count.
 pub fn resolve_threads(specific_var: &str) -> usize {
     for var in [specific_var, "GOVSCAN_THREADS"] {

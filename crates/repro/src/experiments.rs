@@ -1,6 +1,7 @@
 //! The experiment implementations — one function per table/figure.
 
 use govscan_analysis as analysis;
+use govscan_analysis::aggregate::AggregateIndex;
 use govscan_scanner::{ErrorCategory, GovFilter, StudyPipeline};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -162,14 +163,8 @@ pub fn fig4(env: &mut Env) -> String {
 /// Figure 5: validity by hosting type (world / USA / ROK).
 pub fn fig5(env: &mut Env) -> String {
     let world_fig = analysis::hosting::build_all_from_index(env.index());
-    let usa_fig = {
-        let scan = env.usa_scan().clone();
-        analysis::hosting::build_all(&scan)
-    };
-    let rok_fig = {
-        let scan = env.rok_scan().clone();
-        analysis::hosting::build_all(&scan)
-    };
+    let usa_fig = analysis::hosting::build_all_from_index(&AggregateIndex::build(env.usa_scan()));
+    let rok_fig = analysis::hosting::build_all_from_index(&AggregateIndex::build(env.rok_scan()));
     let mut out = String::from("--- worldwide ---\n");
     out.push_str(&world_fig.render());
     out.push_str("--- USA (GSA) ---\n");
@@ -248,11 +243,12 @@ pub fn fig6_fig7(env: &mut Env) -> String {
 /// Figures 8–10 + Tables A.1/A.2: the USA case study.
 pub fn usa_case(env: &mut Env) -> String {
     let tags = env.gsa_tags();
-    let scan = env.usa_scan().clone();
-    let case = analysis::casestudy::build_usa(&scan, &tags);
-    let issuers = analysis::issuers::build(&scan, 25);
-    let keys = analysis::keys::build(&scan);
-    let durations = analysis::durations::build(&scan);
+    let scan = env.usa_scan();
+    let case = analysis::casestudy::build_usa(scan, &tags);
+    let index = AggregateIndex::build(scan);
+    let issuers = analysis::issuers::build_from_index(&index, 25);
+    let keys = analysis::keys::build_from_index(&index);
+    let durations = analysis::durations::build_from_index(&index);
     let mut out = String::from("--- Figure 8: USA issuers ---\n");
     out.push_str(&issuers.render());
     out.push_str("--- Figure 9: USA keys × algorithms ---\n");
@@ -274,10 +270,11 @@ pub fn usa_case(env: &mut Env) -> String {
 
 /// Figures 11–12 + Tables A.3/A.4: the South Korea case study.
 pub fn rok_case(env: &mut Env) -> String {
-    let scan = env.rok_scan().clone();
-    let agg = analysis::casestudy::build_rok(&scan);
-    let issuers = analysis::issuers::build(&scan, 25);
-    let keys = analysis::keys::build(&scan);
+    let scan = env.rok_scan();
+    let agg = analysis::casestudy::build_rok(scan);
+    let index = AggregateIndex::build(scan);
+    let issuers = analysis::issuers::build_from_index(&index, 25);
+    let keys = analysis::keys::build_from_index(&index);
     let mut out = String::from("--- Figure 11: ROK issuers ---\n");
     out.push_str(&issuers.render());
     out.push_str("--- Figure 12: ROK keys × algorithms ---\n");
@@ -487,10 +484,8 @@ pub fn interlink(env: &mut Env) -> String {
 /// Figures A.2/A.3/A.6: EV certificate usage.
 pub fn ev(env: &mut Env) -> String {
     let world = analysis::ev::build_from_index(env.index());
-    let usa_scan = env.usa_scan().clone();
-    let rok_scan = env.rok_scan().clone();
-    let usa = analysis::ev::build(&usa_scan);
-    let rok = analysis::ev::build(&rok_scan);
+    let usa = analysis::ev::build_from_index(&AggregateIndex::build(env.usa_scan()));
+    let rok = analysis::ev::build_from_index(&AggregateIndex::build(env.rok_scan()));
     let mut out = String::from("--- worldwide (Fig A.6) ---\n");
     out.push_str(&world.render());
     out.push_str("--- USA (Fig A.2) ---\n");
@@ -713,7 +708,8 @@ pub fn ablation_probe_config(env: &mut Env) -> String {
 /// One registered experiment: display name + renderer.
 pub type Experiment = (&'static str, fn(&mut Env) -> String);
 
-/// The `(name, experiment)` registry used by `run_all`.
+/// The `(name, experiment)` registry the `repro` binary runs. Each
+/// label's first word is the experiment's key.
 pub fn all() -> Vec<Experiment> {
     vec![
         ("table1_overlap (Table 1)", table1),
@@ -742,9 +738,35 @@ pub fn all() -> Vec<Experiment> {
     ]
 }
 
+/// The key of a registry label: its first word.
+pub fn key(label: &str) -> &str {
+    label.split_whitespace().next().unwrap_or(label)
+}
+
+/// The registered experiment whose key is `name`.
+pub fn find(name: &str) -> Option<Experiment> {
+    all().into_iter().find(|(label, _)| key(label) == name)
+}
+
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
+
+    #[test]
+    fn every_key_resolves_to_its_own_entry() {
+        let registry = all();
+        let keys: HashSet<&str> = registry.iter().map(|(label, _)| key(label)).collect();
+        assert_eq!(keys.len(), registry.len(), "keys must be unique");
+        for (label, _) in &registry {
+            let (found, _) = find(key(label)).expect("every key resolves");
+            assert_eq!(found, *label);
+        }
+        for unknown in ["", "all", "table2", "fig7_rank_regression", "nope"] {
+            assert!(find(unknown).is_none(), "{unknown:?} resolves");
+        }
+    }
 
     #[test]
     fn phishing_rows_are_in_hostname_order() {

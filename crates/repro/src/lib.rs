@@ -1,10 +1,13 @@
 //! # govscan-repro
 //!
-//! One reproduction binary per table/figure of the paper (see DESIGN.md
-//! §3 for the full index), plus `run_all`, which executes every
-//! experiment and emits the EXPERIMENTS.md comparison.
+//! The paper's experiments, one function per table/figure in
+//! [`experiments`] (see DESIGN.md §3 for the full index), and the
+//! binaries that run them: `repro <key>` runs one experiment, `repro
+//! all` runs every one and emits the EXPERIMENTS.md comparison, and
+//! `snapshot`, `pipeline`, `monitor` and `distributed` drive the
+//! archive, the streamed pipeline, the monitor and the distributed scan.
 //!
-//! Every binary accepts two environment variables:
+//! Every binary that generates a world accepts two environment variables:
 //!
 //! - `GOVSCAN_SCALE` — world scale (default 0.2; `1.0` = paper scale).
 //! - `GOVSCAN_SEED` — world seed (default `0x60765CA9`).
@@ -136,12 +139,4 @@ pub fn env_params() -> (u64, f64) {
 /// Format a paper-vs-measured row.
 pub fn cmp_row(label: &str, paper: &str, measured: &str) -> String {
     format!("  {label:<48} paper={paper:<18} measured={measured}\n")
-}
-
-/// Run one named experiment and print its report (the shared main for
-/// every thin binary).
-pub fn run_and_print(name: &str, f: impl FnOnce(&mut Env) -> String) {
-    let mut env = Env::load();
-    println!("== {name} ==");
-    println!("{}", f(&mut env));
 }

@@ -4,9 +4,9 @@
 //! Handlers in [`crate::server`] never format strings inline — they
 //! build these structs from store/analysis types and call `to_json()`.
 //! That split (mirroring a searcher/api separation) is what makes the
-//! lazy-vs-eager byte-identity tests meaningful: both backends feed the
-//! same struct, so any byte difference is a data difference, not a
-//! formatting one.
+//! byte-identity tests against the written dataset meaningful: both
+//! sides feed the same struct, so any byte difference is a data
+//! difference, not a formatting one.
 //!
 //! Unbounded host lists are capped at [`MAX_LISTED_HOSTS`] entries with
 //! an explicit `truncated` flag — counts are always exact, only the

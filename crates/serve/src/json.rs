@@ -4,7 +4,7 @@
 //! handlers build typed response structs ([`crate::api`]) which lower
 //! into this one value tree, so formatting decisions (key order, number
 //! rendering, string escaping) live in exactly one place and the
-//! lazy-vs-eager byte-identity tests have a stable target.
+//! byte-identity tests have a stable target.
 //!
 //! Objects keep insertion order (a `Vec` of pairs, not a map): output is
 //! deterministic and mirrors the struct definitions. The parser exists

@@ -1,15 +1,16 @@
 //! The daemon's contract: every endpoint, served through the lazy
-//! `Snapshot` facade, is byte-identical to JSON built from a fully
-//! materialised eager dataset — and point queries stay lazy (a cold
+//! `Snapshot` facade, is byte-identical to JSON built from the dataset
+//! the test wrote — and point queries stay lazy (a cold
 //! `GET /hosts/{name}` never builds a `ScanDataset`).
 //!
-//! The eager side deliberately re-derives each answer from
-//! `SnapshotReader::new(..).dataset()` (the validate-everything path),
-//! so a divergence in either surface shows up as a byte diff.
+//! The expected ("eager") side re-derives each answer from that written
+//! dataset, which no decoder touches, so a decode bug cannot hide on
+//! both sides of a comparison; it shows up as a byte diff.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
+use govscan_analysis::aggregate::AggregateIndex;
 use govscan_analysis::{choropleth, table2};
 use govscan_scanner::{ErrorCategory, ScanDataset, StudyPipeline};
 use govscan_serve::api::{
@@ -18,12 +19,19 @@ use govscan_serve::api::{
 };
 use govscan_serve::http::{Request, Response};
 use govscan_serve::{json, ServeState};
-use govscan_store::{diff_datasets, Snapshot, SnapshotReader};
+use govscan_store::{diff_datasets, Snapshot};
 use govscan_worldgen::{World, WorldConfig};
 
 fn scan(seed: u64) -> ScanDataset {
     let world = World::generate(&WorldConfig::small(seed));
     StudyPipeline::new(&world).run().scan
+}
+
+/// The two datasets the archives hold: the expected side of every
+/// comparison, never decoded from a file.
+fn written() -> &'static (ScanDataset, ScanDataset) {
+    static DATASETS: OnceLock<(ScanDataset, ScanDataset)> = OnceLock::new();
+    DATASETS.get_or_init(|| (scan(0x5709), scan(0xBEEF)))
 }
 
 /// Two archives on disk, written once per test process.
@@ -34,8 +42,8 @@ fn archives() -> &'static (PathBuf, PathBuf) {
         std::fs::create_dir_all(&dir).expect("temp dir");
         let before = dir.join("before.snap");
         let after = dir.join("after.snap");
-        Snapshot::write_file(&before, &scan(0x5709)).expect("write before");
-        Snapshot::write_file(&after, &scan(0xBEEF)).expect("write after");
+        Snapshot::write_file(&before, &written().0).expect("write before");
+        Snapshot::write_file(&after, &written().1).expect("write after");
         (before, after)
     })
 }
@@ -47,20 +55,6 @@ fn state() -> &'static ServeState {
         let (before, after) = archives();
         ServeState::load(&[before, after]).expect("load archives")
     })
-}
-
-/// The eager twin: full validate-and-decode of the same file.
-fn eager(path: &PathBuf) -> ScanDataset {
-    let bytes = std::fs::read(path).expect("read archive");
-    SnapshotReader::new(&bytes)
-        .expect("eager open")
-        .dataset()
-        .expect("eager decode")
-}
-
-fn eager_before() -> &'static ScanDataset {
-    static DS: OnceLock<ScanDataset> = OnceLock::new();
-    DS.get_or_init(|| eager(&archives().0))
 }
 
 fn digest_hex(ds: &ScanDataset) -> String {
@@ -82,10 +76,10 @@ fn ok(path_and_query: &str) -> String {
 
 #[test]
 fn table2_matches_eager() {
-    let ds = eager_before();
+    let ds = &written().0;
     let expected = Table2Response {
         snapshot: digest_hex(ds),
-        table: table2::build(ds),
+        table: table2::build_from_index(&AggregateIndex::build(ds)),
     }
     .to_json()
     .encode();
@@ -94,8 +88,8 @@ fn table2_matches_eager() {
 
 #[test]
 fn choropleth_matches_eager() {
-    let ds = eager_before();
-    let map = choropleth::build(ds);
+    let ds = &written().0;
+    let map = choropleth::build_from_index(&AggregateIndex::build(ds));
     let expected = ChoroplethResponse {
         snapshot: digest_hex(ds),
         rows: map.rows.iter().map(|(cc, row)| (*cc, *row)).collect(),
@@ -107,9 +101,9 @@ fn choropleth_matches_eager() {
 
 #[test]
 fn every_country_matches_eager() {
-    let ds = eager_before();
+    let ds = &written().0;
     let digest = digest_hex(ds);
-    let map = choropleth::build(ds);
+    let map = choropleth::build_from_index(&AggregateIndex::build(ds));
     assert!(!map.rows.is_empty(), "fixture should span countries");
     for (cc, row) in &map.rows {
         // Re-derive the drill-down straight from the records, not via
@@ -157,7 +151,7 @@ fn every_country_matches_eager() {
 
 #[test]
 fn host_queries_match_eager() {
-    let ds = eager_before();
+    let ds = &written().0;
     let digest = digest_hex(ds);
     assert!(!ds.records().is_empty());
     for record in ds.records().iter().take(50) {
@@ -179,12 +173,11 @@ fn host_queries_match_eager() {
 #[test]
 fn diff_matches_eager() {
     let (before_path, after_path) = archives();
-    let before = eager_before();
-    let after = eager(after_path);
+    let (before, after) = written();
     let expected = DiffResponse {
         from: digest_hex(before),
-        to: digest_hex(&after),
-        diff: diff_datasets(before, &after),
+        to: digest_hex(after),
+        diff: diff_datasets(before, after),
     }
     .to_json()
     .encode();
@@ -195,17 +188,21 @@ fn diff_matches_eager() {
 
 #[test]
 fn snapshots_matches_eager() {
-    let entries = [&archives().0, &archives().1]
+    let (before, after) = written();
+    let entries = [(&archives().0, before), (&archives().1, after)]
         .iter()
-        .map(|path| {
+        .map(|(path, ds)| {
+            // Header fields come from a fresh reader over the same bytes,
+            // not from the daemon's own `Snapshot`.
             let bytes = std::fs::read(path).expect("read");
-            let reader = SnapshotReader::new(&bytes).expect("open");
+            let size = bytes.len() as u64;
+            let reader = Snapshot::from_bytes(bytes).expect("open");
             SnapshotEntry {
                 label: path.file_stem().unwrap().to_str().unwrap().to_owned(),
-                digest: digest_hex(&reader.dataset().expect("decode")),
+                digest: digest_hex(ds),
                 chain: path.file_stem().unwrap().to_str().unwrap().to_owned(),
                 epoch: 0,
-                bytes: bytes.len() as u64,
+                bytes: size,
                 scan_time: reader.scan_time().map(|t| t.0),
                 hosts: reader.host_count(),
                 certs: reader.cert_count(),
@@ -242,7 +239,7 @@ fn cold_host_query_builds_no_dataset() {
         "open decodes nothing"
     );
 
-    let name = eager_before().records()[0].hostname.clone();
+    let name = &written().0.records()[0].hostname.clone();
     let req = Request::parse_request_line(&format!("GET /hosts/{name} HTTP/1.1")).unwrap();
     let resp = fresh.respond(&req);
     assert_eq!(resp.status, 200, "{}", resp.body);

@@ -20,9 +20,12 @@
 //! table                 per section: id · offset · length · FNV-1a64
 //! ```
 //!
-//! The design leans on two existing invariants instead of inventing new
-//! machinery:
+//! The design leans on existing machinery instead of inventing new:
 //!
+//! * **The shared container** — header, section table, payload
+//!   checksums and the string-list codec come from the crate-private
+//!   `container` module, the same code `GOVSNAP1` runs, under the
+//!   delta's own magic, version and section ids.
 //! * **Canonical encoding** — the same dataset always encodes to the
 //!   same bytes, so [`Snapshot::digest`] identifies an *epoch*, not a
 //!   file. A delta names its base by digest and [`Delta::apply`] refuses
@@ -50,10 +53,13 @@ use govscan_crypto::Fingerprint;
 use govscan_pki::Time;
 use govscan_scanner::ScanDataset;
 
+use crate::container::{
+    assemble, decode_strings, decode_time, encode_strings, encode_time, Frame, Section, SectionKind,
+};
 use crate::error::{Result, StoreError};
 use crate::lazy::Snapshot;
-use crate::snapshot::{assemble_dataset, Section, SnapshotWriter};
-use crate::wire::{Checksum, Decoder, Encoder};
+use crate::snapshot::{assemble_dataset, SnapshotWriter};
+use crate::wire::{Decoder, Encoder};
 
 /// File magic: the first eight bytes of every govscan delta.
 pub const DELTA_MAGIC: [u8; 8] = *b"GOVDLT1\0";
@@ -74,14 +80,11 @@ enum DeltaSectionId {
     Patch = 4,
 }
 
-impl DeltaSectionId {
-    fn name(self) -> &'static str {
-        match self {
-            DeltaSectionId::Meta => "delta meta",
-            DeltaSectionId::Removed => "removed",
-            DeltaSectionId::Positions => "positions",
-            DeltaSectionId::Patch => "patch",
-        }
+impl SectionKind for DeltaSectionId {
+    const NAMES: &'static [&'static str] = &["delta meta", "removed", "positions", "patch"];
+
+    fn id(self) -> u32 {
+        self as u32
     }
 }
 
@@ -93,13 +96,12 @@ impl DeltaSectionId {
 /// checksum-verified when [`Delta::apply`] touches them.
 pub struct Delta {
     bytes: Vec<u8>,
-    version: u32,
+    frame: Frame,
     base_digest: Fingerprint,
     scan_time: Option<Time>,
     new_host_count: u64,
     patch_count: u64,
     removed_count: u64,
-    sections: Vec<Section>,
 }
 
 impl Delta {
@@ -107,69 +109,8 @@ impl Delta {
 
     /// Parse `bytes` as a delta, validating header, table, and meta.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Delta> {
-        if bytes.len() < DELTA_MAGIC.len() || bytes[..DELTA_MAGIC.len()] != DELTA_MAGIC {
-            if bytes.len() >= DELTA_MAGIC.len() {
-                return Err(StoreError::BadMagic {
-                    found: bytes[..DELTA_MAGIC.len()].to_vec(),
-                });
-            }
-            // Too short to even hold the magic: an empty or chopped file.
-            if bytes.is_empty() || !DELTA_MAGIC.starts_with(&bytes) {
-                return Err(StoreError::BadMagic {
-                    found: bytes.to_vec(),
-                });
-            }
-            return Err(StoreError::Truncated { context: "header" });
-        }
-        let mut header = Decoder::new(&bytes, "header");
-        header.bytes(DELTA_MAGIC.len())?;
-        let version = header.u32()?;
-        if version != DELTA_VERSION {
-            return Err(StoreError::UnsupportedVersion(version));
-        }
-        let _reserved = header.u32()?;
-        let table_offset = header.u64()?;
-        let table_bytes = usize::try_from(table_offset)
-            .ok()
-            .and_then(|o| bytes.get(o..))
-            .ok_or(StoreError::Truncated {
-                context: "section table",
-            })?;
-        let mut table = Decoder::new(table_bytes, "section table");
-        let count = table.u32()?;
-        let mut sections = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let id = table.u32()?;
-            let offset = table.u64()?;
-            let len = table.u64()?;
-            let checksum = table.u64()?;
-            let name = match id {
-                x if x == DeltaSectionId::Meta as u32 => DeltaSectionId::Meta.name(),
-                x if x == DeltaSectionId::Removed as u32 => DeltaSectionId::Removed.name(),
-                x if x == DeltaSectionId::Positions as u32 => DeltaSectionId::Positions.name(),
-                x if x == DeltaSectionId::Patch as u32 => DeltaSectionId::Patch.name(),
-                _ => "unknown",
-            };
-            sections.push(Section {
-                id,
-                name,
-                offset,
-                len,
-                checksum,
-            });
-        }
-
-        let mut delta = Delta {
-            bytes,
-            version,
-            base_digest: Fingerprint([0; 32]),
-            scan_time: None,
-            new_host_count: 0,
-            patch_count: 0,
-            removed_count: 0,
-            sections,
-        };
-        let meta_payload = delta.verified_payload(DeltaSectionId::Meta)?;
+        let frame = Frame::parse::<DeltaSectionId>(&bytes, &DELTA_MAGIC, DELTA_VERSION)?;
+        let meta_payload = frame.verified(&bytes, DeltaSectionId::Meta)?;
         if meta_payload.len() as u64 != META_LEN {
             return Err(StoreError::Corrupt {
                 context: "delta meta",
@@ -178,31 +119,22 @@ impl Delta {
         }
         let mut meta = Decoder::new(meta_payload, "delta meta");
         let base_digest = Fingerprint::from_digest(meta.bytes(32)?);
-        let has_time = meta.u8()?;
-        let time = meta.i64()?;
-        let scan_time = (has_time != 0).then_some(Time(time));
+        let scan_time = decode_time(&mut meta)?;
         let new_host_count = meta.u64()?;
         let patch_count = meta.u64()?;
         let removed_count = meta.u64()?;
         meta.finish()?;
-        delta.base_digest = base_digest;
-        delta.scan_time = scan_time;
-        delta.new_host_count = new_host_count;
-        delta.patch_count = patch_count;
-        delta.removed_count = removed_count;
-
         // Cross-validate the fixed-width positions section.
-        let positions = delta.section(DeltaSectionId::Positions)?;
-        if positions.len != delta.patch_count * 4 {
-            return Err(StoreError::Corrupt {
-                context: "positions",
-                detail: format!(
-                    "{} bytes for {} patch records",
-                    positions.len, delta.patch_count
-                ),
-            });
-        }
-        Ok(delta)
+        frame.check_width(DeltaSectionId::Positions, patch_count, 4)?;
+        Ok(Delta {
+            bytes,
+            frame,
+            base_digest,
+            scan_time,
+            new_host_count,
+            patch_count,
+            removed_count,
+        })
     }
 
     /// Read and parse a delta file.
@@ -266,64 +198,28 @@ impl Delta {
 
         let mut meta = Encoder::new();
         meta.bytes(base.digest().as_bytes());
-        match new.scan_time {
-            Some(t) => {
-                meta.u8(1);
-                meta.i64(t.0);
-            }
-            None => {
-                meta.u8(0);
-                meta.i64(0);
-            }
-        }
+        encode_time(&mut meta, new.scan_time);
         meta.u64(new_records.len() as u64);
         meta.u64(positions.len() as u64);
         meta.u64(removed.len() as u64);
 
         let mut removed_enc = Encoder::new();
-        for name in &removed {
-            removed_enc.u32(name.len() as u32);
-            removed_enc.bytes(name.as_bytes());
-        }
+        encode_strings(&mut removed_enc, removed.iter().copied());
         let mut positions_enc = Encoder::new();
         for p in &positions {
             positions_enc.u32(*p);
         }
 
-        let mut out = Vec::new();
-        out.extend_from_slice(&DELTA_MAGIC);
-        out.extend_from_slice(&DELTA_VERSION.to_le_bytes());
-        out.extend_from_slice(&0u32.to_le_bytes());
-        out.extend_from_slice(&0u64.to_le_bytes()); // table offset, patched below
-
-        let payloads: [(DeltaSectionId, &[u8]); 4] = [
-            (DeltaSectionId::Meta, meta.as_bytes()),
-            (DeltaSectionId::Removed, removed_enc.as_bytes()),
-            (DeltaSectionId::Positions, positions_enc.as_bytes()),
-            (DeltaSectionId::Patch, &patch_bytes),
-        ];
-        let mut table: Vec<(u32, u64, u64, u64)> = Vec::with_capacity(payloads.len());
-        for (id, payload) in payloads {
-            table.push((
-                id as u32,
-                out.len() as u64,
-                payload.len() as u64,
-                Checksum::of(payload),
-            ));
-            out.extend_from_slice(payload);
-        }
-        let table_offset = out.len() as u64;
-        let mut t = Encoder::new();
-        t.u32(table.len() as u32);
-        for (id, offset, len, checksum) in table {
-            t.u32(id);
-            t.u64(offset);
-            t.u64(len);
-            t.u64(checksum);
-        }
-        out.extend_from_slice(t.as_bytes());
-        out[16..24].copy_from_slice(&table_offset.to_le_bytes());
-        Ok(out)
+        Ok(assemble(
+            &DELTA_MAGIC,
+            DELTA_VERSION,
+            &[
+                (DeltaSectionId::Meta, meta.as_bytes()),
+                (DeltaSectionId::Removed, removed_enc.as_bytes()),
+                (DeltaSectionId::Positions, positions_enc.as_bytes()),
+                (DeltaSectionId::Patch, &patch_bytes),
+            ],
+        ))
     }
 
     /// Write the delta from `base` to `new` at `path`; returns its size.
@@ -337,7 +233,7 @@ impl Delta {
 
     /// Format version of the file.
     pub fn version(&self) -> u32 {
-        self.version
+        self.frame.version
     }
 
     /// Digest of the exact base archive this delta applies to.
@@ -367,7 +263,7 @@ impl Delta {
 
     /// The validated section table.
     pub fn sections(&self) -> &[Section] {
-        &self.sections
+        &self.frame.sections
     }
 
     /// Total delta size in bytes.
@@ -433,7 +329,12 @@ impl Delta {
             .iter()
             .filter(|r| !skip.contains(r.hostname.as_str()));
         let mut patched = positions.iter().zip(patch_records).peekable();
-        let mut records = Vec::with_capacity(self.new_host_count as usize);
+        // The count is read from the file: reserve no more than the base
+        // and patch records the merge can take.
+        let mut records = Vec::with_capacity(
+            self.new_host_count
+                .min((base_ds.len() + patch_records.len()) as u64) as usize,
+        );
         for pos in 0..self.new_host_count {
             if patched.peek().is_some_and(|(p, _)| **p as u64 == pos) {
                 let (_, r) = patched.next().expect("peeked");
@@ -478,7 +379,7 @@ impl Delta {
     pub fn describe(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = writeln!(out, "govscan delta v{}", self.version);
+        let _ = writeln!(out, "govscan delta v{}", self.frame.version);
         let _ = writeln!(out, "  size: {} bytes", self.bytes.len());
         let _ = writeln!(out, "  base: {}", self.base_digest);
         let _ = writeln!(out, "  scan time: {:?}", self.scan_time.map(|t| t.0));
@@ -488,7 +389,7 @@ impl Delta {
             self.new_host_count, self.patch_count, self.removed_count
         );
         let _ = writeln!(out, "  sections:");
-        for s in &self.sections {
+        for s in &self.frame.sections {
             let _ = writeln!(
                 out,
                 "    {:<10} offset {:>8} len {:>8} fnv1a64 {:016x}",
@@ -498,52 +399,19 @@ impl Delta {
         out
     }
 
-    // --- Section plumbing (mirrors `Layout`, over the delta id space).
+    // --- Section decoders (each verifies its section on first touch).
 
-    fn section(&self, id: DeltaSectionId) -> Result<&Section> {
-        self.sections
-            .iter()
-            .find(|s| s.id == id as u32)
-            .ok_or(StoreError::Corrupt {
-                context: "section table",
-                detail: format!("missing required section {:?}", id.name()),
-            })
-    }
-
-    fn verified_payload(&self, id: DeltaSectionId) -> Result<&[u8]> {
-        let s = self.section(id)?;
-        let start =
-            usize::try_from(s.offset).map_err(|_| StoreError::Truncated { context: s.name })?;
-        let len = usize::try_from(s.len).map_err(|_| StoreError::Truncated { context: s.name })?;
-        let payload = start
-            .checked_add(len)
-            .and_then(|end| self.bytes.get(start..end))
-            .ok_or(StoreError::Truncated { context: s.name })?;
-        if Checksum::of(payload) != s.checksum {
-            return Err(StoreError::ChecksumMismatch { section: s.name });
-        }
-        Ok(payload)
-    }
-
-    /// Decode the removed-hostname list (verifies the section).
+    /// Decode the removed-hostname list.
     fn removed(&self) -> Result<Vec<String>> {
-        let mut d = Decoder::new(self.verified_payload(DeltaSectionId::Removed)?, "removed");
-        let mut out = Vec::with_capacity(self.removed_count as usize);
-        for _ in 0..self.removed_count {
-            let len = d.u32()? as usize;
-            match std::str::from_utf8(d.bytes(len)?) {
-                Ok(s) => out.push(s.to_owned()),
-                Err(e) => return d.corrupt(format!("invalid UTF-8 hostname: {e}")),
-            }
-        }
-        d.finish()?;
-        Ok(out)
+        let payload = self.frame.verified(&self.bytes, DeltaSectionId::Removed)?;
+        decode_strings(payload, self.removed_count, "removed")
     }
 
     /// Decode the patch positions (verifies the section; must ascend).
     fn positions(&self) -> Result<Vec<u32>> {
         let mut d = Decoder::new(
-            self.verified_payload(DeltaSectionId::Positions)?,
+            self.frame
+                .verified(&self.bytes, DeltaSectionId::Positions)?,
             "positions",
         );
         let mut out = Vec::with_capacity(self.patch_count as usize);
@@ -560,7 +428,11 @@ impl Delta {
 
     /// Open the embedded patch archive (verifies the section).
     fn patch(&self) -> Result<Snapshot> {
-        Snapshot::from_bytes(self.verified_payload(DeltaSectionId::Patch)?.to_vec())
+        Snapshot::from_bytes(
+            self.frame
+                .verified(&self.bytes, DeltaSectionId::Patch)?
+                .to_vec(),
+        )
     }
 }
 

@@ -1,10 +1,9 @@
-//! The lazy [`Snapshot`] facade: open cheap, decode on first touch.
+//! The [`Snapshot`] facade: the one `GOVSNAP1` reader. It opens cheap
+//! and decodes on first touch.
 //!
-//! [`crate::snapshot::SnapshotReader`] is built for the batch pipeline —
-//! validate every checksum up front, then materialize the whole
-//! [`ScanDataset`] once. A query daemon has the opposite access pattern:
-//! open an archive once, then answer many point queries, most of which
-//! need only a sliver of the file. `Snapshot` serves that pattern:
+//! A query daemon opens an archive once, then answers many point
+//! queries, most of which need only a sliver of the file; a batch job
+//! wants the whole [`ScanDataset`] once. `Snapshot` serves both:
 //!
 //! * [`Snapshot::open`] / [`Snapshot::from_bytes`] parse and validate
 //!   only the header, section table, and the 41-byte meta section
@@ -14,6 +13,8 @@
 //!   behind a [`OnceLock`], with its FNV-1a checksum verified at that
 //!   moment. A failed decode is cached too — every later caller gets a
 //!   clone of the same [`StoreError`] instead of a retry.
+//!   [`Snapshot::dataset`] touches all four, so it has verified every
+//!   section's checksum before it returns a record.
 //! * Host records resolve *by index* straight out of the fixed-width
 //!   hosts section ([`Snapshot::host`]) without ever assembling a
 //!   `ScanDataset`; a hostname → index map ([`Snapshot::host_by_name`])
@@ -41,10 +42,11 @@ use govscan_pki::Time;
 use govscan_scanner::classify::CertMeta;
 use govscan_scanner::{ScanDataset, ScanRecord};
 
+use crate::container::decode_strings;
 use crate::error::{Result, StoreError};
 use crate::snapshot::{
-    assemble_dataset, decode_caa, decode_certs, decode_host_record, decode_strings,
-    render_describe, Layout, Section, SectionId, SnapshotWriter, HOST_RECORD_LEN,
+    assemble_dataset, decode_caa, decode_certs, decode_host_record, Layout, Section, SectionId,
+    SnapshotWriter, HOST_RECORD_LEN,
 };
 use crate::wire::Decoder;
 
@@ -73,7 +75,7 @@ impl Snapshot {
     // --- Construction.
 
     /// Open `bytes` as a snapshot, validating only the header, section
-    /// table, and meta counts (see [`Layout::parse`]).
+    /// table, and meta counts (the meta section's checksum included).
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Snapshot> {
         let layout = Layout::parse(&bytes)?;
         Ok(Snapshot {
@@ -130,7 +132,7 @@ impl Snapshot {
 
     /// Format version of the file (always [`crate::VERSION`] for now).
     pub fn version(&self) -> u32 {
-        self.layout.version
+        self.layout.frame.version
     }
 
     /// The archived scan time.
@@ -140,7 +142,7 @@ impl Snapshot {
 
     /// The validated section table, in id order.
     pub fn sections(&self) -> &[Section] {
-        &self.layout.sections
+        &self.layout.frame.sections
     }
 
     /// Number of host records.
@@ -183,8 +185,7 @@ impl Snapshot {
     // --- Lazy section access.
 
     fn verified_payload(&self, id: SectionId) -> Result<&[u8]> {
-        self.layout
-            .verified_payload(&self.bytes, self.layout.section(id)?)
+        self.layout.frame.verified(&self.bytes, id)
     }
 
     /// The decoded string pool (first touch verifies + decodes).
@@ -194,6 +195,7 @@ impl Snapshot {
                 decode_strings(
                     self.verified_payload(SectionId::Strings)?,
                     self.layout.string_count,
+                    "strings",
                 )
             })
             .as_deref()
@@ -234,8 +236,7 @@ impl Snapshot {
             .get_or_init(|| self.verified_payload(SectionId::Hosts).map(drop))
             .clone()?;
         // Checksum verified above; plain bounds-checked access.
-        self.layout
-            .payload(&self.bytes, self.layout.section(SectionId::Hosts)?)
+        self.layout.frame.payload(&self.bytes, SectionId::Hosts)
     }
 
     // --- Point queries.
@@ -311,14 +312,48 @@ impl Snapshot {
         Ok(assemble_dataset(records, self.layout.scan_time))
     }
 
-    /// A human-readable dump of the archive structure (see
-    /// [`crate::snapshot::SnapshotReader::describe`] — same renderer).
+    /// A human-readable dump of the archive structure: header line,
+    /// element counts, the section table with checksums, and the first
+    /// certificates of the content-addressed pool. All hex goes through
+    /// `govscan_crypto`'s one encoder.
     pub fn describe(&self) -> Result<String> {
-        Ok(render_describe(
-            &self.layout,
+        use std::fmt::Write as _;
+        let certs = self.certs()?;
+        let l = &self.layout;
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "govscan snapshot v{} · {} bytes · scan_time {:?}",
+            l.frame.version,
             self.bytes.len(),
-            self.certs()?,
-        ))
+            l.scan_time.map(|t| t.0),
+        );
+        let _ = writeln!(
+            out,
+            "counts: {} hosts · {} certs · {} caa · {} strings",
+            l.host_count, l.cert_count, l.caa_count, l.string_count
+        );
+        for s in &l.frame.sections {
+            let _ = writeln!(
+                out,
+                "  section {:<8} id={} offset={:<10} len={:<10} fnv1a64={}",
+                s.name,
+                s.id,
+                s.offset,
+                s.len,
+                govscan_crypto::hex::encode(&s.checksum.to_be_bytes()),
+            );
+        }
+        for (i, meta) in certs.iter().take(5).enumerate() {
+            let _ = writeln!(
+                out,
+                "  cert[{i}] {} issuer={:?} serial={}",
+                meta.fingerprint.to_hex(),
+                meta.issuer,
+                meta.serial,
+            );
+        }
+        Ok(out)
     }
 
     // --- Laziness observability.
@@ -359,8 +394,8 @@ mod tests {
     use super::*;
 
     // Format-level construction tests live in `tests/roundtrip.rs`,
-    // which exercises both read surfaces against real worlds; here we
-    // only pin the pure-facade behaviours that need no dataset.
+    // which exercises the reader against real worlds; here we only pin
+    // the pure-facade behaviours that need no dataset.
 
     #[test]
     fn open_rejects_garbage() {

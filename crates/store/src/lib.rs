@@ -10,16 +10,17 @@
 //! * [`snapshot`] — a versioned binary format for [`ScanDataset`]:
 //!   magic/version header, checksummed sections, an interned string
 //!   table, a content-addressed certificate pool, and fixed-width host
-//!   records. [`snapshot::SnapshotWriter`] streams with bounded memory;
-//!   [`snapshot::SnapshotReader`] validates everything before decoding.
+//!   records. [`snapshot::SnapshotWriter`] streams with bounded memory.
 //! * [`lazy`] — the [`Snapshot`] facade: the one entry point for
-//!   archive I/O. Writing ([`Snapshot::encode`],
-//!   [`Snapshot::write_file`], [`Snapshot::digest_of`]) wraps the
-//!   streaming writer; reading opens cheap (header + section table +
-//!   meta only) and decodes sections on first touch, so point queries
-//!   — [`Snapshot::host`], [`Snapshot::host_by_name`] — never
-//!   materialize a full dataset. This is what the `govscan-serve`
-//!   daemon runs on.
+//!   archive I/O and the only `GOVSNAP1` reader. Writing
+//!   ([`Snapshot::encode`], [`Snapshot::write_file`],
+//!   [`Snapshot::digest_of`]) wraps the streaming writer; reading opens
+//!   cheap (header + section table + meta only) and verifies and
+//!   decodes each section on first touch, so point queries —
+//!   [`Snapshot::host`], [`Snapshot::host_by_name`] — never
+//!   materialize a full dataset, and [`Snapshot::dataset`] has checked
+//!   every section before it returns. Serve, monitor and the repro
+//!   tools all read through it.
 //! * [`diff`] — host-level transitions between two snapshots: the
 //!   state-migration matrix, newly-valid/newly-broken hosts, HSTS and
 //!   chain churn, and per-country improvement rates.
@@ -30,6 +31,10 @@
 //! * [`wire`], [`intern`], [`error`] — the byte codec, string
 //!   interning, and the typed [`StoreError`] every failure maps to.
 //!
+//! Both formats share one crate-private container module (header,
+//! checksummed section table, count × width cross-check, string list),
+//! which bounds every allocation by the bytes present.
+//!
 //! The round-trip invariant — write → read yields a dataset that is
 //! semantically identical, proven by [`Snapshot::digest_of`] equality
 //! and byte-identical analysis renders — is asserted in this crate's
@@ -39,6 +44,7 @@
 //!
 //! [`ScanDataset`]: govscan_scanner::ScanDataset
 
+pub(crate) mod container;
 pub mod delta;
 pub mod diff;
 pub mod error;
@@ -51,4 +57,4 @@ pub use delta::{Delta, DELTA_MAGIC, DELTA_VERSION};
 pub use diff::{diff_datasets, diff_snapshot_files, CountryDelta, HostState, SnapshotDiff};
 pub use error::{Result, StoreError};
 pub use lazy::Snapshot;
-pub use snapshot::{Section, SnapshotReader, SnapshotWriter, MAGIC, VERSION};
+pub use snapshot::{Section, SnapshotWriter, MAGIC, VERSION};

@@ -1,6 +1,9 @@
-//! The versioned binary snapshot format: writer and reader.
+//! The versioned binary snapshot format: the `GOVSNAP1` writer and the
+//! section decoders behind [`crate::Snapshot`].
 //!
-//! A snapshot is the durable, columnar form of one [`ScanDataset`]:
+//! A snapshot is the durable, columnar form of one [`ScanDataset`], in
+//! the container it shares with `GOVDLT1` deltas (the crate-private
+//! `container` module):
 //!
 //! ```text
 //! header   (24 bytes)   magic "GOVSNAP1" · version u32 · reserved u32 ·
@@ -16,18 +19,14 @@
 //!
 //! The writer streams host records as they are added — memory stays
 //! bounded by the pools (strings, deduplicated certificates, CAA runs),
-//! never by the host count — and the reader validates the magic,
-//! version, and every section checksum before decoding a single record.
+//! never by the host count. [`crate::Snapshot`] is the one reader: it
+//! parses the header, table and meta counts here at open, then verifies
+//! each section's checksum before it decodes anything from it.
 //! Round-tripping is semantically lossless: the rebuilt dataset renders
 //! every analysis byte-identically (proven in `tests/roundtrip.rs`),
 //! and re-encoding it reproduces the archive
 //! byte for byte, which is what makes [`crate::Snapshot::digest`] a
 //! meaningful identity.
-//!
-//! Two read surfaces share the decode helpers in this module: the eager
-//! [`SnapshotReader`] here (validate everything, then decode), and the
-//! lazy [`crate::Snapshot`] facade in [`crate::lazy`] (open cheap,
-//! decode sections on first touch).
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -42,6 +41,11 @@ use govscan_scanner::classify::{CertMeta, HttpsStatus};
 use govscan_scanner::dataset::HostingKind;
 use govscan_scanner::{ErrorCategory, ScanDataset, ScanRecord};
 
+pub use crate::container::Section;
+use crate::container::{
+    decode_time, encode_header, encode_strings, encode_table, encode_time, Frame, SectionKind,
+    HEADER_LEN, TABLE_OFFSET_AT,
+};
 use crate::error::{Result, StoreError};
 use crate::intern::{intern_static, StringTable, NO_STRING};
 use crate::wire::{Checksum, Decoder, Encoder};
@@ -52,15 +56,10 @@ pub const MAGIC: [u8; 8] = *b"GOVSNAP1";
 /// Current format version.
 pub const VERSION: u32 = 1;
 
-/// Fixed header size: magic + version + reserved + table offset.
-const HEADER_LEN: u64 = 24;
-
 /// Fixed-width encodings (v1).
 pub(crate) const HOST_RECORD_LEN: usize = 35;
 const CERT_RECORD_LEN: usize = 95;
 const CAA_RECORD_LEN: usize = 5;
-/// One section-table entry: id, offset, length, checksum.
-const TABLE_ENTRY_LEN: usize = 4 + 8 + 8 + 8;
 
 /// Sentinel for "no certificate" in a host record.
 const NO_CERT: u32 = u32::MAX;
@@ -76,31 +75,12 @@ pub(crate) enum SectionId {
     Hosts = 5,
 }
 
-impl SectionId {
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            SectionId::Meta => "meta",
-            SectionId::Strings => "strings",
-            SectionId::Certs => "certs",
-            SectionId::Caa => "caa",
-            SectionId::Hosts => "hosts",
-        }
-    }
-}
+impl SectionKind for SectionId {
+    const NAMES: &'static [&'static str] = &["meta", "strings", "certs", "caa", "hosts"];
 
-/// One entry of the decoded section table.
-#[derive(Debug, Clone, Copy)]
-pub struct Section {
-    /// Numeric section id (see the format sketch in the module docs).
-    pub id: u32,
-    /// Human-readable name.
-    pub name: &'static str,
-    /// Payload offset from the start of the snapshot.
-    pub offset: u64,
-    /// Payload length in bytes.
-    pub len: u64,
-    /// FNV-1a 64 checksum of the payload.
-    pub checksum: u64,
+    fn id(self) -> u32 {
+        self as u32
+    }
 }
 
 // --- Enum codecs. Wire codes are positions in each type's stable `ALL`
@@ -188,13 +168,7 @@ impl<W: Write + Seek> SnapshotWriter<W> {
     pub fn new(mut out: W, scan_time: Option<Time>) -> Result<SnapshotWriter<W>> {
         let base = out.stream_position()?;
         // Placeholder header; the table offset is backpatched by finish().
-        let mut header = Encoder::new();
-        header.bytes(&MAGIC);
-        header.u32(VERSION);
-        header.u32(0); // reserved
-        header.u64(0); // table offset placeholder
-        debug_assert_eq!(header.len() as u64, HEADER_LEN);
-        out.write_all(header.as_bytes())?;
+        out.write_all(encode_header(&MAGIC, VERSION, 0).as_bytes())?;
         Ok(SnapshotWriter {
             out,
             base,
@@ -355,8 +329,8 @@ impl<W: Write + Seek> SnapshotWriter<W> {
     /// record in one pass.
     ///
     /// On error the writer is left mid-stream and should be dropped: the
-    /// partial archive has no section table and will be rejected by
-    /// [`Layout::parse`] as truncated.
+    /// partial archive has no section table, and [`crate::Snapshot`]
+    /// rejects it as truncated.
     pub fn append_records<'r>(
         &mut self,
         records: impl IntoIterator<Item = &'r ScanRecord>,
@@ -404,16 +378,7 @@ impl<W: Write + Seek> SnapshotWriter<W> {
         };
 
         let mut meta = Encoder::new();
-        match self.scan_time {
-            Some(t) => {
-                meta.u8(1);
-                meta.i64(t.0);
-            }
-            None => {
-                meta.u8(0);
-                meta.i64(0);
-            }
-        }
+        encode_time(&mut meta, self.scan_time);
         meta.u64(self.host_count);
         meta.u64(self.cert_count as u64);
         meta.u64(self.caa_count as u64);
@@ -438,10 +403,7 @@ impl<W: Write + Seek> SnapshotWriter<W> {
                     Pool::Ready(bytes) => Cow::Borrowed(bytes),
                     Pool::Strings(table) => {
                         let mut e = Encoder::new();
-                        for s in table.strings() {
-                            e.u32(s.len() as u32);
-                            e.bytes(s.as_bytes());
-                        }
+                        encode_strings(&mut e, table.strings().iter().map(String::as_str));
                         Cow::Owned(e.into_bytes())
                     }
                 };
@@ -465,19 +427,12 @@ impl<W: Write + Seek> SnapshotWriter<W> {
         }
 
         let table_offset = cursor;
-        let mut t = Encoder::new();
-        t.u32(table.len() as u32);
-        table.sort_by_key(|s| s.id);
-        for s in &table {
-            t.u32(s.id);
-            t.u64(s.offset);
-            t.u64(s.len);
-            t.u64(s.checksum);
-        }
+        let t = encode_table(&mut table);
         self.out.write_all(t.as_bytes())?;
 
         // Backpatch the table offset in the header.
-        self.out.seek(SeekFrom::Start(self.base + 16))?;
+        self.out
+            .seek(SeekFrom::Start(self.base + TABLE_OFFSET_AT))?;
         self.out.write_all(&table_offset.to_le_bytes())?;
         self.out
             .seek(SeekFrom::Start(self.base + table_offset + t.len() as u64))?;
@@ -486,13 +441,12 @@ impl<W: Write + Seek> SnapshotWriter<W> {
     }
 }
 
-/// The parsed skeleton of a snapshot, shared by the eager
-/// [`SnapshotReader`] and the lazy [`crate::Snapshot`] facade: header
-/// fields, the section table, and the (tiny, always-verified) meta
-/// section's counts. Parsing it touches none of the pool payloads.
+/// The parsed skeleton of a snapshot: its container frame and the
+/// (tiny, always-verified) meta section's counts. Parsing it touches
+/// none of the pool payloads.
 pub(crate) struct Layout {
-    /// Format version of the file (always [`VERSION`] for now).
-    pub(crate) version: u32,
+    /// Header version and section table.
+    pub(crate) frame: Frame,
     /// The archived scan time.
     pub(crate) scan_time: Option<Time>,
     /// Number of host records.
@@ -500,164 +454,41 @@ pub(crate) struct Layout {
     pub(crate) cert_count: u64,
     pub(crate) caa_count: u64,
     pub(crate) string_count: u64,
-    pub(crate) sections: Vec<Section>,
 }
 
 impl Layout {
     /// Parse and structurally validate `bytes` as a snapshot.
     ///
-    /// Checks, in order: magic, version, header/table bounds, presence
-    /// of all v1 sections, the meta section's checksum (41 bytes — the
-    /// one payload cheap enough to always verify), and the meta counts
-    /// against the fixed-width section payload sizes. Pool payloads are
-    /// *not* checksummed here; the eager reader does that up front, the
-    /// lazy facade on first touch. Any failure is a typed
-    /// [`StoreError`] — never a panic.
+    /// Checks, in order: the container frame (magic, version, table
+    /// bounds), the meta section's checksum (41 bytes — the one payload
+    /// cheap enough to always verify), and the meta counts against the
+    /// fixed-width section payload sizes. Pool payloads are *not*
+    /// checksummed here; [`crate::Snapshot`] verifies each on first
+    /// touch. Any failure is a typed [`StoreError`] — never a panic.
     pub(crate) fn parse(bytes: &[u8]) -> Result<Layout> {
-        if bytes.len() < MAGIC.len() || bytes[..MAGIC.len()] != MAGIC {
-            if bytes.len() >= MAGIC.len() {
-                return Err(StoreError::BadMagic {
-                    found: bytes[..MAGIC.len()].to_vec(),
-                });
-            }
-            // Too short to even hold the magic: an empty or chopped file.
-            if bytes.is_empty() || !MAGIC.starts_with(bytes) {
-                return Err(StoreError::BadMagic {
-                    found: bytes.to_vec(),
-                });
-            }
-            return Err(StoreError::Truncated { context: "header" });
-        }
-        let mut header = Decoder::new(bytes, "header");
-        header.bytes(MAGIC.len())?;
-        let version = header.u32()?;
-        if version != VERSION {
-            return Err(StoreError::UnsupportedVersion(version));
-        }
-        let _reserved = header.u32()?;
-        let table_offset = header.u64()?;
-        let table_bytes = usize::try_from(table_offset)
-            .ok()
-            .and_then(|o| bytes.get(o..))
-            .ok_or(StoreError::Truncated {
-                context: "section table",
-            })?;
-        let mut table = Decoder::new(table_bytes, "section table");
-        let count = table.u32()?;
-        // The count is read from the file: reserve no more entries than
-        // the table's bytes can hold, so a damaged count ends in
-        // `Truncated` below rather than an aborted allocation.
-        let mut sections =
-            Vec::with_capacity((count as usize).min(table.remaining() / TABLE_ENTRY_LEN));
-        for _ in 0..count {
-            let id = table.u32()?;
-            let offset = table.u64()?;
-            let len = table.u64()?;
-            let checksum = table.u64()?;
-            let name = match id {
-                x if x == SectionId::Meta as u32 => SectionId::Meta.name(),
-                x if x == SectionId::Strings as u32 => SectionId::Strings.name(),
-                x if x == SectionId::Certs as u32 => SectionId::Certs.name(),
-                x if x == SectionId::Caa as u32 => SectionId::Caa.name(),
-                x if x == SectionId::Hosts as u32 => SectionId::Hosts.name(),
-                // Unknown sections from future minor revisions are
-                // tolerated (and checksummed) but not decoded.
-                _ => "unknown",
-            };
-            sections.push(Section {
-                id,
-                name,
-                offset,
-                len,
-                checksum,
-            });
-        }
-        let mut layout = Layout {
-            version,
-            scan_time: None,
-            host_count: 0,
-            cert_count: 0,
-            caa_count: 0,
-            string_count: 0,
-            sections,
+        let frame = Frame::parse::<SectionId>(bytes, &MAGIC, VERSION)?;
+        let mut meta = Decoder::new(frame.verified(bytes, SectionId::Meta)?, "meta");
+        let layout = Layout {
+            scan_time: decode_time(&mut meta)?,
+            host_count: meta.u64()?,
+            cert_count: meta.u64()?,
+            caa_count: meta.u64()?,
+            string_count: meta.u64()?,
+            frame,
         };
-        let meta_payload = layout.verified_payload(bytes, layout.section(SectionId::Meta)?)?;
-        let mut meta = Decoder::new(meta_payload, "meta");
-        let has_time = meta.u8()?;
-        let time = meta.i64()?;
-        layout.scan_time = (has_time != 0).then_some(Time(time));
-        layout.host_count = meta.u64()?;
-        layout.cert_count = meta.u64()?;
-        layout.caa_count = meta.u64()?;
-        layout.string_count = meta.u64()?;
         meta.finish()?;
-
-        // Cross-validate counts against fixed-width payload sizes.
-        let check = |id: SectionId, count: u64, width: usize| -> Result<()> {
-            let len = layout.section(id)?.len;
-            if len != count * width as u64 {
-                return Err(StoreError::Corrupt {
-                    context: id.name(),
-                    detail: format!("{len} bytes for {count} records of {width}"),
-                });
-            }
-            Ok(())
-        };
-        check(SectionId::Hosts, layout.host_count, HOST_RECORD_LEN)?;
-        check(SectionId::Certs, layout.cert_count, CERT_RECORD_LEN)?;
-        check(SectionId::Caa, layout.caa_count, CAA_RECORD_LEN)?;
+        let frame = &layout.frame;
+        frame.check_width(SectionId::Hosts, layout.host_count, HOST_RECORD_LEN)?;
+        frame.check_width(SectionId::Certs, layout.cert_count, CERT_RECORD_LEN)?;
+        frame.check_width(SectionId::Caa, layout.caa_count, CAA_RECORD_LEN)?;
         Ok(layout)
     }
-
-    pub(crate) fn section(&self, id: SectionId) -> Result<&Section> {
-        self.sections
-            .iter()
-            .find(|s| s.id == id as u32)
-            .ok_or(StoreError::Corrupt {
-                context: "section table",
-                detail: format!("missing required section {:?}", id.name()),
-            })
-    }
-
-    /// Bounds-checked payload slice of one section.
-    pub(crate) fn payload<'b>(&self, bytes: &'b [u8], s: &Section) -> Result<&'b [u8]> {
-        let start =
-            usize::try_from(s.offset).map_err(|_| StoreError::Truncated { context: s.name })?;
-        let len = usize::try_from(s.len).map_err(|_| StoreError::Truncated { context: s.name })?;
-        start
-            .checked_add(len)
-            .and_then(|end| bytes.get(start..end))
-            .ok_or(StoreError::Truncated { context: s.name })
-    }
-
-    /// Payload slice with its FNV-1a checksum verified.
-    pub(crate) fn verified_payload<'b>(&self, bytes: &'b [u8], s: &Section) -> Result<&'b [u8]> {
-        let payload = self.payload(bytes, s)?;
-        if Checksum::of(payload) != s.checksum {
-            return Err(StoreError::ChecksumMismatch { section: s.name });
-        }
-        Ok(payload)
-    }
 }
 
-// --- Section decoders, shared by the eager and lazy read paths. Each
-// --- takes a (bounds-checked, checksum-verified) payload slice plus the
-// --- element count cross-validated by `Layout::parse`.
-
-pub(crate) fn decode_strings(payload: &[u8], count: u64) -> Result<Vec<String>> {
-    let mut d = Decoder::new(payload, "strings");
-    let mut out = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let len = d.u32()? as usize;
-        let bytes = d.bytes(len)?;
-        match std::str::from_utf8(bytes) {
-            Ok(s) => out.push(s.to_owned()),
-            Err(e) => return d.corrupt(format!("invalid UTF-8 in string table: {e}")),
-        }
-    }
-    d.finish()?;
-    Ok(out)
-}
+// --- Section decoders behind `crate::Snapshot`. Each takes a
+// --- (bounds-checked, checksum-verified) payload slice plus the element
+// --- count cross-validated by `Layout::parse`; the string pool decodes
+// --- through `container::decode_strings`.
 
 pub(crate) fn decode_certs(
     payload: &[u8],
@@ -739,8 +570,8 @@ pub(crate) fn decode_caa(payload: &[u8], count: u64, strings: &[String]) -> Resu
 }
 
 /// Decode one fixed-width host record from `d`, resolving pool
-/// references. The hot loop of [`SnapshotReader::dataset`] and the whole
-/// of the lazy facade's by-index host access.
+/// references: the hot loop of [`crate::Snapshot::dataset`] and the
+/// whole of its by-index host access.
 pub(crate) fn decode_host_record(
     d: &mut Decoder<'_>,
     strings: &[String],
@@ -863,170 +694,4 @@ pub(crate) fn assemble_dataset(records: Vec<ScanRecord>, scan_time: Option<Time>
     };
     dataset.scan_time = scan_time;
     dataset
-}
-
-/// Render the shared human-readable archive dump used by both read
-/// surfaces: header line, element counts, section table, and the first
-/// certificates of the content-addressed pool. All hex goes through
-/// `govscan_crypto`'s one encoder.
-pub(crate) fn render_describe(layout: &Layout, total_bytes: usize, certs: &[CertMeta]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "govscan snapshot v{} · {total_bytes} bytes · scan_time {:?}",
-        layout.version,
-        layout.scan_time.map(|t| t.0),
-    );
-    let _ = writeln!(
-        out,
-        "counts: {} hosts · {} certs · {} caa · {} strings",
-        layout.host_count, layout.cert_count, layout.caa_count, layout.string_count
-    );
-    for s in &layout.sections {
-        let _ = writeln!(
-            out,
-            "  section {:<8} id={} offset={:<10} len={:<10} fnv1a64={}",
-            s.name,
-            s.id,
-            s.offset,
-            s.len,
-            govscan_crypto::hex::encode(&s.checksum.to_be_bytes()),
-        );
-    }
-    for (i, meta) in certs.iter().take(5).enumerate() {
-        let _ = writeln!(
-            out,
-            "  cert[{i}] {} issuer={:?} serial={}",
-            meta.fingerprint.to_hex(),
-            meta.issuer,
-            meta.serial,
-        );
-    }
-    out
-}
-
-/// A validated snapshot: header and section table parsed, every section
-/// checksum verified **up front**. Decoding into a [`ScanDataset`] is a
-/// second, explicit step ([`Self::dataset`]).
-///
-/// This is the *eager* read surface: pay the full validation cost at
-/// construction, then decode knowing the bytes are clean. For the
-/// serve-many access pattern — open once, answer point queries — use the
-/// lazy [`crate::Snapshot`] facade instead, which defers section
-/// checksums and decoding to first touch.
-pub struct SnapshotReader<'a> {
-    bytes: &'a [u8],
-    layout: Layout,
-}
-
-impl<'a> SnapshotReader<'a> {
-    /// Parse and validate `bytes` as a snapshot.
-    ///
-    /// Runs [`Layout::parse`] (magic, version, bounds, meta counts) and
-    /// then verifies every section's checksum before returning. A
-    /// damaged archive is rejected before any decoding starts. Sections
-    /// are checksummed concurrently for archives large enough to
-    /// amortise pool startup; results are inspected in table order so
-    /// the same section is reported first at any worker count.
-    pub fn new(bytes: &'a [u8]) -> Result<SnapshotReader<'a>> {
-        let layout = Layout::parse(bytes)?;
-        let threads = if bytes.len() >= (1 << 20) {
-            govscan_exec::resolve_threads("GOVSCAN_STORE_THREADS")
-        } else {
-            1
-        };
-        let checks: Vec<Result<()>> =
-            govscan_exec::par_map_indexed(threads, layout.sections.len(), |i| {
-                layout
-                    .verified_payload(bytes, &layout.sections[i])
-                    .map(drop)
-            });
-        for check in checks {
-            check?;
-        }
-        Ok(SnapshotReader { bytes, layout })
-    }
-
-    /// Format version of the file (always [`VERSION`] for now).
-    pub fn version(&self) -> u32 {
-        self.layout.version
-    }
-
-    /// The archived scan time.
-    pub fn scan_time(&self) -> Option<Time> {
-        self.layout.scan_time
-    }
-
-    /// The validated section table, in id order.
-    pub fn sections(&self) -> &[Section] {
-        &self.layout.sections
-    }
-
-    /// Number of host records.
-    pub fn host_count(&self) -> u64 {
-        self.layout.host_count
-    }
-
-    /// Entries in the content-addressed certificate pool.
-    pub fn cert_count(&self) -> u64 {
-        self.layout.cert_count
-    }
-
-    /// Entries in the CAA pool.
-    pub fn caa_count(&self) -> u64 {
-        self.layout.caa_count
-    }
-
-    /// Entries in the string table.
-    pub fn string_count(&self) -> u64 {
-        self.layout.string_count
-    }
-
-    fn section_payload(&self, id: SectionId) -> Result<&'a [u8]> {
-        // Checksums were verified by `new`; plain bounds-checked access.
-        self.layout.payload(self.bytes, self.layout.section(id)?)
-    }
-
-    fn decode_strings(&self) -> Result<Vec<String>> {
-        decode_strings(
-            self.section_payload(SectionId::Strings)?,
-            self.layout.string_count,
-        )
-    }
-
-    /// Rebuild the archived [`ScanDataset`].
-    pub fn dataset(&self) -> Result<ScanDataset> {
-        let strings = self.decode_strings()?;
-        let certs = decode_certs(
-            self.section_payload(SectionId::Certs)?,
-            self.layout.cert_count,
-            &strings,
-        )?;
-        let caa = decode_caa(
-            self.section_payload(SectionId::Caa)?,
-            self.layout.caa_count,
-            &strings,
-        )?;
-        let mut d = Decoder::new(self.section_payload(SectionId::Hosts)?, "hosts");
-        let mut records = Vec::with_capacity(self.layout.host_count as usize);
-        for _ in 0..self.layout.host_count {
-            records.push(decode_host_record(&mut d, &strings, &certs, &caa)?);
-        }
-        d.finish()?;
-        Ok(assemble_dataset(records, self.layout.scan_time))
-    }
-
-    /// A human-readable dump of the archive structure: section table
-    /// with checksums, element counts, and the first certificates of the
-    /// content-addressed pool.
-    pub fn describe(&self) -> Result<String> {
-        let strings = self.decode_strings()?;
-        let certs = decode_certs(
-            self.section_payload(SectionId::Certs)?,
-            self.layout.cert_count,
-            &strings,
-        )?;
-        Ok(render_describe(&self.layout, self.bytes.len(), &certs))
-    }
 }

@@ -2,12 +2,16 @@
 //! resolved chain is byte-for-byte the archive a full rescan would have
 //! written, proven by canonical-digest equality) and every way a delta
 //! file or chain can be damaged — truncation, bit rot, a wrong or
-//! missing base, misordered links, cross-family files — must surface as
-//! the matching typed [`StoreError`], never a panic and never a
-//! silently wrong epoch.
+//! missing base, misordered links, cross-family files, a crafted count
+//! behind a recomputed checksum — must surface as the matching typed
+//! [`StoreError`], never a panic, never an aborted allocation and never
+//! a silently wrong epoch.
+
+mod common;
 
 use std::sync::OnceLock;
 
+use common::{put_u64, reseal, u64_at, Case};
 use govscan_scanner::{ScanDataset, ScanRecord, StudyPipeline};
 use govscan_store::{Delta, Snapshot, StoreError, DELTA_VERSION};
 use govscan_worldgen::{World, WorldConfig};
@@ -286,5 +290,54 @@ fn reordered_unchanged_records_are_unrepresentable() {
             assert_eq!(field, "unchanged-record order")
         }
         other => panic!("expected Unrepresentable, got {other:?}"),
+    }
+}
+
+/// The meta section's id and count offsets in `GOVDLT1` v1: meta is the
+/// base digest, a presence byte and scan time, then the new host,
+/// patch and removed counts.
+const META: u32 = 1;
+const META_NEW_HOST_COUNT: usize = 41;
+const META_PATCH_COUNT: usize = 49;
+const META_REMOVED_COUNT: usize = 57;
+
+#[test]
+fn crafted_counts_are_typed_errors_not_aborts() {
+    // Each case edits one count and recomputes only the checksum the
+    // format stores; FNV is not authentication.
+    let cases: [Case; 4] = [
+        (
+            "table count u32::MAX",
+            |b| {
+                let table = u64_at(b, 16) as usize;
+                b[table..table + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            },
+            r#"Truncated { context: "section table" }"#,
+        ),
+        (
+            "meta patch_count 2^62",
+            |b| reseal(b, META, |m| put_u64(m, META_PATCH_COUNT, 1 << 62)),
+            r#"Corrupt { context: "positions""#,
+        ),
+        (
+            "meta new_host_count 2^40",
+            |b| reseal(b, META, |m| put_u64(m, META_NEW_HOST_COUNT, 1 << 40)),
+            r#"Corrupt { context: "delta base""#,
+        ),
+        (
+            "meta removed_count 2^40",
+            |b| reseal(b, META, |m| put_u64(m, META_REMOVED_COUNT, 1 << 40)),
+            r#"Truncated { context: "removed" }"#,
+        ),
+    ];
+    // The identical-epoch delta: its positions section is empty, so a
+    // patch count whose product with the width wraps to 0 would match.
+    let bytes = Delta::encode(base(), &base().dataset().unwrap()).unwrap();
+    for (name, craft, expected) in cases {
+        let mut crafted = bytes.clone();
+        craft(&mut crafted);
+        let result = Delta::from_bytes(crafted).and_then(|d| d.apply(base()));
+        let err = format!("{:?}", result.err().expect(name));
+        assert!(err.starts_with(expected), "{name}: unexpected {err}");
     }
 }

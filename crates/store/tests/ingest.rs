@@ -6,14 +6,14 @@
 //!    online and depends only on record order.
 //! 2. **Failure typing** — an I/O failure mid-append surfaces as the
 //!    typed [`StoreError::Io`], never a panic, and the partial bytes it
-//!    leaves behind are rejected by both read surfaces as damage, never
-//!    decoded into a silently short dataset.
+//!    leaves behind are rejected by the [`Snapshot`] reader as damage,
+//!    never decoded into a silently short dataset.
 
 use std::io::{Cursor, Seek, SeekFrom, Write};
 use std::sync::OnceLock;
 
 use govscan_scanner::{ScanDataset, StudyPipeline};
-use govscan_store::{Snapshot, SnapshotReader, SnapshotWriter, StoreError};
+use govscan_store::{Snapshot, SnapshotWriter, StoreError};
 use govscan_worldgen::{World, WorldConfig};
 
 fn scan() -> &'static ScanDataset {
@@ -115,17 +115,14 @@ fn abandoned_mid_append_bytes_are_rejected_as_damage() {
     }
     let partial = cur.into_inner();
     assert_eq!(partial.len(), 24 + 100 * 35, "header + 100 host records");
-    for result in [
-        SnapshotReader::new(&partial).and_then(|r| r.dataset()),
-        Snapshot::from_bytes(partial.clone()).and_then(|s| s.dataset()),
-    ] {
-        let err = result.expect_err("partial archive must not decode");
-        assert!(
-            matches!(
-                err,
-                StoreError::Truncated { .. } | StoreError::Corrupt { .. }
-            ),
-            "unexpected error for mid-append bytes: {err:?}"
-        );
-    }
+    let err = Snapshot::from_bytes(partial)
+        .and_then(|s| s.dataset())
+        .expect_err("partial archive must not decode");
+    assert!(
+        matches!(
+            err,
+            StoreError::Truncated { .. } | StoreError::Corrupt { .. }
+        ),
+        "unexpected error for mid-append bytes: {err:?}"
+    );
 }

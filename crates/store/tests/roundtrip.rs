@@ -4,18 +4,23 @@
 //!    yields a semantically identical dataset: equal canonical digests,
 //!    byte-identical analysis renders, byte-identical re-encoding.
 //! 2. **Corruption robustness** — every way a file can be damaged
-//!    (truncation, foreign bytes, future version, bit rot) surfaces as
-//!    the matching typed [`StoreError`], never a panic and never a
-//!    silently partial dataset — on *both* read surfaces: the eager
-//!    [`SnapshotReader`] (checksums at open) and the lazy [`Snapshot`]
-//!    facade (checksums on first touch).
+//!    (truncation, foreign bytes, future version, bit rot, a crafted
+//!    count behind a recomputed checksum) surfaces as the matching typed
+//!    [`StoreError`] from the [`Snapshot`] reader, which verifies each
+//!    section's checksum on first touch — never a panic, never an
+//!    aborted allocation, and never a silently partial dataset.
 
+mod common;
+
+use std::collections::HashSet;
 use std::sync::OnceLock;
 
+use common::{entry, put_u64, reseal, Case};
 use govscan_analysis::aggregate::AggregateIndex;
 use govscan_analysis::{choropleth, durations, ev, hsts, issuers, keys, table2};
+use govscan_scanner::dataset::HostingKind;
 use govscan_scanner::{ScanDataset, StudyPipeline};
-use govscan_store::{Snapshot, SnapshotReader, StoreError, MAGIC, VERSION};
+use govscan_store::{Snapshot, StoreError, MAGIC, VERSION};
 use govscan_worldgen::{World, WorldConfig};
 
 /// One small-but-real scan, shared across tests.
@@ -32,8 +37,8 @@ fn snapshot() -> &'static Vec<u8> {
     BYTES.get_or_init(|| Snapshot::encode(scan()).expect("encodable"))
 }
 
-/// Full decode through the lazy facade. Corruption surfaces either at
-/// open (structure) or on the section's first touch (checksums, refs).
+/// Full decode through the reader. Corruption surfaces either at open
+/// (structure) or on the section's first touch (checksums, refs).
 fn read_lazy(bytes: &[u8]) -> Result<ScanDataset, StoreError> {
     Snapshot::from_bytes(bytes.to_vec())?.dataset()
 }
@@ -78,24 +83,6 @@ fn round_trip_is_semantically_lossless() {
 }
 
 #[test]
-fn eager_and_lazy_surfaces_agree() {
-    let eager = SnapshotReader::new(snapshot())
-        .expect("valid snapshot")
-        .dataset()
-        .expect("decodes");
-    let lazy = read_lazy(snapshot()).expect("decodes");
-    assert_eq!(eager.len(), lazy.len());
-    assert_eq!(eager.scan_time, lazy.scan_time);
-    for (a, b) in eager.records().iter().zip(lazy.records()) {
-        assert_eq!(a, b, "{} must decode identically on both paths", a.hostname);
-    }
-    // Shared describe renderer too.
-    let reader = SnapshotReader::new(snapshot()).expect("valid snapshot");
-    let snap = Snapshot::from_bytes(snapshot().clone()).expect("valid snapshot");
-    assert_eq!(reader.describe().unwrap(), snap.describe().unwrap());
-}
-
-#[test]
 fn lazy_point_queries_match_dataset_without_building_one() {
     let snap = Snapshot::from_bytes(snapshot().clone()).expect("valid snapshot");
     assert_eq!(
@@ -134,14 +121,29 @@ fn lazy_point_queries_match_dataset_without_building_one() {
         snap.decoded_sections(),
         vec!["strings", "certs", "caa", "hosts", "by_host"]
     );
-    // Header-level accessors agree with the eager reader's.
-    let reader = SnapshotReader::new(snapshot()).expect("valid snapshot");
-    assert_eq!(snap.host_count(), reader.host_count());
-    assert_eq!(snap.cert_count(), reader.cert_count());
-    assert_eq!(snap.caa_count(), reader.caa_count());
-    assert_eq!(snap.string_count(), reader.string_count());
-    assert_eq!(snap.version(), reader.version());
-    assert_eq!(snap.scan_time(), reader.scan_time());
+    // Header-level accessors agree with the dataset the fixture wrote:
+    // one pool entry per distinct certificate (leaf fingerprint and
+    // chain length), CAA record and string.
+    let records = expected.records();
+    let metas = || records.iter().filter_map(|r| r.https.meta());
+    let certs: HashSet<_> = metas().map(|m| (m.fingerprint, m.chain_len)).collect();
+    let caa = records.iter().flat_map(|r| &r.caa);
+    let mut strings: HashSet<&str> = caa.clone().map(|c| c.value.as_str()).collect();
+    strings.extend(metas().flat_map(|m| [m.issuer.as_str(), m.serial.as_str()]));
+    for r in records {
+        strings.extend([r.hostname.as_str()].into_iter().chain(r.country));
+        if let HostingKind::Cloud(p) | HostingKind::Cdn(p) = r.hosting {
+            strings.insert(p);
+        }
+    }
+    assert_eq!(
+        (snap.version(), snap.scan_time(), snap.host_count()),
+        (VERSION, expected.scan_time, records.len() as u64)
+    );
+    assert_eq!(
+        (snap.cert_count(), snap.caa_count(), snap.string_count()),
+        (certs.len() as u64, caa.count() as u64, strings.len() as u64)
+    );
 }
 
 #[test]
@@ -184,7 +186,7 @@ fn encoding_is_worker_count_invariant() {
         snapshot(),
         "pinned-thread archives must match the default-environment fixture"
     );
-    // The parallel-verified read path accepts its own output.
+    // The reader accepts the parallel-encoded archive.
     let restored = read_lazy(&parallel).expect("valid snapshot");
     assert_eq!(
         Snapshot::digest_of(scan()).unwrap(),
@@ -194,7 +196,7 @@ fn encoding_is_worker_count_invariant() {
 
 #[test]
 fn snapshot_deduplicates_certificates() {
-    let reader = SnapshotReader::new(snapshot()).expect("valid snapshot");
+    let reader = Snapshot::from_bytes(snapshot().clone()).expect("valid snapshot");
     let with_cert = scan()
         .records()
         .iter()
@@ -210,8 +212,11 @@ fn snapshot_deduplicates_certificates() {
         reader.cert_count()
     );
     let describe = reader.describe().expect("describe");
-    assert!(describe.contains("hosts"), "{describe}");
-    assert!(describe.contains("fnv1a64="), "{describe}");
+    let head = format!("govscan snapshot v{VERSION} · {} bytes", snapshot().len());
+    assert!(describe.starts_with(&head), "{describe}");
+    for part in ["counts: ", "section hosts", "fnv1a64=", "cert[0] "] {
+        assert!(describe.contains(part), "{part:?} in {describe}");
+    }
 }
 
 #[test]
@@ -251,34 +256,26 @@ fn truncation_never_panics_and_never_yields_data() {
         .chain([1, 7, 8, 15, 23, 24, bytes.len() - 1])
         .collect();
     for cut in cuts {
-        for (surface, result) in [
-            (
-                "eager",
-                SnapshotReader::new(&bytes[..cut]).and_then(|r| r.dataset()),
+        let err = read_lazy(&bytes[..cut])
+            .err()
+            .unwrap_or_else(|| panic!("truncation at {cut} bytes must not yield a dataset"));
+        assert!(
+            matches!(
+                err,
+                StoreError::BadMagic { .. }
+                    | StoreError::Truncated { .. }
+                    | StoreError::ChecksumMismatch { .. }
+                    | StoreError::Corrupt { .. }
             ),
-            ("lazy", read_lazy(&bytes[..cut])),
-        ] {
-            let err = result.err().unwrap_or_else(|| {
-                panic!("{surface}: truncation at {cut} bytes must not yield a dataset")
-            });
-            assert!(
-                matches!(
-                    err,
-                    StoreError::BadMagic { .. }
-                        | StoreError::Truncated { .. }
-                        | StoreError::ChecksumMismatch { .. }
-                        | StoreError::Corrupt { .. }
-                ),
-                "{surface}: unexpected error at cut {cut}: {err:?}"
-            );
-        }
+            "unexpected error at cut {cut}: {err:?}"
+        );
     }
 }
 
 #[test]
 fn flipped_byte_is_a_checksum_mismatch() {
     let bytes = snapshot();
-    let reader = SnapshotReader::new(bytes).expect("valid snapshot");
+    let reader = Snapshot::from_bytes(bytes.clone()).expect("valid snapshot");
     // Flip one byte inside each section's payload.
     let targets: Vec<(usize, &'static str)> = reader
         .sections()
@@ -289,23 +286,14 @@ fn flipped_byte_is_a_checksum_mismatch() {
     for (offset, section) in targets {
         let mut damaged = bytes.clone();
         damaged[offset] ^= 0x01;
-        // Both surfaces must attribute the damage to its section — the
-        // eager reader at open, the lazy facade when the section is
-        // first touched during the full decode.
-        for (surface, result) in [
-            (
-                "eager",
-                SnapshotReader::new(&damaged).and_then(|r| r.dataset()),
-            ),
-            ("lazy", read_lazy(&damaged)),
-        ] {
-            match result {
-                Err(StoreError::ChecksumMismatch { section: got }) => {
-                    assert_eq!(got, section, "{surface}: damage attributed to its section")
-                }
-                other => panic!(
-                    "{surface}: flip in {section} at {offset}: expected ChecksumMismatch, got {other:?}"
-                ),
+        // The damage is attributed to its section: the meta section's
+        // at open, every other when the full decode first touches it.
+        match read_lazy(&damaged) {
+            Err(StoreError::ChecksumMismatch { section: got }) => {
+                assert_eq!(got, section, "damage attributed to its section")
+            }
+            other => {
+                panic!("flip in {section} at {offset}: expected ChecksumMismatch, got {other:?}")
             }
         }
     }
@@ -313,9 +301,9 @@ fn flipped_byte_is_a_checksum_mismatch() {
 
 #[test]
 fn corrupt_section_error_is_cached_not_retried() {
-    // Damage the certs pool; the lazy facade must fail on first touch
-    // and keep handing back the same (cloned) error afterwards.
-    let reader = SnapshotReader::new(snapshot()).expect("valid snapshot");
+    // Damage the certs pool; the reader must fail on first touch and
+    // keep handing back the same (cloned) error afterwards.
+    let reader = Snapshot::from_bytes(snapshot().clone()).expect("valid snapshot");
     let certs = reader
         .sections()
         .iter()
@@ -335,44 +323,57 @@ fn corrupt_section_error_is_cached_not_retried() {
     assert!(snap.host_index("no-such-host.gov.invalid").is_ok());
 }
 
+/// Section ids and meta offsets of `GOVSNAP1` v1: meta is a presence
+/// byte and scan time, then the host, cert, CAA and string counts.
+const META: u32 = 1;
+const HOSTS: u32 = 5;
+const META_HOST_COUNT: usize = 9;
+const META_STRING_COUNT: usize = 33;
+/// 35⁻¹ mod 2⁶⁴: times the 35-byte host record width, it wraps to 1.
+const WRAPS_TO_ONE: u64 = 12_649_195_936_257_978_251;
+
 #[test]
-fn dangling_references_are_corruption_not_panics() {
-    // Hand-build a structurally valid snapshot whose single host record
-    // points at a string id that does not exist, with checksums
-    // recomputed so only reference validation can catch it.
-    let bytes = snapshot();
-    let reader = SnapshotReader::new(bytes).expect("valid snapshot");
-    let hosts = reader
-        .sections()
-        .iter()
-        .find(|s| s.name == "hosts")
-        .copied()
-        .expect("hosts section");
-    let mut damaged = bytes.clone();
-    // Hostname id lives in the first 4 bytes of the first host record.
-    let at = hosts.offset as usize;
-    damaged[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-    // Recompute the hosts checksum so the damage is "clean".
-    let payload = &damaged[at..at + hosts.len as usize];
-    let fixed = govscan_store::wire::Checksum::of(payload);
-    // Patch the table entry in place: find it by scanning the table.
-    let table_offset = u64::from_le_bytes(damaged[16..24].try_into().unwrap()) as usize;
-    let count = u32::from_le_bytes(damaged[table_offset..table_offset + 4].try_into().unwrap());
-    for i in 0..count as usize {
-        let entry = table_offset + 4 + i * 28;
-        let id = u32::from_le_bytes(damaged[entry..entry + 4].try_into().unwrap());
-        if id == 5 {
-            damaged[entry + 20..entry + 28].copy_from_slice(&fixed.to_le_bytes());
+fn crafted_edits_are_typed_errors_not_panics() {
+    // Each case edits the archive and recomputes only the checksums the
+    // format stores; FNV is not authentication, so only the checks
+    // behind the checksum can catch it — on the point-query path and on
+    // the full decode alike.
+    assert_eq!(WRAPS_TO_ONE.wrapping_mul(35), 1);
+    let cases: [Case; 3] = [
+        (
+            // The hostname id is the first 4 bytes of a host record.
+            "first host's hostname id dangles",
+            |b| {
+                reseal(b, HOSTS, |h| {
+                    h[..4].copy_from_slice(&u32::MAX.to_le_bytes())
+                })
+            },
+            r#"Corrupt { context: "hosts""#,
+        ),
+        (
+            // Strings are variable-width, so no cross-check bounds this.
+            "meta string count 2^40",
+            |b| reseal(b, META, |m| put_u64(m, META_STRING_COUNT, 1 << 40)),
+            r#"Truncated { context: "strings" }"#,
+        ),
+        (
+            "1-byte hosts section holding 35^-1 mod 2^64 hosts",
+            |b| {
+                let e = entry(b, HOSTS);
+                put_u64(b, e + 12, 1);
+                reseal(b, HOSTS, |_| {});
+                reseal(b, META, |m| put_u64(m, META_HOST_COUNT, WRAPS_TO_ONE));
+            },
+            r#"Corrupt { context: "hosts""#,
+        ),
+    ];
+    for (name, craft, expected) in cases {
+        let mut bytes = snapshot().clone();
+        craft(&mut bytes);
+        let by_index = Snapshot::from_bytes(bytes.clone()).and_then(|snap| snap.host(0));
+        for err in [by_index.map(drop), read_lazy(&bytes).map(drop)] {
+            let err = format!("{:?}", err.expect_err(name));
+            assert!(err.starts_with(expected), "{name}: unexpected {err}");
         }
-    }
-    match read_lazy(&damaged) {
-        Err(StoreError::Corrupt { context, .. }) => assert_eq!(context, "hosts"),
-        other => panic!("expected Corrupt, got {other:?}"),
-    }
-    // The lazy point-query path hits the same wall.
-    let snap = Snapshot::from_bytes(damaged).expect("structurally valid");
-    match snap.host(0) {
-        Err(StoreError::Corrupt { context, .. }) => assert_eq!(context, "hosts"),
-        other => panic!("expected Corrupt from host(0), got {other:?}"),
     }
 }

@@ -137,7 +137,7 @@ pub fn stream_shards(config: &WorldConfig) -> StreamPlan {
 ///    reduced to what the plan needs: ranked-pool membership draws in
 ///    global host order, and a capped per-country candidate prefix for
 ///    the cluster walk.
-/// 2. **§5.3.3 cluster plan** — [`plan_reuse_clusters`], RNG-free.
+/// 2. **§5.3.3 cluster plan** — `plan_reuse_clusters`, RNG-free.
 /// 3. **Tranco** — the `("rankings", "")` stream, stopping where the
 ///    other two ranking lists (which only feed discovery, not the
 ///    scanned population) would start.

@@ -5,6 +5,7 @@
 //! cargo run --release --example cert_forensics
 //! ```
 
+use govscan::analysis::aggregate::AggregateIndex;
 use govscan::analysis::{phishing, reuse};
 use govscan::scanner::{GovFilter, StudyPipeline};
 use govscan::worldgen::{World, WorldConfig};
@@ -15,7 +16,7 @@ fn main() {
     let study = pipeline.run();
 
     // --- §5.3.3: public keys shared across hostnames and governments. ---
-    let report = reuse::build(&study.scan);
+    let report = reuse::build_from_index(&AggregateIndex::build(&study.scan));
     println!("== key / certificate reuse (§5.3.3) ==");
     println!("{}", report.render());
     for cluster in report.cross_country().take(5) {

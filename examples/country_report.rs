@@ -8,6 +8,7 @@
 //! Pass ISO country codes to print only those rows (e.g.
 //! `country_report cn us kr bd`).
 
+use govscan::analysis::aggregate::AggregateIndex;
 use govscan::analysis::choropleth;
 use govscan::scanner::StudyPipeline;
 use govscan::worldgen::{World, WorldConfig};
@@ -20,7 +21,7 @@ fn main() {
 
     let world = World::generate(&WorldConfig::small(42));
     let study = StudyPipeline::new(&world).run();
-    let fig = choropleth::build(&study.scan);
+    let fig = choropleth::build_from_index(&AggregateIndex::build(&study.scan));
 
     if wanted.is_empty() {
         println!("{}", fig.render());

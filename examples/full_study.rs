@@ -7,6 +7,7 @@
 //! GOVSCAN_SCALE=0.2 cargo run --release --example full_study
 //! ```
 
+use govscan::analysis::aggregate::AggregateIndex;
 use govscan::analysis::{casestudy, choropleth, hosting, issuers, table2};
 use govscan::disclosure::{campaign, remediation, run_rescan};
 use govscan::scanner::StudyPipeline;
@@ -34,8 +35,11 @@ fn main() {
         study.final_list.len()
     );
 
+    // One aggregation index serves every worldwide figure below.
+    let index = AggregateIndex::build(&study.scan);
+
     // §5.1: worldwide adoption.
-    let t2 = table2::build(&study.scan);
+    let t2 = table2::build_from_index(&index);
     println!("\n== §5.1 worldwide (Table 2) ==");
     println!(
         "https {:.2}% | valid-of-https {:.2}% | not-valid {:.2}%",
@@ -45,7 +49,7 @@ fn main() {
     );
 
     // §5.2: certificate authorities.
-    let cas = issuers::build(&study.scan, 5);
+    let cas = issuers::build_from_index(&index, 5);
     println!("\n== §5.2 top CAs (Figure 2) ==");
     for row in &cas.rows {
         println!(
@@ -57,7 +61,7 @@ fn main() {
     }
 
     // §5.4: hosting.
-    let host_fig = hosting::build_all(&study.scan);
+    let host_fig = hosting::build_all_from_index(&index);
     println!("\n== §5.4 hosting (Figure 5) ==");
     println!(
         "cloud+cdn share {:.1}%; valid: cloud {:.0}% vs private {:.0}%",
@@ -85,7 +89,7 @@ fn main() {
     );
 
     // Figure 1 call-out.
-    let map = choropleth::build(&study.scan);
+    let map = choropleth::build_from_index(&index);
     if let Some(cn) = map.get("cn") {
         println!(
             "China: {:.0}% reachable, {:.0}% of https valid (paper: ~50%, 11%)",

@@ -5,6 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use govscan::analysis::aggregate::AggregateIndex;
 use govscan::analysis::table2;
 use govscan::scanner::StudyPipeline;
 use govscan::worldgen::{World, WorldConfig};
@@ -31,7 +32,7 @@ fn main() {
     );
 
     // Table 2: the worldwide https breakdown.
-    let t2 = table2::build(&study.scan);
+    let t2 = table2::build_from_index(&AggregateIndex::build(&study.scan));
     println!("\n{}", t2.render());
     println!(
         "headline: {:.1}% of government sites do not use valid https (paper: ≈72%)",

@@ -18,6 +18,8 @@ run cargo build --release --offline --workspace
 run cargo test -q --offline --release --workspace
 run cargo fmt --all --check
 run cargo clippy --offline --workspace --all-targets -- -D warnings
+# Rustdoc is a gate too: a broken or private intra-doc link fails here.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 # Snapshot + diff smoke: archive both sides of the disclosure
 # comparison at tiny scale, then reproduce the report and Figure 13
 # purely from the two files.

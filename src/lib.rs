@@ -34,7 +34,8 @@
 //! // A small world: ~1% of the paper's scale, fully deterministic.
 //! let world = World::generate(&WorldConfig::small(42));
 //! let study = StudyPipeline::new(&world).run();
-//! let t2 = govscan::analysis::table2::build(&study.scan);
+//! let index = govscan::analysis::aggregate::AggregateIndex::build(&study.scan);
+//! let t2 = govscan::analysis::table2::build_from_index(&index);
 //! assert!(t2.total > 0);
 //! ```
 

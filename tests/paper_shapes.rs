@@ -6,10 +6,12 @@
 use std::sync::OnceLock;
 
 use govscan::analysis;
+use govscan::analysis::aggregate::AggregateIndex;
 use govscan::scanner::{GovFilter, StudyOutput, StudyPipeline};
 use govscan::worldgen::{World, WorldConfig};
 
 static STUDY: OnceLock<(World, StudyOutput)> = OnceLock::new();
+static INDEX: OnceLock<AggregateIndex> = OnceLock::new();
 
 fn study() -> &'static (World, StudyOutput) {
     STUDY.get_or_init(|| {
@@ -19,20 +21,23 @@ fn study() -> &'static (World, StudyOutput) {
     })
 }
 
+/// The aggregation index over the shared study's worldwide scan.
+fn index() -> &'static AggregateIndex {
+    INDEX.get_or_init(|| AggregateIndex::build(&study().1.scan))
+}
+
 #[test]
 fn headline_most_gov_sites_lack_valid_https() {
     // Abstract: "greater than 70% of the total government websites
     // measured worldwide do not use valid https".
-    let (_, out) = study();
-    let t2 = analysis::table2::build(&out.scan);
+    let t2 = analysis::table2::build_from_index(index());
     let share = t2.not_valid_share().fraction();
     assert!((0.62..0.82).contains(&share), "not-valid share {share}");
 }
 
 #[test]
 fn table2_marginals() {
-    let (_, out) = study();
-    let t2 = analysis::table2::build(&out.scan);
+    let t2 = analysis::table2::build_from_index(index());
     let https = t2.https_share().fraction();
     assert!(
         (0.30..0.50).contains(&https),
@@ -47,8 +52,8 @@ fn table2_marginals() {
 
 #[test]
 fn lets_encrypt_is_the_global_leader_but_not_everywhere() {
-    let (world, out) = study();
-    let world_fig = analysis::issuers::build(&out.scan, 40);
+    let world = &study().0;
+    let world_fig = analysis::issuers::build_from_index(index(), 40);
     assert_eq!(
         world_fig.leader().unwrap().issuer,
         "Let's Encrypt Authority X3",
@@ -56,7 +61,7 @@ fn lets_encrypt_is_the_global_leader_but_not_everywhere() {
     );
     // …but the ROK list is led by something else (§6.2.1: Sectigo/NPKI).
     let rok_scan = StudyPipeline::new(world).scan_list(&world.rok_hosts);
-    let rok_fig = analysis::issuers::build(&rok_scan, 40);
+    let rok_fig = analysis::issuers::build_from_index(&AggregateIndex::build(&rok_scan), 40);
     assert_ne!(
         rok_fig.leader().unwrap().issuer,
         "Let's Encrypt Authority X3",
@@ -87,8 +92,7 @@ fn usa_and_rok_case_study_ordering() {
 
 #[test]
 fn cloud_beats_private_hosting_on_validity() {
-    let (_, out) = study();
-    let fig = analysis::hosting::build_all(&out.scan);
+    let fig = analysis::hosting::build_all_from_index(index());
     let cloud = fig.valid_share("cloud");
     let private = fig.valid_share("private");
     // Paper §5.4: ~60% vs ~30%.
@@ -134,8 +138,7 @@ fn validity_declines_with_rank() {
 
 #[test]
 fn china_slice_matches_7_1_2() {
-    let (_, out) = study();
-    let map = analysis::choropleth::build(&out.scan);
+    let map = analysis::choropleth::build_from_index(index());
     let cn = map.get("cn").expect("china measured");
     assert!(
         cn.availability().fraction() < 0.65,
@@ -150,7 +153,7 @@ fn china_slice_matches_7_1_2() {
 #[test]
 fn reuse_and_caa_shapes() {
     let (_, out) = study();
-    let reuse = analysis::reuse::build(&out.scan);
+    let reuse = analysis::reuse::build_from_index(index());
     assert!(reuse.cross_country().count() >= 1);
     assert!(!reuse.valid_cross_country_reuse());
     let caa = analysis::caa::build(&out.scan, |issuer| {
@@ -183,8 +186,7 @@ fn filter_rejects_every_phishing_twin_in_the_final_list() {
 
 #[test]
 fn ev_is_rare_and_imperfect() {
-    let (_, out) = study();
-    let ev = analysis::ev::build(&out.scan);
+    let ev = analysis::ev::build_from_index(index());
     assert!(ev.adoption().fraction() < 0.12, "EV minority");
     assert!(ev.invalid_share() > 0.02, "paid EV still fails");
 }
