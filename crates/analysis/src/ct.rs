@@ -59,8 +59,9 @@ pub fn build_from_index(
         if let Some(leaf_index) = log.index_of(cert.fingerprint) {
             report.ca_logged += 1;
             row.logged += 1;
-            // Spot-check one inclusion proof in 16 (proofs are O(log n)
-            // but chain retrieval re-dials the host).
+            // Spot-check one inclusion proof in 16: a proof costs
+            // O(log² n) node hashes over the log's stored subtrees, but
+            // retrieving the chain re-dials the host.
             if leaf_index % 16 == 0 {
                 if let Ok(session) = net.tls_connect(&h.hostname, &client) {
                     if let Some(leaf) = session.peer_chain.first() {

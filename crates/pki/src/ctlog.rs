@@ -11,6 +11,14 @@
 //! entry)`, interior nodes `SHA-256(0x01 ‖ left ‖ right)`, with the
 //! standard unbalanced split (largest power of two strictly less than
 //! `n`). Inclusion (audit) proofs verify against the signed tree head.
+//!
+//! The log stores every complete subtree: `levels[j][i]` is the hash of
+//! leaves `[i·2^j, (i+1)·2^j)`, and `levels[0]` holds the leaf hashes.
+//! An append fills the levels like a binary counter, one node hash on
+//! average, and never rewrites a node. Only the nodes on the tree's
+//! right edge are computed on demand, so the root costs O(log n) node
+//! hashes and an inclusion proof O(log² n). The stored nodes take about
+//! 2 × leaves × 32 bytes.
 
 use std::collections::HashMap;
 
@@ -36,31 +44,12 @@ fn node_hash(left: &Hash, right: &Hash) -> Hash {
     h.finalize().try_into().expect("sha256 is 32 bytes")
 }
 
-/// Merkle tree hash over `leaves[lo..hi)` (RFC 6962 §2.1).
-fn subtree_hash(leaves: &[Hash]) -> Hash {
-    match leaves.len() {
-        0 => {
-            // MTH of the empty tree is the hash of the empty string.
-            Sha256::digest(b"").try_into().expect("32 bytes")
-        }
-        1 => leaves[0],
-        n => {
-            let k = largest_power_of_two_below(n);
-            let left = subtree_hash(&leaves[..k]);
-            let right = subtree_hash(&leaves[k..]);
-            node_hash(&left, &right)
-        }
-    }
-}
-
-/// Largest power of two strictly less than `n` (n ≥ 2).
-fn largest_power_of_two_below(n: usize) -> usize {
+/// Largest power of two strictly less than `n` (n ≥ 2): the RFC 6962
+/// split. Read off the bit length of `n − 1`, so it cannot overflow
+/// for any `n`, including a hostile proof's `tree_size`.
+fn largest_power_of_two_below(n: u64) -> u64 {
     debug_assert!(n >= 2);
-    let mut k = 1;
-    while k * 2 < n {
-        k *= 2;
-    }
-    k
+    1 << (63 - (n - 1).leading_zeros())
 }
 
 /// An inclusion (audit) proof for one leaf.
@@ -77,7 +66,9 @@ pub struct InclusionProof {
 /// An append-only certificate log.
 #[derive(Debug, Clone, Default)]
 pub struct CtLog {
-    leaves: Vec<Hash>,
+    // `levels[j][i]` is the hash of leaves `[i·2^j, (i+1)·2^j)`, so
+    // `levels[j]` holds `size / 2^j` nodes (see the module doc).
+    levels: Vec<Vec<Hash>>,
     // First leaf index per fingerprint. The CT-coverage analysis probes
     // this once per scanned host, so lookup must not walk the log.
     index: HashMap<Fingerprint, u64>,
@@ -91,8 +82,21 @@ impl CtLog {
 
     /// Append a certificate; returns its leaf index.
     pub fn append(&mut self, cert: &Certificate) -> u64 {
-        let idx = self.leaves.len() as u64;
-        self.leaves.push(leaf_hash(cert.to_der()));
+        let idx = self.size();
+        // Carry like a binary counter: a level that reaches an even
+        // length has completed a subtree one level up.
+        let mut node = leaf_hash(cert.to_der());
+        for level in 0.. {
+            if level == self.levels.len() {
+                self.levels.push(Vec::new());
+            }
+            let row = &mut self.levels[level];
+            row.push(node);
+            if row.len() % 2 == 1 {
+                break;
+            }
+            node = node_hash(&row[row.len() - 2], &row[row.len() - 1]);
+        }
         // Duplicates keep their first index, matching what a linear
         // front-to-back scan of the log would report.
         self.index.entry(cert.fingerprint()).or_insert(idx);
@@ -101,17 +105,17 @@ impl CtLog {
 
     /// Number of logged entries.
     pub fn size(&self) -> u64 {
-        self.leaves.len() as u64
+        self.levels.first().map_or(0, |leaves| leaves.len() as u64)
     }
 
     /// True when the log is empty.
     pub fn is_empty(&self) -> bool {
-        self.leaves.is_empty()
+        self.size() == 0
     }
 
     /// The current tree head (Merkle root).
     pub fn root(&self) -> Hash {
-        subtree_hash(&self.leaves)
+        self.mth(0, self.size())
     }
 
     /// Is a certificate (by fingerprint) present?
@@ -127,16 +131,15 @@ impl CtLog {
     /// Build the RFC 6962 §2.1.1 audit path for `leaf_index` against the
     /// current tree.
     pub fn prove_inclusion(&self, leaf_index: u64) -> Option<InclusionProof> {
-        let n = self.leaves.len();
-        let m = leaf_index as usize;
-        if m >= n {
+        let n = self.size();
+        if leaf_index >= n {
             return None;
         }
         let mut path = Vec::new();
-        audit_path(&self.leaves, m, &mut path);
+        self.audit_path(0, n, leaf_index, &mut path);
         Some(InclusionProof {
             leaf_index,
-            tree_size: n as u64,
+            tree_size: n,
             path,
         })
     }
@@ -160,13 +163,7 @@ impl CtLog {
             if *size == 1 {
                 return true;
             }
-            let k = {
-                let mut k: u64 = 1;
-                while k * 2 < *size {
-                    k *= 2;
-                }
-                k
-            };
+            let k = largest_power_of_two_below(*size);
             if *index < k {
                 let mut sub_index = *index;
                 let mut sub_size = k;
@@ -195,21 +192,38 @@ impl CtLog {
         }
         path.next().is_none() && &hash == root
     }
-}
 
-/// Recursive audit-path construction over `leaves`, for leaf `m`.
-fn audit_path(leaves: &[Hash], m: usize, out: &mut Vec<Hash>) {
-    let n = leaves.len();
-    if n <= 1 {
-        return;
+    /// Merkle tree hash over leaves `[lo, hi)` (RFC 6962 §2.1): the
+    /// stored node when the range is an aligned power of two, else
+    /// split as the RFC does. Every left half is such a range, so only
+    /// the right edge recurses.
+    fn mth(&self, lo: u64, hi: u64) -> Hash {
+        let n = hi - lo;
+        if n == 0 {
+            // MTH of the empty tree is the hash of the empty string.
+            return Sha256::digest(b"").try_into().expect("32 bytes");
+        }
+        if n.is_power_of_two() && lo.is_multiple_of(n) {
+            return self.levels[n.trailing_zeros() as usize][(lo / n) as usize];
+        }
+        let k = largest_power_of_two_below(n);
+        node_hash(&self.mth(lo, lo + k), &self.mth(lo + k, hi))
     }
-    let k = largest_power_of_two_below(n);
-    if m < k {
-        audit_path(&leaves[..k], m, out);
-        out.push(subtree_hash(&leaves[k..]));
-    } else {
-        audit_path(&leaves[k..], m - k, out);
-        out.push(subtree_hash(&leaves[..k]));
+
+    /// Recursive audit-path construction over leaves `[lo, hi)`, for
+    /// leaf `m`.
+    fn audit_path(&self, lo: u64, hi: u64, m: u64, out: &mut Vec<Hash>) {
+        if hi - lo <= 1 {
+            return;
+        }
+        let k = largest_power_of_two_below(hi - lo);
+        if m < lo + k {
+            self.audit_path(lo, lo + k, m, out);
+            out.push(self.mth(lo + k, hi));
+        } else {
+            self.audit_path(lo + k, hi, m, out);
+            out.push(self.mth(lo, lo + k));
+        }
     }
 }
 
@@ -221,6 +235,52 @@ mod tests {
     use crate::name::DistinguishedName;
     use govscan_asn1::Time;
     use govscan_crypto::{KeyAlgorithm, KeyPair, SignatureAlgorithm};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// The reference tree: RFC 6962 §2.1 recursion over leaf slices,
+    /// rehashing every leaf a call covers. The stored levels must
+    /// reproduce its roots and audit paths byte for byte.
+    mod reference {
+        use super::super::{node_hash, Hash};
+        use govscan_crypto::{Digest, Sha256};
+
+        fn split(n: usize) -> usize {
+            let mut k = 1;
+            while k * 2 < n {
+                k *= 2;
+            }
+            k
+        }
+
+        /// Merkle tree hash over `leaves` (RFC 6962 §2.1).
+        pub(super) fn subtree_hash(leaves: &[Hash]) -> Hash {
+            match leaves.len() {
+                0 => Sha256::digest(b"").try_into().expect("32 bytes"),
+                1 => leaves[0],
+                n => {
+                    let k = split(n);
+                    node_hash(&subtree_hash(&leaves[..k]), &subtree_hash(&leaves[k..]))
+                }
+            }
+        }
+
+        /// Audit path over `leaves` for leaf `m`.
+        pub(super) fn audit_path(leaves: &[Hash], m: usize, out: &mut Vec<Hash>) {
+            let n = leaves.len();
+            if n <= 1 {
+                return;
+            }
+            let k = split(n);
+            if m < k {
+                audit_path(&leaves[..k], m, out);
+                out.push(subtree_hash(&leaves[k..]));
+            } else {
+                audit_path(&leaves[k..], m - k, out);
+                out.push(subtree_hash(&leaves[..k]));
+            }
+        }
+    }
 
     fn certs(n: usize) -> Vec<Certificate> {
         let mut ca = CertificateAuthority::new_root(
@@ -297,6 +357,64 @@ mod tests {
         let mut bad_root = log.root();
         bad_root[0] ^= 1;
         assert!(!CtLog::verify_inclusion(&certs[2], &proof, &bad_root));
+    }
+
+    #[test]
+    fn proof_fails_for_hostile_tree_size() {
+        // Past 2^63 a split found by doubling overflows: a panic in
+        // debug, an endless loop in release. Verify on a thread the test
+        // can stop waiting for.
+        let certs = certs(4);
+        let mut log = CtLog::new();
+        for c in &certs {
+            log.append(c);
+        }
+        let root = log.root();
+        let honest = log.prove_inclusion(1).unwrap();
+        let cert = certs[1].clone();
+        let (tx, rx) = mpsc::channel();
+        let verifier = std::thread::spawn(move || {
+            let mut verdicts = Vec::new();
+            for tree_size in [u64::MAX, (1 << 63) + 1] {
+                for leaf_index in [1, tree_size - 1] {
+                    let proof = InclusionProof {
+                        leaf_index,
+                        tree_size,
+                        ..honest.clone()
+                    };
+                    verdicts.push(CtLog::verify_inclusion(&cert, &proof, &root));
+                }
+            }
+            let _ = tx.send(verdicts);
+        });
+        let verdicts = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("verify_inclusion returns on a hostile tree_size");
+        verifier.join().expect("verifier thread finished");
+        assert_eq!(verdicts, [false; 4]);
+    }
+
+    #[test]
+    fn stored_levels_match_the_reference_while_the_log_grows() {
+        // Sizes 0..=130 cross the 64 and 128 boundaries, where the
+        // levels gain a new top.
+        let certs = certs(130);
+        let leaves: Vec<Hash> = certs.iter().map(|c| leaf_hash(c.to_der())).collect();
+        let mut log = CtLog::new();
+        for n in 0..=certs.len() {
+            if n > 0 {
+                log.append(&certs[n - 1]);
+            }
+            assert_eq!(log.size(), n as u64);
+            assert_eq!(log.root(), reference::subtree_hash(&leaves[..n]), "n={n}");
+            for m in 0..n {
+                let mut want = Vec::new();
+                reference::audit_path(&leaves[..n], m, &mut want);
+                let proof = log.prove_inclusion(m as u64).expect("leaf exists");
+                assert_eq!(proof.path, want, "n={n}, leaf={m}");
+            }
+            assert_eq!(log.prove_inclusion(n as u64), None);
+        }
     }
 
     #[test]

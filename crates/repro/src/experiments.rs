@@ -628,16 +628,20 @@ pub fn hsts_adoption(env: &mut Env) -> String {
 
 /// Ablation (§4.3): how the trust-store choice changes every verdict.
 /// The paper chose the Apple store as the most restrictive; this re-runs
-/// the worldwide scan under all three profiles.
+/// the worldwide scan under the other two profiles. The Apple row is the
+/// study scan itself: `StudyPipeline` defaults to Apple, and the
+/// whitelist's country annotation does not touch validity.
 pub fn ablation_trust_stores(env: &mut Env) -> String {
     use govscan_pki::trust::TrustStoreProfile;
     let mut out = String::new();
-    let hosts = env.study.final_list.clone();
     let mut counts = Vec::new();
     for profile in TrustStoreProfile::ALL {
-        let scan = StudyPipeline::new(&env.world)
-            .with_trust_profile(profile)
-            .scan_list(&hosts);
+        let rescan = (profile != TrustStoreProfile::Apple).then(|| {
+            StudyPipeline::new(&env.world)
+                .with_trust_profile(profile)
+                .scan_list(&env.study.final_list)
+        });
+        let scan = rescan.as_ref().unwrap_or(&env.study.scan);
         let valid = scan.valid().count();
         let invalid = scan.invalid().count();
         counts.push((profile, valid, invalid));

@@ -66,5 +66,17 @@ run cargo run --offline -q -p govscan-serve -- \
   --archive "$mondir/epoch-0.snap" --delta "$mondir/epoch-1.dlt" \
   --delta "$mondir/epoch-2.dlt" --self-check
 rm -rf "$mondir"
+# EXPERIMENTS.md must be what today's code prints: re-run its documented
+# command (release `repro all` at scale 0.2, default seed) and fail on
+# any `paper=` row that differs, leading whitespace stripped.
+expdir="$(mktemp -d)"
+echo "==> GOVSCAN_SCALE=0.2 repro all, paper= rows against EXPERIMENTS.md"
+GOVSCAN_SCALE=0.2 cargo run --release --offline -q -p govscan-repro --bin repro -- all \
+  > "$expdir/all.txt"
+paper_rows() { grep 'paper=' "$1" | sed 's/^[[:space:]]*//'; }
+paper_rows EXPERIMENTS.md > "$expdir/documented.txt"
+paper_rows "$expdir/all.txt" > "$expdir/measured.txt"
+run diff -u "$expdir/documented.txt" "$expdir/measured.txt"
+rm -rf "$expdir"
 
 echo "CI OK"
