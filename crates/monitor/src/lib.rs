@@ -18,7 +18,9 @@
 //!
 //! The correctness story is *digest equality*: snapshot encoding is
 //! canonical, so "incremental scan ≡ full rescan" and "resolved delta
-//! chain ≡ full archive" are both one `Fingerprint` comparison. With
+//! chain ≡ full archive" are both one `Fingerprint` comparison. One
+//! scan, [`incremental_epoch_scan`], serves both arms: given no previous
+//! epoch it probes every host, and that is the full rescan. With
 //! `self_check` enabled, [`Monitor::run`] proves every epoch four ways
 //! — full and incremental, each at 1 and at N worker threads — and
 //! re-resolves the delta chain at the end. CI runs exactly that.
@@ -31,15 +33,12 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use govscan_analysis::trend::{epoch_point, TrendSeries};
-use govscan_net::TlsClientConfig;
-use govscan_pki::trust::TrustStoreProfile;
 use govscan_pki::Time;
 use govscan_scanner::{
-    plan_rescan, Decision, IncrementalPolicy, IncrementalStats, ListScanner, ScanContext,
-    ScanDataset, ScanRecord,
+    plan_rescan, Decision, IncrementalPolicy, IncrementalStats, ScanDataset, ScanRecord,
+    ShardScanner,
 };
 use govscan_store::{Delta, Snapshot, StoreError};
-use govscan_worldgen::hosting::provider_table;
 use govscan_worldgen::{EvolveConfig, MonitorPlan, WorldConfig};
 
 /// Everything that can stop a monitor run.
@@ -207,61 +206,36 @@ impl MonitorReport {
     }
 }
 
-/// Scan every host of `epoch` live, shard-parallel, merged in shard
-/// order — bit-identical at any thread count because each shard is a
-/// pure function of `(config, epoch, shard)` and merge order is fixed.
-pub fn full_epoch_scan(plan: &MonitorPlan, epoch: u32, threads: usize) -> ScanDataset {
-    let sp = plan.plan();
-    let time = plan.epoch_time(epoch);
-    let providers = provider_table();
-    let trust = sp.cadb().trust_store(TrustStoreProfile::Apple);
-    let ev = sp.cadb().ev_registry();
-    let scanner = ListScanner::new(sp.tranco(), time);
-    let shards = govscan_exec::par_map_indexed(threads, sp.shard_count(), |i| {
-        let state = plan.shard_state(epoch, i);
-        let net = plan.realize_all(&state);
-        let hostnames: Vec<String> = state.iter().map(|h| h.record.hostname.clone()).collect();
-        let ctx = ScanContext::new(
-            &net,
-            trust,
-            ev,
-            &providers,
-            time,
-            TlsClientConfig::default(),
-        );
-        scanner.scan_list_with(&ctx, &hostnames)
-    });
-    merge_shards(shards, time)
-}
-
-/// Scan `epoch` incrementally against the previous epoch's dataset:
-/// plan per shard with the module-documented predicate, realize and
-/// probe only the selected hosts, splice the rest. Returns the merged
-/// dataset plus the aggregate selection stats.
+/// Scan `epoch` shard-parallel, merged in shard order, against the
+/// previous epoch's dataset: plan per shard with the module-documented
+/// predicate, realize and probe only the selected hosts, splice the
+/// rest. With no previous epoch every host is
+/// [`SelectReason::New`](govscan_scanner::SelectReason::New), so the
+/// same scan is the full rescan: it realizes and probes everyone.
+/// Bit-identical at any thread count, because each shard is a pure
+/// function of `(config, epoch, shard, prev)` and the merge order is
+/// fixed. Returns the merged dataset plus the aggregate selection
+/// stats.
 pub fn incremental_epoch_scan(
     plan: &MonitorPlan,
     epoch: u32,
-    prev: &ScanDataset,
+    prev: Option<&ScanDataset>,
     disclosed: &HashSet<String>,
     threads: usize,
 ) -> (ScanDataset, IncrementalStats) {
-    let sp = plan.plan();
     let time = plan.epoch_time(epoch);
-    let providers = provider_table();
-    let trust = sp.cadb().trust_store(TrustStoreProfile::Apple);
-    let ev = sp.cadb().ev_registry();
-    let scanner = ListScanner::new(sp.tranco(), time);
+    let scanner = ShardScanner::new(plan.plan(), time);
     let policy = IncrementalPolicy {
         horizon_days: plan.evolve().renewal_horizon_days,
         recently_disclosed: disclosed.clone(),
     };
-    let shards = govscan_exec::par_map_indexed(threads, sp.shard_count(), |i| {
+    let shards = govscan_exec::par_map_indexed(threads, plan.plan().shard_count(), |i| {
         let state = plan.shard_state(epoch, i);
         let iplan = plan_rescan(
             &policy,
             time,
             state.iter().map(|h| h.record.hostname.as_str()),
-            |name| prev.get(name).cloned(),
+            |name| prev.and_then(|p| p.get(name)).cloned(),
         );
         let probe_idx: Vec<usize> = iplan
             .decisions
@@ -298,15 +272,7 @@ pub fn incremental_epoch_scan(
             .iter()
             .map(|&i| state[i].record.hostname.clone())
             .collect();
-        let ctx = ScanContext::new(
-            &net,
-            trust,
-            ev,
-            &providers,
-            time,
-            TlsClientConfig::default(),
-        );
-        let probed = scanner.scan_list_with(&ctx, &probe_names);
+        let probed = scanner.scan(&net, &probe_names);
         let records: Vec<ScanRecord> = iplan
             .decisions
             .iter()
@@ -316,7 +282,7 @@ pub fn incremental_epoch_scan(
                     .expect("every planned probe was scanned")
                     .clone(),
                 Decision::Splice => prev
-                    .get(name)
+                    .and_then(|p| p.get(name))
                     .expect("splice implies a prior record")
                     .clone(),
             })
@@ -337,14 +303,6 @@ pub fn incremental_epoch_scan(
         records.extend(shard_records);
     }
     (ScanDataset::new(records, time), stats)
-}
-
-fn merge_shards(shards: Vec<ScanDataset>, time: Time) -> ScanDataset {
-    let mut records = Vec::new();
-    for ds in shards {
-        records.extend(ds.records().iter().cloned());
-    }
-    ScanDataset::new(records, time)
 }
 
 /// The hosts a disclosure notice goes to, judged from *measured* data:
@@ -387,6 +345,13 @@ impl Monitor {
         })
     }
 
+    /// `epoch` rescanned in full (the scan with no previous epoch), as
+    /// the snapshot the self-check compares against.
+    fn full_rescan(&self, epoch: u32, threads: usize) -> Result<Snapshot, MonitorError> {
+        let (full, _) = incremental_epoch_scan(&self.plan, epoch, None, &HashSet::new(), threads);
+        Ok(Snapshot::from_bytes(Snapshot::encode(&full)?)?)
+    }
+
     fn check(
         &self,
         epoch: u32,
@@ -414,7 +379,7 @@ impl Monitor {
         }
 
         let start = Instant::now();
-        let base = full_epoch_scan(&self.plan, 0, cfg.threads);
+        let (base, _) = incremental_epoch_scan(&self.plan, 0, None, &HashSet::new(), cfg.threads);
         let base_seconds = start.elapsed().as_secs_f64();
         let base_bytes = Snapshot::encode(&base)?;
         let base_len = base_bytes.len() as u64;
@@ -423,8 +388,7 @@ impl Monitor {
         }
         let mut prev_snap = Snapshot::from_bytes(base_bytes)?;
         if cfg.self_check && cfg.threads != 1 {
-            let serial =
-                Snapshot::from_bytes(Snapshot::encode(&full_epoch_scan(&self.plan, 0, 1))?)?;
+            let serial = self.full_rescan(0, 1)?;
             self.check(0, "single-thread full scan", &serial, &prev_snap)?;
         }
 
@@ -460,7 +424,7 @@ impl Monitor {
 
             let t0 = Instant::now();
             let (scan, stats) =
-                incremental_epoch_scan(&self.plan, epoch, &prev, window, cfg.threads);
+                incremental_epoch_scan(&self.plan, epoch, Some(&prev), window, cfg.threads);
             let scan_seconds = t0.elapsed().as_secs_f64();
 
             let full_bytes = Snapshot::encode(&scan)?;
@@ -473,9 +437,7 @@ impl Monitor {
 
             if cfg.self_check {
                 for threads in [1, cfg.threads.max(2)] {
-                    let full = Snapshot::from_bytes(Snapshot::encode(&full_epoch_scan(
-                        &self.plan, epoch, threads,
-                    ))?)?;
+                    let full = self.full_rescan(epoch, threads)?;
                     self.check(
                         epoch,
                         &format!("full rescan at {threads} threads"),
@@ -483,7 +445,7 @@ impl Monitor {
                         &snap,
                     )?;
                     let (inc, _) =
-                        incremental_epoch_scan(&self.plan, epoch, &prev, window, threads);
+                        incremental_epoch_scan(&self.plan, epoch, Some(&prev), window, threads);
                     let inc = Snapshot::from_bytes(Snapshot::encode(&inc)?)?;
                     self.check(
                         epoch,
@@ -615,8 +577,9 @@ mod tests {
     fn epoch_scans_are_pure_functions_of_epoch() {
         let cfg = config(0, None);
         let monitor = Monitor::new(cfg);
-        let a = full_epoch_scan(monitor.plan(), 2, 1);
-        let b = full_epoch_scan(monitor.plan(), 2, 4);
+        let none = HashSet::new();
+        let (a, _) = incremental_epoch_scan(monitor.plan(), 2, None, &none, 1);
+        let (b, _) = incremental_epoch_scan(monitor.plan(), 2, None, &none, 4);
         assert_eq!(
             Snapshot::digest_of(&a).unwrap(),
             Snapshot::digest_of(&b).unwrap(),

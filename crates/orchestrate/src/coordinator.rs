@@ -1,26 +1,23 @@
-//! The coordinator: shard the host list, lease shards to workers,
-//! merge committed partials, and verify coverage.
+//! The coordinator: lease shard tickets to worker connections, append
+//! committed shards to the archive in shard order, and verify coverage.
 //!
-//! Two front-ends share [`LeaseTable`] and the merge/verify tail:
-//! [`run_local`] drives in-process worker threads (tests and the
-//! single-machine repro path), [`Coordinator`] serves the socket
-//! [`protocol`](crate::protocol) to worker processes.
-//!
-//! The host list precondition for both: hostnames are unique and
-//! already lowercase (the pipeline's `final_list` is sorted, deduped,
-//! and lowercased — `scan_host` lowercases on its side too, so a
-//! mixed-case list would make two input hosts collide into one record
-//! and fail the coverage check, by design).
+//! A grant carries a shard index and nothing more: each worker realizes
+//! and scans that shard from its own copy of the world plan, which is a
+//! pure function of `(config, shard)`. The coordinator's own thread is
+//! the one in-order consumer. Between accepts it takes the results that
+//! continue the shard order from the [`LeaseTable`] and appends them to
+//! a [`SnapshotWriter`], so the archive is byte-identical to the
+//! streamed pipeline's, which appends the same shards in the same
+//! order.
 
+use std::io::{Seek, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use govscan_exec::WorkerPool;
-use govscan_pki::Time;
-use govscan_scanner::ScanDataset;
-use govscan_store::Snapshot;
+use govscan_store::{Snapshot, SnapshotWriter};
 
 use crate::lease::{LeaseTable, OrchestrationStats};
 use crate::protocol::{read_message, write_message, Message};
@@ -29,30 +26,28 @@ use crate::{OrchestrateError, Result};
 /// Tunables for one orchestrated scan.
 #[derive(Debug, Clone)]
 pub struct OrchestratorConfig {
-    /// Worker count: threads in [`run_local`], expected connections in
-    /// [`Coordinator::run`].
+    /// Expected worker connections, and the size of the pool of
+    /// connection handlers.
     pub workers: usize,
-    /// Hosts per shard (floored at 1).
-    pub shard_size: usize,
     /// How long a granted lease lives before it expires and is
     /// re-issued.
     pub lease_timeout: Duration,
-    /// Socket mode: how much longer than the lease deadline a handler
-    /// keeps its connection open for a (by then late) result, and the
-    /// idle read/write timeout between exchanges.
+    /// How much longer than the lease deadline a handler keeps its
+    /// connection open for a (by then late) result, and the idle
+    /// read/write timeout between exchanges.
     pub result_grace: Duration,
-    /// Socket mode: how long the coordinator waits for the first/next
-    /// worker to connect before declaring the fleet lost.
+    /// How long the coordinator waits for the first/next worker to
+    /// connect before declaring the fleet lost.
     pub startup_timeout: Duration,
 }
 
 impl OrchestratorConfig {
-    /// Defaults sized for the paper-scale scan: 256-host shards,
-    /// one-minute leases.
+    /// Defaults sized for the paper-scale scan: one-minute leases, which
+    /// the largest shard (China, about a fifth of the hosts) fits inside
+    /// at paper scale.
     pub fn new(workers: usize) -> OrchestratorConfig {
         OrchestratorConfig {
             workers,
-            shard_size: 256,
             lease_timeout: Duration::from_secs(60),
             result_grace: Duration::from_secs(60),
             startup_timeout: Duration::from_secs(300),
@@ -63,98 +58,14 @@ impl OrchestratorConfig {
 /// The outcome of a completed orchestration.
 #[derive(Debug)]
 pub struct OrchestrationReport {
-    /// The merged dataset — byte-identical (as a snapshot) to a
-    /// single-process scan of the same host list.
-    pub dataset: ScanDataset,
     /// Lease accounting: grants, expiries, duplicate commits, ….
     pub stats: OrchestrationStats,
-    /// How many shards the host list was split into.
+    /// Shards scanned.
     pub shards: usize,
-    /// Hosts scanned.
-    pub hosts: usize,
-    /// Workers that participated (threads started, or connections
-    /// accepted).
+    /// Hosts archived.
+    pub hosts: u64,
+    /// Worker connections accepted.
     pub workers_seen: usize,
-}
-
-/// Faults to inject into [`run_local_faulty`] workers.
-#[derive(Debug, Default, Clone)]
-pub struct FaultPlan {
-    /// `(worker, nth_grant)`: the worker exits upon its n-th grant
-    /// (counted per worker, from 1) without committing — the lease is
-    /// reclaimed by expiry.
-    pub deaths: Vec<(usize, u64)>,
-    /// `(shard, attempt, pause)`: whichever worker is granted that
-    /// attempt at that shard sleeps before scanning it — long enough
-    /// and the lease expires under it, and its eventual commit is a
-    /// duplicate. Keyed by lease, not by worker, so the stall lands on
-    /// a grant every run makes: `(0, 1, _)` is the table's first grant.
-    pub stalls: Vec<(usize, u32, Duration)>,
-}
-
-/// Run a distributed scan with in-process worker threads. `scan` maps
-/// a shard's hostname slice to its partial dataset; it runs
-/// concurrently from `config.workers` threads.
-pub fn run_local<F>(
-    hosts: &[String],
-    scan_time: Time,
-    config: &OrchestratorConfig,
-    scan: F,
-) -> Result<OrchestrationReport>
-where
-    F: Fn(&[String]) -> ScanDataset + Sync,
-{
-    run_local_faulty(hosts, scan_time, config, scan, &FaultPlan::default())
-}
-
-/// [`run_local`] with fault injection — the test harness for lease
-/// recovery. Worker deaths here model a thread that stops participating
-/// while holding a lease (reclaimed by deadline expiry, since there is
-/// no connection to sense); stalls model a slow scan overtaken by a
-/// re-issue.
-pub fn run_local_faulty<F>(
-    hosts: &[String],
-    scan_time: Time,
-    config: &OrchestratorConfig,
-    scan: F,
-    faults: &FaultPlan,
-) -> Result<OrchestrationReport>
-where
-    F: Fn(&[String]) -> ScanDataset + Sync,
-{
-    let table = LeaseTable::new(hosts.len(), config.shard_size, config.lease_timeout);
-    let workers = config.workers.max(1);
-    // Every worker is running before the first grant, so an injected
-    // fault never races the pool's start-up.
-    let started = Barrier::new(workers);
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            let table = &table;
-            let scan = &scan;
-            let started = &started;
-            s.spawn(move || {
-                started.wait();
-                let mut grants = 0u64;
-                while let Some(lease) = table.acquire() {
-                    grants += 1;
-                    if faults.deaths.contains(&(w, grants)) {
-                        return; // dies holding the lease
-                    }
-                    if let Some((_, _, pause)) = faults.stalls.iter().find(|(shard, attempt, _)| {
-                        (*shard, *attempt) == (lease.shard.index, lease.attempt)
-                    }) {
-                        std::thread::sleep(*pause);
-                    }
-                    let partial = scan(&hosts[lease.shard.start..lease.shard.end]);
-                    table.commit(lease.shard.index, lease.attempt, partial);
-                }
-            });
-        }
-        // If every worker dies mid-lease, the remaining acquirers have
-        // already returned: nothing re-arms, the scope joins, and
-        // `finish` reports the run incomplete. No watchdog needed.
-    });
-    finish(hosts, scan_time, table, workers)
 }
 
 /// The socket-mode coordinator: accepts worker connections and serves
@@ -162,32 +73,27 @@ where
 /// [`govscan_exec::WorkerPool`] of connection handlers.
 pub struct Coordinator {
     listener: TcpListener,
-    hosts: Arc<Vec<String>>,
-    scan_time: Time,
+    hosts: u64,
     config: OrchestratorConfig,
     table: Arc<LeaseTable>,
 }
 
 impl Coordinator {
     /// Bind the coordination socket (use port 0 for an OS-assigned
-    /// port) and shard `hosts` into the lease table.
+    /// port) for a plan of `shards` shards holding `hosts` hosts in
+    /// total.
     pub fn bind(
         addr: impl ToSocketAddrs,
-        hosts: Vec<String>,
-        scan_time: Time,
+        shards: usize,
+        hosts: u64,
         config: OrchestratorConfig,
     ) -> Result<Coordinator> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
-        let table = Arc::new(LeaseTable::new(
-            hosts.len(),
-            config.shard_size,
-            config.lease_timeout,
-        ));
+        let table = Arc::new(LeaseTable::new(shards, config.lease_timeout));
         Ok(Coordinator {
             listener,
-            hosts: Arc::new(hosts),
-            scan_time,
+            hosts,
             config,
             table,
         })
@@ -198,42 +104,54 @@ impl Coordinator {
         Ok(self.listener.local_addr()?)
     }
 
-    /// Accept workers and run the scan to completion (every shard
-    /// committed), or fail once no connected worker remains and the
-    /// expected fleet has been seen (or never showed up within
-    /// `startup_timeout`).
-    pub fn run(self) -> Result<OrchestrationReport> {
+    /// Accept workers and run the scan to completion, appending every
+    /// shard to `writer` in shard order; or fail once no connected
+    /// worker remains and the expected fleet has been seen (or never
+    /// showed up within `startup_timeout`). The run's coverage check
+    /// holds the archived host count to the plan's.
+    pub fn run<W: Write + Seek>(
+        self,
+        writer: &mut SnapshotWriter<W>,
+    ) -> Result<OrchestrationReport> {
         let Coordinator {
             listener,
             hosts,
-            scan_time,
             config,
             table,
         } = self;
         let live = Arc::new(AtomicUsize::new(0));
         let handler = {
             let table = Arc::clone(&table);
-            let hosts = Arc::clone(&hosts);
             let live = Arc::clone(&live);
             let grace = config.result_grace;
             move |stream: TcpStream| {
                 // Connection failures are per-worker events, fully
                 // accounted for in the lease table (abandons); the run
                 // itself only fails if *no* worker can finish.
-                let _ = serve_worker(&table, &hosts, grace, stream);
+                let _ = serve_worker(&table, grace, stream);
                 live.fetch_sub(1, Ordering::SeqCst);
             }
         };
         let pool = WorkerPool::new(config.workers.max(1), handler);
         let started = Instant::now();
         let mut seen = 0usize;
-        let outcome = loop {
-            if table.is_complete() {
+        let mut drained = 0usize;
+        let mut archived = 0u64;
+        let outcome = 'run: loop {
+            let ready = table.take_ready();
+            drained += ready.len();
+            for dataset in ready {
+                archived += dataset.len() as u64;
+                if let Err(e) = writer.append_records(dataset.records()) {
+                    break 'run Err(e.into());
+                }
+            }
+            if drained == table.shard_count() {
                 break Ok(());
             }
             match listener.accept() {
                 Ok((stream, _)) => {
-                    if stream.set_nonblocking(false).is_err() {
+                    if stream.set_nonblocking(false).is_err() || stream.set_nodelay(true).is_err() {
                         continue; // connection already dead
                     }
                     let _ = stream.set_write_timeout(Some(config.result_grace));
@@ -277,22 +195,24 @@ impl Coordinator {
         }
         pool.join();
         outcome?;
-        let table = Arc::try_unwrap(table)
-            .ok()
-            .expect("handlers dropped their table refs at pool join");
-        finish(&hosts, scan_time, table, seen)
+        if archived != hosts {
+            return Err(OrchestrateError::Coverage {
+                detail: format!("archived {archived} hosts of the plan's {hosts}"),
+            });
+        }
+        Ok(OrchestrationReport {
+            stats: table.stats(),
+            shards: table.shard_count(),
+            hosts: archived,
+            workers_seen: seen,
+        })
     }
 }
 
 /// Serve one worker connection: Hello, then Request → Grant → Result
 /// until the table runs dry (send Done) or the connection dies (abandon
 /// whatever lease it held).
-fn serve_worker(
-    table: &LeaseTable,
-    hosts: &[String],
-    grace: Duration,
-    mut stream: TcpStream,
-) -> Result<()> {
+fn serve_worker(table: &LeaseTable, grace: Duration, mut stream: TcpStream) -> Result<()> {
     let grace = grace.max(Duration::from_millis(10));
     stream.set_read_timeout(Some(grace))?;
     match read_message(&mut stream) {
@@ -322,12 +242,11 @@ fn serve_worker(
             return Ok(());
         };
         let grant = Message::Grant {
-            shard: lease.shard.index as u64,
+            shard: lease.shard as u64,
             attempt: lease.attempt,
-            hostnames: hosts[lease.shard.start..lease.shard.end].to_vec(),
         };
         if let Err(e) = write_message(&mut stream, &grant) {
-            table.abandon(lease.shard.index, lease.attempt);
+            table.abandon(lease.shard, lease.attempt);
             return Err(e.into());
         }
         // Wait out the lease (plus grace, so a result that raced the
@@ -341,25 +260,25 @@ fn serve_worker(
                 attempt,
                 snapshot,
             }) => {
-                if (shard as usize, attempt) != (lease.shard.index, lease.attempt) {
-                    table.abandon(lease.shard.index, lease.attempt);
+                if (shard as usize, attempt) != (lease.shard, lease.attempt) {
+                    table.abandon(lease.shard, lease.attempt);
                     return Err(OrchestrateError::Protocol(format!(
                         "result for shard {shard} attempt {attempt}, lease was shard {} attempt {}",
-                        lease.shard.index, lease.attempt
+                        lease.shard, lease.attempt
                     )));
                 }
                 match Snapshot::from_bytes(snapshot).and_then(|s| s.dataset()) {
-                    Ok(partial) => {
-                        table.commit(lease.shard.index, lease.attempt, partial);
+                    Ok(dataset) => {
+                        table.commit(lease.shard, lease.attempt, dataset);
                     }
                     Err(e) => {
-                        table.abandon(lease.shard.index, lease.attempt);
+                        table.abandon(lease.shard, lease.attempt);
                         return Err(e.into());
                     }
                 }
             }
             Ok(other) => {
-                table.abandon(lease.shard.index, lease.attempt);
+                table.abandon(lease.shard, lease.attempt);
                 return Err(OrchestrateError::Protocol(format!(
                     "expected Result, got {other:?}"
                 )));
@@ -368,62 +287,9 @@ fn serve_worker(
                 // Death or stall past deadline+grace: give the lease
                 // back (expiry may already have re-issued it — then
                 // this abandon is a stale no-op).
-                table.abandon(lease.shard.index, lease.attempt);
+                table.abandon(lease.shard, lease.attempt);
                 return Err(e.into());
             }
         }
     }
-}
-
-/// Merge committed partials in shard order and verify coverage: the
-/// merged dataset must contain exactly the input hosts, once each.
-fn finish(
-    hosts: &[String],
-    scan_time: Time,
-    table: LeaseTable,
-    workers_seen: usize,
-) -> Result<OrchestrationReport> {
-    let (shards, partials, stats) = table.into_parts()?;
-    let shard_count = shards.len();
-    let mut dataset = ScanDataset::new(Vec::new(), scan_time);
-    for (shard, partial) in shards.iter().zip(partials) {
-        if partial.len() != shard.len() {
-            return Err(OrchestrateError::Coverage {
-                detail: format!(
-                    "shard {} committed {} records for {} hosts",
-                    shard.index,
-                    partial.len(),
-                    shard.len()
-                ),
-            });
-        }
-        let replaced = dataset.extend(partial);
-        if replaced != 0 {
-            return Err(OrchestrateError::Coverage {
-                detail: format!(
-                    "shard {} overlapped {replaced} earlier records",
-                    shard.index
-                ),
-            });
-        }
-    }
-    if dataset.len() != hosts.len() {
-        return Err(OrchestrateError::Coverage {
-            detail: format!("merged {} records for {} hosts", dataset.len(), hosts.len()),
-        });
-    }
-    for host in hosts {
-        if dataset.get(&host.to_ascii_lowercase()).is_none() {
-            return Err(OrchestrateError::Coverage {
-                detail: format!("host {host} missing from the merged dataset"),
-            });
-        }
-    }
-    Ok(OrchestrationReport {
-        dataset,
-        stats,
-        shards: shard_count,
-        hosts: hosts.len(),
-        workers_seen,
-    })
 }

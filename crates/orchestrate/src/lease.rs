@@ -1,6 +1,6 @@
 //! The lease table: shard ownership, deadlines, and commit accounting.
 //!
-//! The host list is split into contiguous [`Shard`]s; each shard moves
+//! Shards are the indices `0..shards` of a world plan, and each moves
 //! through a three-state machine guarded by one mutex:
 //!
 //! ```text
@@ -23,9 +23,13 @@
 //!   any later result for the same shard is counted as a
 //!   `duplicate_commit` and its data dropped. A result arriving from a
 //!   superseded attempt while the shard is still uncommitted *is*
-//!   accepted (the scan is deterministic, so any attempt's data is the
-//!   right data — that is the at-least-once idempotency argument) and
-//!   counted as a `late_commit`.
+//!   accepted (a shard's scan is a pure function of its index, so any
+//!   attempt's data is the right data — that is the at-least-once
+//!   idempotency argument) and counted as a `late_commit`.
+//! * **Each committed result leaves once, in shard order.**
+//!   [`LeaseTable::take_ready`] hands the consumer the results that
+//!   continue the shard order and forgets them, so the table holds only
+//!   the results committed ahead of a gap.
 //! * **Expiry is lazy but prompt.** Nothing scans the table in the
 //!   background; an [`LeaseTable::acquire`] call that finds no pending
 //!   shard sleeps until the earliest outstanding deadline and claims the
@@ -37,39 +41,12 @@ use std::time::{Duration, Instant};
 
 use govscan_scanner::ScanDataset;
 
-use crate::{OrchestrateError, Result};
-
-/// A contiguous slice `[start, end)` of the host list — the unit of
-/// lease assignment and of partial-result merging.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Shard {
-    /// Position in the shard list; merges happen in this order.
-    pub index: usize,
-    /// First host index (inclusive).
-    pub start: usize,
-    /// Past-the-end host index.
-    pub end: usize,
-}
-
-impl Shard {
-    /// Number of hosts in the shard (never zero by construction).
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// True if the shard covers no hosts (never, by construction; the
-    /// conventional companion of [`Shard::len`]).
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-}
-
 /// A granted lease: the right (and obligation) to scan one shard and
 /// commit the result before the deadline.
 #[derive(Debug, Clone, Copy)]
 pub struct Lease {
-    /// The shard this lease covers.
-    pub shard: Shard,
+    /// The shard index this lease covers.
+    pub shard: usize,
     /// Grant generation for the shard, starting at 1. A re-issued lease
     /// carries a higher attempt; commits echo it so the table can tell
     /// late results from current ones.
@@ -129,7 +106,10 @@ struct Inner {
     /// Grant generation per shard (monotone; `attempt` of the next
     /// grant is `attempts[i] + 1`).
     attempts: Vec<u32>,
-    partials: Vec<Option<ScanDataset>>,
+    /// Committed results not yet taken by [`LeaseTable::take_ready`].
+    results: Vec<Option<ScanDataset>>,
+    /// Shards whose results [`LeaseTable::take_ready`] has handed out.
+    taken: usize,
     committed: usize,
     failed: bool,
     stats: OrchestrationStats,
@@ -139,35 +119,24 @@ struct Inner {
 /// until when, and what came back. All methods are safe to call from
 /// any number of worker/handler threads.
 pub struct LeaseTable {
-    shards: Vec<Shard>,
+    shards: usize,
     lease_timeout: Duration,
     inner: Mutex<Inner>,
     changed: Condvar,
 }
 
 impl LeaseTable {
-    /// Shard `0..host_count` into contiguous `shard_size` runs (the last
-    /// may be short) and start every shard pending. Leases expire
-    /// `lease_timeout` after their grant.
-    pub fn new(host_count: usize, shard_size: usize, lease_timeout: Duration) -> LeaseTable {
-        let shard_size = shard_size.max(1);
-        let shards: Vec<Shard> = (0..host_count)
-            .step_by(shard_size)
-            .enumerate()
-            .map(|(index, start)| Shard {
-                index,
-                start,
-                end: (start + shard_size).min(host_count),
-            })
-            .collect();
-        let n = shards.len();
+    /// Start shards `0..shards` pending. Leases expire `lease_timeout`
+    /// after their grant.
+    pub fn new(shards: usize, lease_timeout: Duration) -> LeaseTable {
         LeaseTable {
             shards,
             lease_timeout,
             inner: Mutex::new(Inner {
-                states: vec![ShardState::Pending; n],
-                attempts: vec![0; n],
-                partials: (0..n).map(|_| None).collect(),
+                states: vec![ShardState::Pending; shards],
+                attempts: vec![0; shards],
+                results: (0..shards).map(|_| None).collect(),
+                taken: 0,
                 committed: 0,
                 failed: false,
                 stats: OrchestrationStats::default(),
@@ -176,20 +145,15 @@ impl LeaseTable {
         }
     }
 
-    /// The shard list, in index (= merge) order.
-    pub fn shards(&self) -> &[Shard] {
-        &self.shards
-    }
-
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.shards
     }
 
     /// True once every shard has a committed result.
     pub fn is_complete(&self) -> bool {
         let inner = self.inner.lock().expect("lease lock never poisoned");
-        inner.committed == self.shards.len()
+        inner.committed == self.shards
     }
 
     /// A snapshot of the counters so far.
@@ -232,7 +196,7 @@ impl LeaseTable {
     }
 
     fn grant_locked(&self, inner: &mut Inner) -> Acquire {
-        if inner.failed || inner.committed == self.shards.len() {
+        if inner.failed || inner.committed == self.shards {
             return Acquire::Done;
         }
         let now = Instant::now();
@@ -265,7 +229,7 @@ impl LeaseTable {
         };
         inner.attempts[i] += 1;
         let lease = Lease {
-            shard: self.shards[i],
+            shard: i,
             attempt: inner.attempts[i],
             deadline: now + self.lease_timeout,
         };
@@ -304,7 +268,7 @@ impl LeaseTable {
             ShardState::Pending => inner.stats.late_commits += 1,
         }
         inner.states[shard] = ShardState::Committed;
-        inner.partials[shard] = Some(data);
+        inner.results[shard] = Some(data);
         inner.committed += 1;
         inner.stats.commits += 1;
         self.changed.notify_all();
@@ -337,23 +301,19 @@ impl LeaseTable {
         self.changed.notify_all();
     }
 
-    /// Tear down into `(shards, partials, stats)` for merging. Errors
-    /// with [`OrchestrateError::Incomplete`] unless every shard
-    /// committed.
-    pub fn into_parts(self) -> Result<(Vec<Shard>, Vec<ScanDataset>, OrchestrationStats)> {
-        let inner = self.inner.into_inner().expect("lease lock never poisoned");
-        if inner.committed != self.shards.len() {
-            return Err(OrchestrateError::Incomplete {
-                committed: inner.committed,
-                shards: self.shards.len(),
-            });
-        }
-        let partials = inner
-            .partials
-            .into_iter()
-            .map(|p| p.expect("committed shard stored its partial"))
+    /// Take the committed results that continue the shard order: from
+    /// the first shard not yet taken up to the first shard without a
+    /// result. The table forgets what it hands out, so a single consumer
+    /// sees each result exactly once and in shard order.
+    pub fn take_ready(&self) -> Vec<ScanDataset> {
+        let mut inner = self.inner.lock().expect("lease lock never poisoned");
+        let from = inner.taken;
+        let ready: Vec<ScanDataset> = inner.results[from..]
+            .iter_mut()
+            .map_while(Option::take)
             .collect();
-        Ok((self.shards, partials, inner.stats))
+        inner.taken += ready.len();
+        ready
     }
 }
 
@@ -380,35 +340,29 @@ mod tests {
         }
     }
 
-    #[test]
-    fn shards_partition_the_host_list() {
-        let table = LeaseTable::new(10, 4, Duration::from_secs(1));
-        let shards = table.shards();
-        assert_eq!(shards.len(), 3);
-        assert_eq!((shards[0].start, shards[0].end), (0, 4));
-        assert_eq!((shards[1].start, shards[1].end), (4, 8));
-        assert_eq!((shards[2].start, shards[2].end), (8, 10));
-        assert!(shards.iter().all(|s| !s.is_empty()));
-        assert_eq!(shards.iter().map(Shard::len).sum::<usize>(), 10);
+    fn hosts(ready: &[ScanDataset]) -> Vec<String> {
+        ready
+            .iter()
+            .flat_map(|d| d.records().iter().map(|r| r.hostname.clone()))
+            .collect()
     }
 
     #[test]
-    fn zero_hosts_complete_immediately() {
-        let table = LeaseTable::new(0, 4, Duration::from_secs(1));
+    fn zero_shards_complete_immediately() {
+        let table = LeaseTable::new(0, Duration::from_secs(1));
         assert!(table.is_complete());
         assert!(matches!(table.try_acquire(), Acquire::Done));
         assert!(table.acquire().is_none());
-        let (shards, partials, _) = table.into_parts().expect("trivially complete");
-        assert!(shards.is_empty() && partials.is_empty());
+        assert!(table.take_ready().is_empty());
     }
 
     #[test]
     fn happy_path_grants_each_shard_once() {
-        let table = LeaseTable::new(4, 2, Duration::from_secs(10));
+        let table = LeaseTable::new(2, Duration::from_secs(10));
         let a = grant(&table);
         let b = grant(&table);
-        assert_eq!((a.shard.index, a.attempt), (0, 1));
-        assert_eq!((b.shard.index, b.attempt), (1, 1));
+        assert_eq!((a.shard, a.attempt), (0, 1));
+        assert_eq!((b.shard, b.attempt), (1, 1));
         assert!(matches!(table.try_acquire(), Acquire::Wait(_)));
         assert_eq!(
             table.commit(0, 1, partial(&["a", "b"])),
@@ -420,14 +374,31 @@ mod tests {
         );
         assert!(table.is_complete());
         assert!(matches!(table.try_acquire(), Acquire::Done));
-        let (_, partials, stats) = table.into_parts().expect("complete");
-        assert_eq!(partials.len(), 2);
+        assert_eq!(hosts(&table.take_ready()), ["a", "b", "c", "d"]);
+        let stats = table.stats();
         assert_eq!((stats.grants, stats.expiries, stats.commits), (2, 0, 2));
     }
 
     #[test]
+    fn results_leave_once_and_in_shard_order() {
+        let table = LeaseTable::new(3, Duration::from_secs(10));
+        for _ in 0..3 {
+            grant(&table);
+        }
+        // Shard 2 commits ahead of a gap: nothing continues the order.
+        table.commit(2, 1, partial(&["c"]));
+        assert!(table.take_ready().is_empty());
+        table.commit(0, 1, partial(&["a"]));
+        assert_eq!(hosts(&table.take_ready()), ["a"]);
+        // Filling the gap releases it and everything committed behind it.
+        table.commit(1, 1, partial(&["b"]));
+        assert_eq!(hosts(&table.take_ready()), ["b", "c"]);
+        assert!(table.take_ready().is_empty(), "each result leaves once");
+    }
+
+    #[test]
     fn expired_lease_is_reissued_exactly_once_per_expiry() {
-        let table = LeaseTable::new(2, 2, Duration::from_millis(20));
+        let table = LeaseTable::new(1, Duration::from_millis(20));
         let first = grant(&table);
         assert_eq!(first.attempt, 1);
         // Not yet expired: nothing to grant.
@@ -435,7 +406,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(30));
         // Expired: re-issued with the next attempt — exactly once.
         let second = grant(&table);
-        assert_eq!(second.shard.index, 0);
+        assert_eq!(second.shard, 0);
         assert_eq!(second.attempt, 2);
         assert!(matches!(table.try_acquire(), Acquire::Wait(_)));
         let stats = table.stats();
@@ -449,40 +420,40 @@ mod tests {
 
     #[test]
     fn no_double_commit_of_the_same_shard() {
-        let table = LeaseTable::new(1, 1, Duration::from_millis(10));
+        let table = LeaseTable::new(1, Duration::from_millis(10));
         let first = grant(&table);
         std::thread::sleep(Duration::from_millis(20));
         let second = grant(&table);
         // The re-issued attempt commits first; the stalled original's
         // result is dropped as a duplicate.
         assert_eq!(
-            table.commit(second.shard.index, second.attempt, partial(&["a"])),
+            table.commit(second.shard, second.attempt, partial(&["a"])),
             CommitOutcome::Accepted
         );
         assert_eq!(
-            table.commit(first.shard.index, first.attempt, partial(&["a"])),
+            table.commit(first.shard, first.attempt, partial(&["a"])),
             CommitOutcome::Duplicate
         );
         assert!(table.is_complete());
-        let (_, partials, stats) = table.into_parts().expect("complete");
-        assert_eq!(partials.len(), 1, "exactly one committed result");
+        assert_eq!(table.take_ready().len(), 1, "exactly one committed result");
+        let stats = table.stats();
         assert_eq!((stats.commits, stats.duplicate_commits), (1, 1));
     }
 
     #[test]
     fn stalled_original_may_commit_late_if_still_uncommitted() {
-        let table = LeaseTable::new(1, 1, Duration::from_millis(10));
+        let table = LeaseTable::new(1, Duration::from_millis(10));
         let first = grant(&table);
         std::thread::sleep(Duration::from_millis(20));
         let second = grant(&table);
         // The stalled original wakes up before the re-issued holder
         // finishes: its (identical, deterministic) data is accepted.
         assert_eq!(
-            table.commit(first.shard.index, first.attempt, partial(&["a"])),
+            table.commit(first.shard, first.attempt, partial(&["a"])),
             CommitOutcome::Accepted
         );
         assert_eq!(
-            table.commit(second.shard.index, second.attempt, partial(&["a"])),
+            table.commit(second.shard, second.attempt, partial(&["a"])),
             CommitOutcome::Duplicate
         );
         let stats = table.stats();
@@ -491,22 +462,22 @@ mod tests {
 
     #[test]
     fn abandoned_lease_returns_to_pending_immediately() {
-        let table = LeaseTable::new(1, 1, Duration::from_secs(60));
+        let table = LeaseTable::new(1, Duration::from_secs(60));
         let first = grant(&table);
-        table.abandon(first.shard.index, first.attempt);
+        table.abandon(first.shard, first.attempt);
         // No deadline wait: the shard is grantable right away.
         let second = grant(&table);
         assert_eq!(second.attempt, 2);
         let stats = table.stats();
         assert_eq!((stats.abandons, stats.expiries), (1, 0));
         // A stale abandon (superseded attempt) is a no-op.
-        table.abandon(first.shard.index, first.attempt);
+        table.abandon(first.shard, first.attempt);
         assert_eq!(table.stats().abandons, 1);
     }
 
     #[test]
     fn acquire_blocks_until_expiry_then_grants() {
-        let table = LeaseTable::new(1, 1, Duration::from_millis(40));
+        let table = LeaseTable::new(1, Duration::from_millis(40));
         let first = grant(&table);
         let started = Instant::now();
         // acquire must sleep through the live lease, wake at its
@@ -519,7 +490,7 @@ mod tests {
 
     #[test]
     fn fail_unblocks_waiters() {
-        let table = LeaseTable::new(1, 1, Duration::from_secs(60));
+        let table = LeaseTable::new(1, Duration::from_secs(60));
         let _held = grant(&table);
         std::thread::scope(|s| {
             let t = s.spawn(|| table.acquire());
@@ -527,12 +498,7 @@ mod tests {
             table.fail();
             assert!(t.join().expect("no panic").is_none());
         });
-        assert!(matches!(
-            table.into_parts(),
-            Err(OrchestrateError::Incomplete {
-                committed: 0,
-                shards: 1
-            })
-        ));
+        assert!(!table.is_complete());
+        assert!(table.take_ready().is_empty());
     }
 }

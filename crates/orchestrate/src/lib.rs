@@ -1,13 +1,16 @@
-//! Distributed scan orchestration: a lease-based coordinator/worker
-//! split over the §4.2.3 measurement scan.
+//! Distributed scan orchestration: the streamed pipeline across worker
+//! connections, split by lease-based coordination.
 //!
 //! The paper's April 2020 scan of ~135k government hosts ran in one
-//! process. This crate scales that scan past one process in the style
-//! of the ZMap-era measurement infrastructure: a **coordinator** shards
-//! the host list into contiguous [`Shard`]s, hands them to N workers as
-//! deadline-carrying [`Lease`]s, collects partial [`ScanDataset`]s, and
-//! merges them — in shard order — through the dataset's last-write-wins
-//! `extend`.
+//! process. This crate scales a scan past one process the way ZMap
+//! splits one across instances: by shard index over a shared seed, so
+//! each worker works out its own targets and nobody sends it a list. A
+//! **coordinator** leases the shard indices of a world plan to N workers
+//! as deadline-carrying [`Lease`]s. Each worker realizes and scans its
+//! shard, a pure function of `(config, shard)`, and returns the records
+//! as snapshot bytes. The coordinator appends committed shards to a
+//! `govscan-store` [`SnapshotWriter`] in shard order, so its archive is
+//! byte-identical to the single-process streamed pipeline's.
 //!
 //! Fault model (at-least-once, idempotent):
 //!
@@ -17,25 +20,19 @@
 //!   expire and re-issued to a live worker. If the stalled worker later
 //!   delivers anyway, the first commit has already won and the late
 //!   result is dropped (or, if it races ahead of the re-issued holder,
-//!   accepted — the scan is deterministic, so either attempt's data is
-//!   byte-identical).
-//! * The run ends with a completeness check: every input host owned by
-//!   exactly one committed lease, and the merged dataset covering the
-//!   host list exactly. The merged result is **byte-identical** to a
-//!   single-process scan of the same list (the fault-injection suite
-//!   asserts digest equality through `govscan-store`).
+//!   accepted — a shard's scan depends only on its index, so either
+//!   attempt's data is byte-identical).
+//! * The run ends with a coverage check: the archived host count must
+//!   equal the plan's.
 //!
-//! Two deployment shapes share the same lease table:
+//! There is one deployment shape: a [`Coordinator`] serving worker
+//! connections ([`run_worker`]) over the length-prefixed [`protocol`]
+//! on a TCP socket. In-process threads are the job of
+//! `govscan_exec::pipeline::run`; this crate is that pipeline's ticket
+//! claim one level up, across processes.
 //!
-//! * [`run_local`] / [`run_local_faulty`] — in-process worker threads
-//!   (tests, and the `--distributed` repro path).
-//! * [`Coordinator`] + [`run_worker`] — worker processes speaking the
-//!   length-prefixed [`protocol`] over a local TCP socket, with partial
-//!   datasets carried as `govscan-store` snapshot bytes.
-//!
-//! [`Shard`]: lease::Shard
 //! [`Lease`]: lease::Lease
-//! [`ScanDataset`]: govscan_scanner::ScanDataset
+//! [`SnapshotWriter`]: govscan_store::SnapshotWriter
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,37 +42,28 @@ pub mod lease;
 pub mod protocol;
 pub mod worker;
 
-pub use coordinator::{
-    run_local, run_local_faulty, Coordinator, FaultPlan, OrchestrationReport, OrchestratorConfig,
-};
-pub use lease::{Acquire, CommitOutcome, Lease, LeaseTable, OrchestrationStats, Shard};
+pub use coordinator::{Coordinator, OrchestrationReport, OrchestratorConfig};
+pub use lease::{Acquire, CommitOutcome, Lease, LeaseTable, OrchestrationStats};
 pub use protocol::Message;
-pub use worker::{run_worker, run_worker_faulty, WorkerFaults, WorkerSummary};
+pub use worker::{run_worker, WorkerFaults, WorkerSummary};
 
 /// Everything that can go wrong while orchestrating a distributed scan.
 #[derive(Debug)]
 pub enum OrchestrateError {
     /// Socket / transport failure.
     Io(std::io::Error),
-    /// A partial dataset failed to encode or decode as a snapshot.
+    /// A shard's dataset failed to encode, decode or archive.
     Store(govscan_store::StoreError),
     /// A peer violated the wire protocol (bad tag, wrong echo, …).
     Protocol(String),
-    /// The run ended with shards still uncommitted.
-    Incomplete {
-        /// Shards with a committed result.
-        committed: usize,
-        /// Total shards.
-        shards: usize,
-    },
     /// Every worker connection was lost before the scan completed.
     WorkersLost {
         /// What the coordinator observed.
         detail: String,
     },
-    /// The merged dataset does not cover the host list exactly.
+    /// The archive does not hold the plan's host count.
     Coverage {
-        /// Which host or count mismatched.
+        /// The two counts.
         detail: String,
     },
 }
@@ -84,17 +72,13 @@ impl std::fmt::Display for OrchestrateError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             OrchestrateError::Io(e) => write!(f, "orchestration i/o error: {e}"),
-            OrchestrateError::Store(e) => write!(f, "partial snapshot error: {e}"),
+            OrchestrateError::Store(e) => write!(f, "shard snapshot error: {e}"),
             OrchestrateError::Protocol(what) => write!(f, "protocol violation: {what}"),
-            OrchestrateError::Incomplete { committed, shards } => write!(
-                f,
-                "scan incomplete: {committed} of {shards} shards committed"
-            ),
             OrchestrateError::WorkersLost { detail } => {
                 write!(f, "all workers lost before completion: {detail}")
             }
             OrchestrateError::Coverage { detail } => {
-                write!(f, "merged dataset fails coverage check: {detail}")
+                write!(f, "archive fails coverage check: {detail}")
             }
         }
     }

@@ -2,32 +2,37 @@
 //!
 //! Every message is one **frame**: a `u32` little-endian payload length
 //! followed by the payload. The payload starts with a one-byte tag and
-//! continues with fixed-width little-endian integers; strings and byte
-//! blobs are `u32`-length-prefixed. Partial scan results travel as
-//! `govscan-store` snapshot bytes — the same canonical encoding the
-//! archive uses, which is what makes the end-to-end digest check
-//! meaningful.
+//! continues with fixed-width little-endian integers; byte blobs are
+//! `u32`-length-prefixed. A grant names a shard index and nothing else:
+//! the worker realizes that shard from its own copy of the world plan.
+//! Shard results travel as `govscan-store` snapshot bytes — the same
+//! canonical encoding the archive uses, which is what makes the
+//! end-to-end digest check meaningful.
 //!
 //! ```text
 //! worker → coordinator            coordinator → worker
 //! ───────────────────            ────────────────────
 //! Hello { worker }
-//! Request          ───────────►  Grant { shard, attempt, hostnames }
+//! Request          ───────────►  Grant { shard, attempt }
 //! Result { shard,                 …or Done (nothing left: drain and
 //!          attempt,                  disconnect)
 //!          snapshot }
 //! ```
 //!
 //! A worker loops Request → Grant → Result until the coordinator
-//! answers a Request with `Done`. Dropping the connection at any point
+//! answers a Request with `Done`. Each frame leaves in one write, and
+//! both ends set `TCP_NODELAY`: every exchange is a small message
+//! waiting on a reply, which Nagle's algorithm would otherwise hold
+//! back for the peer's delayed ACK. Dropping the connection at any point
 //! is a legal (crash) exit: the coordinator abandons whatever lease the
 //! connection held.
 
 use std::io::{self, Read, Write};
 
-/// Refuse frames larger than this (a full-run partial snapshot at paper
-/// scale is ~10 MiB; 256 MiB is a generous ceiling that still catches
-/// corrupt length prefixes before they turn into huge allocations).
+/// Refuse frames larger than this (the largest shard's snapshot at
+/// paper scale is a few MiB; 256 MiB is a generous ceiling). A length
+/// prefix under the ceiling still allocates only as its payload
+/// arrives, so a lying prefix costs no more memory than the bytes sent.
 pub const MAX_FRAME: u32 = 256 * 1024 * 1024;
 
 const TAG_HELLO: u8 = 1;
@@ -46,22 +51,20 @@ pub enum Message {
     },
     /// Worker asks for a lease.
     Request,
-    /// Coordinator grants a lease over an explicit hostname list.
+    /// Coordinator grants a lease over one shard of the world plan.
     Grant {
         /// Shard index (echoed back in the Result).
         shard: u64,
         /// Lease attempt (echoed back in the Result).
         attempt: u32,
-        /// The hostnames to scan, in host-list order.
-        hostnames: Vec<String>,
     },
-    /// Worker delivers a shard result as snapshot bytes.
+    /// Worker delivers a shard's scan as snapshot bytes.
     Result {
         /// Shard index from the Grant.
         shard: u64,
         /// Attempt from the Grant.
         attempt: u32,
-        /// `govscan_store::Snapshot::encode` of the partial dataset.
+        /// `govscan_store::Snapshot::encode` of the shard's dataset.
         snapshot: Vec<u8>,
     },
     /// Coordinator: no more work, disconnect cleanly.
@@ -112,10 +115,6 @@ impl<'a> Payload<'a> {
         Ok(self.take(len)?.to_vec())
     }
 
-    fn string(&mut self) -> io::Result<String> {
-        String::from_utf8(self.bytes()?).map_err(|_| bad_frame("non-utf8 string"))
-    }
-
     fn finish(self) -> io::Result<()> {
         if self.rest.is_empty() {
             Ok(())
@@ -131,47 +130,44 @@ fn bad_frame(what: &str) -> io::Error {
 
 /// Serialize `message` as one frame onto `w` (flushing).
 pub fn write_message(w: &mut impl Write, message: &Message) -> io::Result<()> {
-    let mut payload = Vec::new();
+    // The length prefix is patched in below, so the frame leaves in one
+    // write.
+    let mut frame = vec![0u8; 4];
     match message {
         Message::Hello { worker } => {
-            payload.push(TAG_HELLO);
-            put_u64(&mut payload, *worker);
+            frame.push(TAG_HELLO);
+            put_u64(&mut frame, *worker);
         }
-        Message::Request => payload.push(TAG_REQUEST),
-        Message::Grant {
-            shard,
-            attempt,
-            hostnames,
-        } => {
-            payload.push(TAG_GRANT);
-            put_u64(&mut payload, *shard);
-            put_u32(&mut payload, *attempt);
-            put_u32(&mut payload, hostnames.len() as u32);
-            for h in hostnames {
-                put_bytes(&mut payload, h.as_bytes());
-            }
+        Message::Request => frame.push(TAG_REQUEST),
+        Message::Grant { shard, attempt } => {
+            frame.push(TAG_GRANT);
+            put_u64(&mut frame, *shard);
+            put_u32(&mut frame, *attempt);
         }
         Message::Result {
             shard,
             attempt,
             snapshot,
         } => {
-            payload.push(TAG_RESULT);
-            put_u64(&mut payload, *shard);
-            put_u32(&mut payload, *attempt);
-            put_bytes(&mut payload, snapshot);
+            frame.push(TAG_RESULT);
+            put_u64(&mut frame, *shard);
+            put_u32(&mut frame, *attempt);
+            put_bytes(&mut frame, snapshot);
         }
-        Message::Done => payload.push(TAG_DONE),
+        Message::Done => frame.push(TAG_DONE),
     }
-    debug_assert!(payload.len() as u64 <= MAX_FRAME as u64);
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&payload)?;
+    let len = frame.len() - 4;
+    debug_assert!(len as u64 <= MAX_FRAME as u64);
+    frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
-/// Read one frame from `r` and decode it. EOF at a frame boundary
-/// surfaces as `UnexpectedEof`; an oversized length prefix, unknown
-/// tag, or truncated payload as `InvalidData`.
+/// Read one frame from `r` and decode it. EOF at a frame boundary, or a
+/// payload shorter than its length prefix, surfaces as `UnexpectedEof`;
+/// an oversized length prefix, unknown tag, or truncated message as
+/// `InvalidData`. The payload buffer grows with the bytes received, not
+/// with what the prefix promises.
 pub fn read_message(r: &mut impl Read) -> io::Result<Message> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
@@ -182,28 +178,21 @@ pub fn read_message(r: &mut impl Read) -> io::Result<Message> {
     if len > MAX_FRAME {
         return Err(bad_frame("frame exceeds MAX_FRAME"));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::new();
+    r.by_ref().take(u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() != len as usize {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
     let mut p = Payload {
         rest: &payload[1..],
     };
     let message = match payload[0] {
         TAG_HELLO => Message::Hello { worker: p.u64()? },
         TAG_REQUEST => Message::Request,
-        TAG_GRANT => {
-            let shard = p.u64()?;
-            let attempt = p.u32()?;
-            let count = p.u32()? as usize;
-            let mut hostnames = Vec::with_capacity(count.min(1 << 16));
-            for _ in 0..count {
-                hostnames.push(p.string()?);
-            }
-            Message::Grant {
-                shard,
-                attempt,
-                hostnames,
-            }
-        }
+        TAG_GRANT => Message::Grant {
+            shard: p.u64()?,
+            attempt: p.u32()?,
+        },
         TAG_RESULT => Message::Result {
             shard: p.u64()?,
             attempt: p.u32()?,
@@ -235,7 +224,6 @@ mod tests {
         roundtrip(Message::Grant {
             shard: 7,
             attempt: 3,
-            hostnames: vec!["a.gov".into(), "b.gouv.fr".into(), String::new()],
         });
         roundtrip(Message::Result {
             shard: 7,

@@ -10,17 +10,19 @@ use govscan_store::Snapshot;
 use crate::protocol::{read_message, write_message, Message};
 use crate::{OrchestrateError, Result};
 
-/// Fault injection for the fault-recovery test suite. Grants are
-/// counted from 1; a fault fires when the counter reaches the
-/// configured grant.
+/// Faults to inject, keyed by lease: a fault fires in whichever worker
+/// is granted that `(shard, attempt)`, so every worker can carry the
+/// same plan and the fault lands on a grant every run makes, whichever
+/// worker connects first. `(0, 1)` is the table's first grant.
 #[derive(Debug, Default, Clone)]
 pub struct WorkerFaults {
-    /// Crash (drop the connection without a word) upon receiving the
-    /// n-th grant, before scanning it.
-    pub die_after_grant: Option<u64>,
-    /// Sleep this long upon receiving the n-th grant, before scanning —
-    /// long enough and the lease expires under us.
-    pub stall: Option<(u64, Duration)>,
+    /// Crash (drop the connection without a word) upon being granted
+    /// this `(shard, attempt)`, before scanning it.
+    pub death: Option<(usize, u32)>,
+    /// `(shard, attempt, pause)`: sleep this long upon being granted
+    /// that lease, before scanning — long enough and the lease expires
+    /// under us.
+    pub stall: Option<(usize, u32, Duration)>,
 }
 
 /// What a worker did before disconnecting.
@@ -35,20 +37,12 @@ pub struct WorkerSummary {
     pub died: bool,
 }
 
-/// Run a well-behaved worker against the coordinator at `addr`. `scan`
-/// maps a granted hostname slice to its partial dataset — in the repro
-/// bin this is `StudyPipeline::scan_list_with` over a shared context.
-pub fn run_worker<A, F>(addr: A, worker_id: u64, scan: F) -> Result<WorkerSummary>
-where
-    A: ToSocketAddrs,
-    F: FnMut(&[String]) -> ScanDataset,
-{
-    run_worker_faulty(addr, worker_id, scan, &WorkerFaults::default())
-}
-
-/// [`run_worker`] with fault injection. An injected death returns
-/// `Ok` with [`WorkerSummary::died`] set — the "failure" is the point.
-pub fn run_worker_faulty<A, F>(
+/// Run a worker against the coordinator at `addr`. `scan` maps a
+/// granted shard index to that shard's dataset; in the `distributed`
+/// binary it is the streamed pipeline's producer,
+/// `ShardScanner::scan_shard`. An injected death returns `Ok` with
+/// [`WorkerSummary::died`] set — the "failure" is the point.
+pub fn run_worker<A, F>(
     addr: A,
     worker_id: u64,
     mut scan: F,
@@ -56,20 +50,16 @@ pub fn run_worker_faulty<A, F>(
 ) -> Result<WorkerSummary>
 where
     A: ToSocketAddrs,
-    F: FnMut(&[String]) -> ScanDataset,
+    F: FnMut(usize) -> ScanDataset,
 {
     let mut stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
     write_message(&mut stream, &Message::Hello { worker: worker_id })?;
     let mut summary = WorkerSummary::default();
-    let mut grants = 0u64;
     loop {
         write_message(&mut stream, &Message::Request)?;
-        let (shard, attempt, hostnames) = match read_message(&mut stream)? {
-            Message::Grant {
-                shard,
-                attempt,
-                hostnames,
-            } => (shard, attempt, hostnames),
+        let (shard, attempt) = match read_message(&mut stream)? {
+            Message::Grant { shard, attempt } => (shard, attempt),
             Message::Done => return Ok(summary),
             other => {
                 return Err(OrchestrateError::Protocol(format!(
@@ -77,22 +67,20 @@ where
                 )))
             }
         };
-        grants += 1;
-        if faults.die_after_grant == Some(grants) {
+        let lease = (shard as usize, attempt);
+        if faults.death == Some(lease) {
             // Crash: drop the stream on the floor mid-lease. The
             // coordinator sees EOF and abandons the lease.
             summary.died = true;
             return Ok(summary);
         }
-        if let Some((at, pause)) = faults.stall {
-            if at == grants {
-                std::thread::sleep(pause);
-            }
+        if let Some((_, _, pause)) = faults.stall.filter(|&(s, a, _)| (s, a) == lease) {
+            std::thread::sleep(pause);
         }
-        let partial = scan(&hostnames);
-        let snapshot = Snapshot::encode(&partial)?;
+        let dataset = scan(lease.0);
+        let snapshot = Snapshot::encode(&dataset)?;
         summary.shards += 1;
-        summary.hosts += hostnames.len() as u64;
+        summary.hosts += dataset.len() as u64;
         write_message(
             &mut stream,
             &Message::Result {

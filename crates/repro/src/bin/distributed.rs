@@ -1,23 +1,25 @@
-//! Distributed-scan CLI: the §4.2.3 measurement through the
-//! coordinator/worker split, checked against the single-process scan.
+//! Distributed-scan CLI: the streamed pipeline across socket workers on
+//! 127.0.0.1, checked against the single-process streamed run.
 //!
 //! ```text
-//! distributed --workers 4                    in-process lease loop
-//! distributed --workers 2 --socket           real wire protocol on 127.0.0.1
-//! distributed --workers 2 --inject-death     kill worker 0 mid-shard (CI smoke)
-//! distributed --workers 4 --out scan.snap    archive the merged dataset
+//! distributed --workers 4                    lease shards to 4 workers
+//! distributed --workers 2 --inject-death     kill whichever worker draws shard 0 (CI smoke)
+//! distributed --workers 4 --out scan.snap    keep the archive
 //! ```
 //!
-//! Honours `GOVSCAN_SCALE` / `GOVSCAN_SEED`. Exits non-zero if the
-//! merged digest differs from the single-process scan digest.
+//! Honours `GOVSCAN_SCALE` / `GOVSCAN_SEED`, and `GOVSCAN_THREADS` for
+//! the streamed reference run. Exits non-zero if the distributed
+//! archive's digest differs from the streamed run's.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use govscan_repro::distributed::{self, Options};
+use govscan_repro::env_params;
+use govscan_worldgen::WorldConfig;
 
 fn usage() -> ExitCode {
-    eprintln!("usage: distributed [--workers N] [--socket] [--inject-death] [--out <path>]");
+    eprintln!("usage: distributed [--workers N] [--inject-death] [--out <path>]");
     ExitCode::from(2)
 }
 
@@ -25,7 +27,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut opts = Options {
         workers: 2,
-        socket: false,
         inject_death: false,
         out: None,
     };
@@ -38,10 +39,6 @@ fn main() -> ExitCode {
                 };
                 opts.workers = n;
                 i += 2;
-            }
-            "--socket" => {
-                opts.socket = true;
-                i += 1;
             }
             "--inject-death" => {
                 opts.inject_death = true;
@@ -57,10 +54,13 @@ fn main() -> ExitCode {
             _ => return usage(),
         }
     }
-    match distributed::run(&opts) {
+    let (seed, scale) = env_params();
+    let mut config = WorldConfig::paper_scale(seed);
+    config.scale = scale;
+    match distributed::run(&config, &opts) {
         Ok(report) => {
             println!("== distributed scan ==");
-            println!("{report}");
+            print!("{report}");
             ExitCode::SUCCESS
         }
         Err(e) => {

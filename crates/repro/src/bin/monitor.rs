@@ -10,11 +10,11 @@
 //! evolving world, rescanning incrementally and (with `--out-dir`)
 //! writing `epoch-0.snap` + `epoch-<k>.dlt` per epoch. `--self-check`
 //! proves each epoch's incremental scan digest-identical to full
-//! rescans at one and at `GOVSCAN_MONITOR_THREADS` workers, and the
-//! on-disk chain identical to the final archive.
+//! rescans (the same scan with no previous epoch) at one and at
+//! `GOVSCAN_THREADS` workers, and the on-disk chain identical to the
+//! final archive.
 //!
-//! Honours `GOVSCAN_SCALE`, `GOVSCAN_SEED`, and
-//! `GOVSCAN_MONITOR_THREADS` (then `GOVSCAN_THREADS`).
+//! Honours `GOVSCAN_SCALE`, `GOVSCAN_SEED` and `GOVSCAN_THREADS`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -50,7 +50,7 @@ fn main() -> ExitCode {
     }
 
     let (seed, scale) = env_params();
-    let threads = govscan_exec::resolve_threads("GOVSCAN_MONITOR_THREADS");
+    let threads = govscan_exec::resolve_threads("GOVSCAN_THREADS");
     let mut world = WorldConfig::paper_scale(seed);
     world.scale = scale;
     eprintln!(

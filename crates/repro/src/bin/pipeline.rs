@@ -7,14 +7,14 @@
 //! ```
 //!
 //! The receipt line carries hosts/s, the writer's peak pooled bytes and
-//! the process's peak RSS. Honours `GOVSCAN_SEED` and
-//! `GOVSCAN_PIPELINE_THREADS` (then `GOVSCAN_THREADS`).
+//! the process's peak RSS. Honours `GOVSCAN_SEED` and, for the producer
+//! pool, `GOVSCAN_THREADS`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use govscan_repro::env_params;
-use govscan_repro::pipeline::{materialize_scan_archive, pipeline_threads, stream_scan_archive};
+use govscan_repro::pipeline::{materialize_scan_archive, stream_scan_archive};
 use govscan_worldgen::WorldConfig;
 
 fn usage() -> ExitCode {
@@ -50,7 +50,7 @@ fn main() -> ExitCode {
     let mut config = WorldConfig::paper_scale(seed);
     config.scale = scale;
 
-    let threads = pipeline_threads();
+    let threads = govscan_exec::resolve_threads("GOVSCAN_THREADS");
     eprintln!("[pipeline] seed={seed} scale={scale} window={window} threads={threads}");
 
     let report = match stream_scan_archive(&config, &out, window, threads) {

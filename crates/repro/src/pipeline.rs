@@ -21,17 +21,15 @@ use std::io::{BufWriter, Seek};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use govscan_net::TlsClientConfig;
-use govscan_pki::trust::TrustStoreProfile;
-use govscan_scanner::{ListScanner, ScanContext, StudyPipeline};
+use govscan_pki::Time;
+use govscan_scanner::{ShardScanner, StudyPipeline};
 use govscan_store::{Snapshot, SnapshotWriter, StoreError};
-use govscan_worldgen::hosting::provider_table;
 use govscan_worldgen::{stream_shards, World, WorldConfig};
 
 /// The receipt of one pipeline arm: what was archived and what it cost.
 #[derive(Debug)]
 pub struct PipelineReport {
-    /// `"streamed"` or `"materialized"`.
+    /// `"streamed"`, `"materialized"` or `"distributed"`.
     pub mode: &'static str,
     /// Hosts archived.
     pub hosts: u64,
@@ -41,7 +39,8 @@ pub struct PipelineReport {
     pub digest: String,
     /// Wall-clock for the whole arm.
     pub elapsed: Duration,
-    /// Peak writer pool footprint observed (streamed arm only).
+    /// Peak writer pool footprint observed (0 for the materialized arm,
+    /// which writes in one pass).
     pub peak_pooled_bytes: usize,
 }
 
@@ -77,12 +76,6 @@ pub fn peak_rss_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// Worker threads for the streamed pipeline: `GOVSCAN_PIPELINE_THREADS`,
-/// then `GOVSCAN_THREADS`, then the machine default (capped at 8).
-pub fn pipeline_threads() -> usize {
-    govscan_exec::resolve_threads("GOVSCAN_PIPELINE_THREADS")
-}
-
 /// Streamed arm: plan once, then realize → scan → append one country
 /// shard at a time, with at most `shard_window` scanned-but-unarchived
 /// shards in flight (backpressure, not queues — see
@@ -98,56 +91,52 @@ pub fn stream_scan_archive(
 ) -> Result<PipelineReport, StoreError> {
     let start = Instant::now();
     let plan = stream_shards(config);
-    let scanner = ListScanner::new(plan.tranco(), plan.scan_time());
-    let providers = provider_table();
-    let trust = plan.cadb().trust_store(TrustStoreProfile::Apple);
-    let ev = plan.cadb().ev_registry();
-
-    let file = File::create(out)?;
-    let mut writer = SnapshotWriter::new(BufWriter::new(file), Some(plan.scan_time()))?;
-    let mut peak_pooled = 0usize;
-    govscan_exec::pipeline::run(
-        threads,
-        plan.shard_count(),
-        shard_window,
-        |i| {
-            // Produce: realize the shard and scan it against its own
-            // net. The context (and its verdict cache) is per-shard;
-            // the cache is observationally transparent, so per-shard
-            // caches scan identically to one warm global cache.
-            let shard = plan.realize_shard(i);
-            let ctx = ScanContext::new(
-                &shard.net,
-                trust,
-                ev,
-                &providers,
-                plan.scan_time(),
-                TlsClientConfig::default(),
-            );
-            scanner.scan_list_with(&ctx, &shard.hostnames)
-        },
-        |_, dataset| {
+    let scanner = ShardScanner::new(&plan, plan.scan_time());
+    let (report, ()) = write_archive("streamed", out, plan.scan_time(), start, |writer| {
+        govscan_exec::pipeline::run(
+            threads,
+            plan.shard_count(),
+            shard_window,
+            |i| scanner.scan_shard(i),
             // Consume (in shard order): append to the archive. The shard
             // and its net are dropped here — only the writer's pools
             // persist across shards.
-            writer.append_records(dataset.records())?;
-            peak_pooled = peak_pooled.max(writer.pooled_bytes());
-            Ok::<(), StoreError>(())
-        },
-    )?;
-    let hosts = writer.host_count();
-    let mut file = writer.finish()?;
-    let bytes = file.stream_position()?;
-    drop(file);
+            |_, dataset| writer.append_records(dataset.records()),
+        )
+    })?;
+    Ok(report)
+}
 
-    Ok(PipelineReport {
-        mode: "streamed",
+/// Archive at `out` what `fill` appends to a writer stamped with
+/// `scan_time`, then finish the archive and read its digest back from
+/// disk. `start` is when the arm began, for the receipt's wall-clock;
+/// `fill`'s own result rides along with the receipt.
+pub(crate) fn write_archive<T, E: From<StoreError>>(
+    mode: &'static str,
+    out: &Path,
+    scan_time: Time,
+    start: Instant,
+    fill: impl FnOnce(&mut SnapshotWriter<BufWriter<File>>) -> Result<T, E>,
+) -> Result<(PipelineReport, T), E> {
+    let file = File::create(out).map_err(StoreError::from)?;
+    let mut writer = SnapshotWriter::new(BufWriter::new(file), Some(scan_time))?;
+    let filled = fill(&mut writer)?;
+    let hosts = writer.host_count();
+    // The pools only grow, so their size at the end is their peak.
+    let peak_pooled_bytes = writer.pooled_bytes();
+    let bytes = writer
+        .finish()?
+        .stream_position()
+        .map_err(StoreError::from)?;
+    let report = PipelineReport {
+        mode,
         hosts,
         bytes,
         digest: Snapshot::open(out)?.digest().to_hex(),
         elapsed: start.elapsed(),
-        peak_pooled_bytes: peak_pooled,
-    })
+        peak_pooled_bytes,
+    };
+    Ok((report, filled))
 }
 
 /// Reference arm: materialize the full [`World`], scan the same

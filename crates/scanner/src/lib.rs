@@ -15,7 +15,9 @@
 //!    CAA lookup, and hosting attribution; failures are classified into
 //!    exactly the Table 2 taxonomy.
 //! 6. [`pipeline`] — the end-to-end study driver producing a
-//!    [`dataset::ScanDataset`].
+//!    [`dataset::ScanDataset`], and [`ShardScanner`], the one scan step
+//!    over a planned world's shards (streamed pipeline, monitor epochs,
+//!    distributed workers).
 //! 7. [`incremental`] — rescan planning for the longitudinal monitor:
 //!    probe only hosts whose measurement could have changed since the
 //!    previous epoch, splice the rest forward.
@@ -45,5 +47,5 @@ pub use filter::GovFilter;
 pub use incremental::{
     plan_rescan, Decision, IncrementalPlan, IncrementalPolicy, IncrementalStats, SelectReason,
 };
-pub use pipeline::{Discovery, ListScanner, StudyOutput, StudyPipeline};
+pub use pipeline::{Discovery, ListScanner, ShardScanner, StudyOutput, StudyPipeline};
 pub use probe::{scan_host, scan_hosts, ScanContext};

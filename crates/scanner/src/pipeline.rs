@@ -4,9 +4,11 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 
-use govscan_net::TlsClientConfig;
+use govscan_net::{CidrTable, SimNet, TlsClientConfig};
 use govscan_pki::trust::TrustStoreProfile;
-use govscan_worldgen::{Posture, RankingList, World};
+use govscan_pki::Time;
+use govscan_worldgen::hosting::provider_table;
+use govscan_worldgen::{Posture, RankingList, StreamPlan, World};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -33,10 +35,11 @@ pub struct StudyOutput {
 }
 
 /// The discovery half of the methodology (§4.1–§4.2): everything up to
-/// — but not including — the measurement scan. Splitting here is what
-/// lets `govscan-orchestrate` distribute the scan: discovery runs once
-/// on the coordinator, the [`Discovery::final_list`] is sharded out,
-/// and each worker scans its shards with [`StudyPipeline::scan_list_with`].
+/// — but not including — the measurement scan, which
+/// [`StudyPipeline::run`] then makes over [`Discovery::final_list`].
+/// Discovery needs the materialized [`World`]; the streamed, monitored
+/// and distributed scans skip it and cover the planned population
+/// through [`ShardScanner`] instead.
 pub struct Discovery {
     /// The §4.1 seed list.
     pub seed_list: Vec<String>,
@@ -56,18 +59,18 @@ pub struct Discovery {
 /// [`ScanContext`]: the government filter, a hostname → rank index over
 /// the authoritative ranking list (a hash lookup, replacing the linear
 /// `RankingList::rank_of` scan that made per-record annotation O(list)
-/// at paper scale), and the scan time. The streamed pipeline builds one
-/// from [`govscan_worldgen::StreamPlan::tranco`] and scans shard after
-/// shard through it; [`StudyPipeline::scan_list_with`] delegates here.
+/// at paper scale), and the scan time. [`ShardScanner`] builds one from
+/// [`StreamPlan::tranco`] and scans shard after shard through it;
+/// [`StudyPipeline::scan_list_with`] delegates here.
 pub struct ListScanner {
     filter: GovFilter,
     ranks: HashMap<String, u32>,
-    scan_time: govscan_pki::Time,
+    scan_time: Time,
 }
 
 impl ListScanner {
     /// A scanner annotating from `tranco` at `scan_time`.
-    pub fn new(tranco: &RankingList, scan_time: govscan_pki::Time) -> ListScanner {
+    pub fn new(tranco: &RankingList, scan_time: Time) -> ListScanner {
         let mut ranks = HashMap::with_capacity(tranco.entries.len());
         for e in &tranco.entries {
             // Entries are rank-sorted; keeping the first occurrence
@@ -94,12 +97,67 @@ impl ListScanner {
     }
 }
 
+/// Scans the realized shards of a planned world: the one scan step of
+/// the streamed pipeline's producer, of both monitor epoch arms and of
+/// every distributed worker.
+///
+/// Holds the setup those share: the plan's Apple trust store and EV
+/// registry, the hosting-provider table, and a [`ListScanner`] over the
+/// plan's Tranco list for annotation. Each [`Self::scan`] builds a fresh
+/// [`ScanContext`] with the default TLS client, so a shard's verdict
+/// cache lives and dies with the shard; the cache is observationally
+/// transparent, so per-shard caches scan identically to one warm global
+/// cache.
+pub struct ShardScanner<'p> {
+    plan: &'p StreamPlan,
+    annotate: ListScanner,
+    providers: CidrTable<(&'static str, bool)>,
+    scan_time: Time,
+}
+
+impl<'p> ShardScanner<'p> {
+    /// A scanner over `plan`'s shards at `scan_time`: the plan's own
+    /// [`StreamPlan::scan_time`] for the base world, an epoch's time for
+    /// the monitor.
+    pub fn new(plan: &'p StreamPlan, scan_time: Time) -> ShardScanner<'p> {
+        ShardScanner {
+            plan,
+            annotate: ListScanner::new(plan.tranco(), scan_time),
+            providers: provider_table(),
+            scan_time,
+        }
+    }
+
+    /// Scan `hostnames` against `net`, a realized shard or a realized
+    /// subset of one.
+    pub fn scan(&self, net: &SimNet, hostnames: &[String]) -> ScanDataset {
+        let cadb = self.plan.cadb();
+        let ctx = ScanContext::new(
+            net,
+            cadb.trust_store(TrustStoreProfile::Apple),
+            cadb.ev_registry(),
+            &self.providers,
+            self.scan_time,
+            TlsClientConfig::default(),
+        );
+        self.annotate.scan_list_with(&ctx, hostnames)
+    }
+
+    /// Realize shard `i` of the plan's base world and scan it: the
+    /// streamed pipeline's producer, which a distributed worker also runs
+    /// on every shard it is leased.
+    pub fn scan_shard(&self, i: usize) -> ScanDataset {
+        let shard = self.plan.realize_shard(i);
+        self.scan(&shard.net, &shard.hostnames)
+    }
+}
+
 /// Drives the full §4 methodology against a generated world.
 pub struct StudyPipeline<'w> {
     world: &'w World,
     filter: GovFilter,
     trust_profile: TrustStoreProfile,
-    scan_time: govscan_pki::Time,
+    scan_time: Time,
     scanner: OnceLock<ListScanner>,
 }
 
@@ -118,7 +176,7 @@ impl<'w> StudyPipeline<'w> {
 
     /// Scan at a different date (the §7.2.2 follow-up ran two months
     /// after the original snapshot).
-    pub fn with_scan_time(mut self, at: govscan_pki::Time) -> Self {
+    pub fn with_scan_time(mut self, at: Time) -> Self {
         self.scan_time = at;
         self.scanner = OnceLock::new();
         self
@@ -151,10 +209,8 @@ impl<'w> StudyPipeline<'w> {
         self.scan_list_with(&self.context(), hostnames)
     }
 
-    /// [`Self::scan_list`] against a caller-held context — the shardable
-    /// entry point. A distributed worker builds one context up front and
-    /// scans every shard it is leased through it, so the chain-verdict
-    /// cache warms across shards instead of restarting per shard.
+    /// [`Self::scan_list`] against a caller-held context, so several
+    /// lists scanned through one context share its chain-verdict cache.
     /// Delegates to a lazily built (and then reused) [`ListScanner`]
     /// over the world's tranco list.
     pub fn scan_list_with(&self, ctx: &ScanContext<'w>, hostnames: &[String]) -> ScanDataset {

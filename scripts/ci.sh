@@ -43,12 +43,13 @@ pipedir="$(mktemp -d)"
 run cargo run --offline -q -p govscan-repro --bin pipeline -- \
   --scale 0.02 --shard-window 2 --out "$pipedir/smoke.snap" --self-check
 rm -rf "$pipedir"
-# Distributed-scan smoke: 2 workers over the real socket protocol with
-# worker 0 killed on its first shard; the binary exits non-zero unless
-# the lease-recovered, merged dataset's digest equals the
-# single-process scan's.
+# Distributed-scan smoke: the streamed pipeline across 2 socket workers,
+# with whichever worker draws shard 0's first lease killed holding it;
+# the binary exits non-zero unless the lease-recovered archive's digest
+# equals a streamed run's (545fc283… at this scale and the default
+# seed, the pipeline smoke's).
 run env GOVSCAN_SCALE=0.02 cargo run --offline -q -p govscan-repro --bin distributed -- \
-  --workers 2 --socket --inject-death
+  --workers 2 --inject-death
 # Longitudinal-monitor smoke: baseline + 4 weekly epochs of the
 # evolving world; --self-check digest-proves every epoch's incremental
 # scan against full rescans at one and at N threads, round-trips each
