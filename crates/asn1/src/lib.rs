@@ -12,7 +12,13 @@
 //! Design notes:
 //!
 //! - **Definite lengths only** (DER forbids indefinite lengths).
-//! - The reader is zero-copy: it hands out sub-slices of the input buffer.
+//! - The reader is zero-copy: it hands out sub-slices of the input buffer,
+//!   and [`DerReader::finish`] lets a decoder require that a SEQUENCE or
+//!   SET ends exactly where its last field does.
+//! - The writer keeps one buffer: a constructed element writes its content
+//!   in place after a length placeholder and backpatches the length when
+//!   it closes, and OIDs and times are written in place, so encoding a
+//!   whole structure allocates only that buffer.
 //! - Encoding is canonical: minimal length octets, minimal integer
 //!   encodings, and UTCTime for years 1950–2049 / GeneralizedTime outside
 //!   that window, per RFC 5280 §4.1.2.5.

@@ -36,12 +36,16 @@ impl Oid {
     /// Encode to DER content octets (the bytes inside the OID TLV).
     pub fn to_der_content(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.0.len() + 1);
-        let first = self.0[0] * 40 + self.0[1];
-        encode_base128(first, &mut out);
-        for &arc in &self.0[2..] {
-            encode_base128(arc, &mut out);
-        }
+        self.write_der_content(&mut out);
         out
+    }
+
+    /// [`Self::to_der_content`], appended to `out` in place.
+    pub(crate) fn write_der_content(&self, out: &mut Vec<u8>) {
+        encode_base128(self.0[0] * 40 + self.0[1], out);
+        for &arc in &self.0[2..] {
+            encode_base128(arc, out);
+        }
     }
 
     /// Decode from DER content octets.
@@ -88,6 +92,28 @@ impl Oid {
         }
         Ok(Oid(arcs))
     }
+}
+
+/// Append the DER content octets of the dotted OID `dotted` to `out`,
+/// parsing it arc by arc as it goes: the same bytes as
+/// `Oid::parse(dotted)?.to_der_content()`, with no allocation. On an
+/// error `out` may hold a partial encoding.
+pub(crate) fn write_dotted_der_content(dotted: &str, out: &mut Vec<u8>) -> Result<()> {
+    let mut arcs = dotted
+        .split('.')
+        .map(|p| p.parse::<u64>().map_err(|_| Asn1Error::BadOid));
+    let (first, second) = match (arcs.next(), arcs.next()) {
+        (Some(first), Some(second)) => (first?, second?),
+        _ => return Err(Asn1Error::BadOid),
+    };
+    if first > 2 || (first < 2 && second > 39) {
+        return Err(Asn1Error::BadOid);
+    }
+    encode_base128(first * 40 + second, out);
+    for arc in arcs {
+        encode_base128(arc?, out);
+    }
+    Ok(())
 }
 
 fn encode_base128(mut value: u64, out: &mut Vec<u8>) {
@@ -188,6 +214,28 @@ mod tests {
             Oid::from_der_content(&[0xaa]).is_err(),
             "dangling continuation bit"
         );
+    }
+
+    #[test]
+    fn dotted_writer_matches_parse_then_encode() {
+        for s in [
+            "1.2.840.113549.1.1.11",
+            "2.5.29.17",
+            "0.39",
+            "2.999",
+            "2.25.18446744073709551615",
+        ] {
+            let mut out = Vec::new();
+            write_dotted_der_content(s, &mut out).unwrap();
+            assert_eq!(out, Oid::parse(s).unwrap().to_der_content(), "{s}");
+        }
+        for bad in ["", "1", "3.1", "1.40", "1.2.x", "1..2"] {
+            assert_eq!(
+                write_dotted_der_content(bad, &mut Vec::new()),
+                Err(Asn1Error::BadOid),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]

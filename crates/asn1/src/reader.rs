@@ -27,6 +27,16 @@ impl<'a> DerReader<'a> {
         self.pos >= self.data.len()
     }
 
+    /// Require that every byte has been consumed: a SEQUENCE or SET
+    /// read into this reader must end exactly where its last field does.
+    pub fn finish(&self) -> Result<()> {
+        if self.is_empty() {
+            Ok(())
+        } else {
+            Err(Asn1Error::TrailingData)
+        }
+    }
+
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> &'a [u8] {
         &self.data[self.pos..]
@@ -316,6 +326,21 @@ mod tests {
         let mut r = DerReader::new(&der);
         let raw = r.read_raw_tlv().unwrap();
         assert_eq!(raw, &der[..]);
+    }
+
+    #[test]
+    fn finish_rejects_unread_bytes() {
+        let mut w = DerWriter::new();
+        w.sequence(|w| {
+            w.integer_i64(1);
+            w.null();
+        });
+        let der = w.finish();
+        let mut seq = DerReader::new(&der).sequence().unwrap();
+        assert_eq!(seq.integer_i64().unwrap(), 1);
+        assert_eq!(seq.finish(), Err(Asn1Error::TrailingData));
+        seq.null().unwrap();
+        assert_eq!(seq.finish(), Ok(()));
     }
 
     #[test]

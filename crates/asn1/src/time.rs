@@ -101,9 +101,26 @@ impl Time {
     /// years 1950–2049 and GeneralizedTime (`YYYYMMDDHHMMSSZ`) otherwise,
     /// per RFC 5280. Returns `(is_generalized, bytes)`.
     pub fn to_der_content(self) -> (bool, Vec<u8>) {
+        let mut out = Vec::with_capacity(15);
+        let generalized = self.write_der_content(&mut out);
+        (generalized, out)
+    }
+
+    /// [`Self::to_der_content`], appended to `out` in place; returns
+    /// whether the encoding is a GeneralizedTime.
+    pub(crate) fn write_der_content(self, out: &mut Vec<u8>) -> bool {
+        use std::io::Write;
         let dt = self.to_datetime();
-        if (1950..2050).contains(&dt.year) {
-            let s = format!(
+        let generalized = !(1950..2050).contains(&dt.year);
+        let written = if generalized {
+            write!(
+                out,
+                "{:04}{:02}{:02}{:02}{:02}{:02}Z",
+                dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second
+            )
+        } else {
+            write!(
+                out,
                 "{:02}{:02}{:02}{:02}{:02}{:02}Z",
                 dt.year % 100,
                 dt.month,
@@ -111,15 +128,10 @@ impl Time {
                 dt.hour,
                 dt.minute,
                 dt.second
-            );
-            (false, s.into_bytes())
-        } else {
-            let s = format!(
-                "{:04}{:02}{:02}{:02}{:02}{:02}Z",
-                dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second
-            );
-            (true, s.into_bytes())
-        }
+            )
+        };
+        written.expect("writing to a Vec cannot fail");
+        generalized
     }
 
     /// Decode from DER content octets of a UTCTime or GeneralizedTime.

@@ -114,13 +114,12 @@ impl CertificateAuthority {
                 ..Default::default()
             },
         };
-        let signature = govscan_crypto::sign(&key, policy.signature_alg, &tbs.to_der())
-            .expect("root key compatible with its own policy");
+        let cert = Certificate::sign(tbs, &key).expect("root key compatible with its own policy");
         CertificateAuthority {
             name,
             key,
             policy,
-            cert: Certificate::new(tbs, signature),
+            cert,
             ev_policy: None,
             next_serial: 2,
         }
@@ -152,18 +151,17 @@ impl CertificateAuthority {
                     ..Default::default()
                 }),
                 subject_key_id: Some(ski(&key.public())),
-                authority_key_id: parent.cert.tbs.extensions.subject_key_id.clone(),
+                authority_key_id: parent.cert.tbs().extensions.subject_key_id.clone(),
                 ..Default::default()
             },
         };
-        let signature =
-            govscan_crypto::sign(&parent.key, parent.policy.signature_alg, &tbs.to_der())
-                .expect("parent key compatible with parent policy");
+        let cert =
+            Certificate::sign(tbs, &parent.key).expect("parent key compatible with parent policy");
         CertificateAuthority {
             name,
             key,
             policy,
-            cert: Certificate::new(tbs, signature),
+            cert,
             ev_policy: None,
             next_serial: 1,
         }
@@ -255,12 +253,10 @@ impl CertificateAuthority {
                 }),
                 policies: profile.policies.clone(),
                 subject_key_id: Some(ski(&profile.public_key)),
-                authority_key_id: self.cert.tbs.extensions.subject_key_id.clone(),
+                authority_key_id: self.cert.tbs().extensions.subject_key_id.clone(),
             },
         };
-        let signature = govscan_crypto::sign(&self.key, self.policy.signature_alg, &tbs.to_der())
-            .expect("CA key compatible with policy");
-        Certificate::new(tbs, signature)
+        Certificate::sign(tbs, &self.key).expect("CA key compatible with policy")
     }
 }
 
@@ -380,9 +376,7 @@ pub fn self_signed(
             ..Default::default()
         },
     };
-    let signature =
-        govscan_crypto::sign(key, signature_alg, &tbs.to_der()).expect("compatible key");
-    Certificate::new(tbs, signature)
+    Certificate::sign(tbs, key).expect("compatible key")
 }
 
 #[cfg(test)]
@@ -428,8 +422,8 @@ mod tests {
         assert!(inter.cert.is_ca());
         assert!(!inter.cert.is_self_signed());
         assert_eq!(
-            inter.cert.tbs.extensions.authority_key_id,
-            r.cert.tbs.extensions.subject_key_id
+            inter.cert.tbs().extensions.authority_key_id,
+            r.cert.tbs().extensions.subject_key_id
         );
     }
 
@@ -445,7 +439,7 @@ mod tests {
         assert!(cert.verify_signature(&ca.key.public()));
         assert!(!cert.is_ca());
         assert_eq!(cert.dns_names(), vec!["www.example.gov"]);
-        assert_eq!(cert.tbs.validity.days(), 398);
+        assert_eq!(cert.tbs().validity.days(), 398);
     }
 
     #[test]
@@ -455,7 +449,7 @@ mod tests {
         let t = Time::from_ymd(2020, 1, 1);
         let a = ca.issue(&LeafProfile::dv("a.gov", k.public(), t));
         let b = ca.issue(&LeafProfile::dv("b.gov", k.public(), t));
-        assert_ne!(a.tbs.serial, b.tbs.serial);
+        assert_ne!(a.tbs().serial, b.tbs().serial);
     }
 
     #[test]
@@ -470,7 +464,7 @@ mod tests {
         let b = ca.issue_deterministic(&p_b);
         let a2 = ca.issue_deterministic(&p_a);
         assert_eq!(a1.to_der(), a2.to_der());
-        assert_ne!(a1.tbs.serial, b.tbs.serial);
+        assert_ne!(a1.tbs().serial, b.tbs().serial);
         assert!(a1.verify_signature(&ca.key.public()));
         // The serial override (reuse pathology) still wins.
         let mut p_o = LeafProfile::dv("a.gov", k.public(), t);
@@ -478,7 +472,7 @@ mod tests {
         assert_eq!(ca.issue_deterministic(&p_o).serial_hex(), "cafe");
         // Counter-based issuance is untouched by deterministic calls.
         let counter = ca.issue(&p_a);
-        assert_eq!(counter.tbs.serial, vec![2]);
+        assert_eq!(counter.tbs().serial, vec![2]);
     }
 
     #[test]
@@ -492,7 +486,7 @@ mod tests {
         p2.serial = Some(vec![0xca, 0xfe]);
         let a = ca.issue(&p1);
         let b = ca.issue(&p2);
-        assert_eq!(a.tbs.serial, b.tbs.serial);
+        assert_eq!(a.tbs().serial, b.tbs().serial);
         assert_eq!(a.serial_hex(), "cafe");
     }
 
@@ -503,7 +497,7 @@ mod tests {
         let mut p = LeafProfile::dv("x.gov", k.public(), Time::from_ymd(2020, 1, 1));
         p.validity_days = Some(3650); // one of the paper's 10-year certs
         let cert = ca.issue(&p);
-        assert_eq!(cert.tbs.validity.days(), 3650);
+        assert_eq!(cert.tbs().validity.days(), 3650);
     }
 
     #[test]
@@ -518,7 +512,7 @@ mod tests {
         );
         assert!(cert.is_self_signed());
         assert_eq!(cert.dns_names(), vec!["localhost"]);
-        assert!(cert.signature.algorithm.hash().is_weak());
+        assert!(cert.signature().algorithm.hash().is_weak());
     }
 
     #[test]
@@ -589,7 +583,7 @@ mod tests {
         ));
         assert!(cert.verify_signature(&ca.key.public()));
         assert_eq!(
-            cert.signature.algorithm,
+            cert.signature().algorithm,
             SignatureAlgorithm::EcdsaWithSha384
         );
     }

@@ -1,9 +1,11 @@
 //! X.509 certificates: the typed model and its DER encoding.
 
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
-use govscan_asn1::{Asn1Error, DerReader, DerWriter, Oid, Result, Tag, Time};
-use govscan_crypto::{hex, Fingerprint, KeyAlgorithm, PublicKey, Sha256};
+use govscan_asn1::{Asn1Error, DerReader, DerWriter, Result, Tag, Time};
+use govscan_crypto::sign::SignError;
+use govscan_crypto::{hex, Fingerprint, KeyAlgorithm, KeyPair, PublicKey, Sha256};
 use govscan_crypto::{Digest, Signature, SignatureAlgorithm};
 
 use crate::extensions::Extensions;
@@ -51,35 +53,39 @@ pub struct TbsCertificate {
     pub extensions: Extensions,
 }
 
-/// Lazily computed derived forms of a certificate. Shared across clones
-/// via `Arc`: a chain cloned into a TLS session reuses the DER and
-/// fingerprint its origin already paid for.
-#[derive(Default)]
-struct CertCache {
-    der: OnceLock<Box<[u8]>>,
-    fingerprint: OnceLock<Fingerprint>,
-}
+/// Initial buffer size for one certificate's DER: a typical leaf fits,
+/// so encoding it grows the buffer at most once.
+const DER_CAPACITY: usize = 640;
 
 /// A complete certificate: TBS + signature.
 ///
-/// Logically immutable once built: [`Certificate::to_der`] and
-/// [`Certificate::fingerprint`] memoize their results, so mutating
-/// `tbs` or `signature` *after* calling either would leave the caches
-/// stale. Build a fresh `Certificate` (via [`Certificate::new`]) from
-/// modified parts instead of editing in place.
+/// Immutable. The fields sit behind one `Arc`, so a clone (a chain
+/// copied into a TLS session, a path built by the validator) only bumps
+/// a reference count. The DER is encoded once, when the certificate is
+/// built ([`Certificate::sign`], [`Certificate::new`]); the TBS bytes
+/// inside it are exactly the bytes the signature was made over, and
+/// [`Certificate::to_der`], [`Certificate::fingerprint`] and every
+/// signature check reuse them. To change a field, clone the parts
+/// ([`Certificate::tbs`], [`Certificate::signature`]) and build a new
+/// certificate from them.
 #[derive(Clone)]
-pub struct Certificate {
-    /// The signed fields.
-    pub tbs: TbsCertificate,
-    /// Signature over the DER encoding of `tbs`.
-    pub signature: Signature,
-    cache: Arc<CertCache>,
+pub struct Certificate(Arc<Body>);
+
+struct Body {
+    tbs: TbsCertificate,
+    signature: Signature,
+    /// The full DER encoding.
+    der: Box<[u8]>,
+    /// Where the TBSCertificate's encoding sits inside `der`.
+    tbs_der: Range<usize>,
+    fingerprint: OnceLock<Fingerprint>,
 }
 
 impl PartialEq for Certificate {
     fn eq(&self, other: &Self) -> bool {
-        // The cache is derived state and never participates in identity.
-        self.tbs == other.tbs && self.signature == other.signature
+        // The encoding is derived state and never participates in identity.
+        Arc::ptr_eq(&self.0, &other.0)
+            || (self.0.tbs == other.0.tbs && self.0.signature == other.0.signature)
     }
 }
 
@@ -88,8 +94,8 @@ impl Eq for Certificate {}
 impl std::fmt::Debug for Certificate {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Certificate")
-            .field("tbs", &self.tbs)
-            .field("signature", &self.signature)
+            .field("tbs", &self.0.tbs)
+            .field("signature", &self.0.signature)
             .finish()
     }
 }
@@ -118,7 +124,7 @@ impl TbsCertificate {
     /// DER-encode the TBSCertificate. The validator verifies signatures
     /// over exactly these bytes.
     pub fn to_der(&self) -> Vec<u8> {
-        let mut w = DerWriter::new();
+        let mut w = DerWriter::with_capacity(DER_CAPACITY);
         self.encode(&mut w);
         w.finish()
     }
@@ -146,25 +152,25 @@ impl TbsCertificate {
         w.sequence(|w| {
             w.sequence(|w| match self.public_key.algorithm {
                 KeyAlgorithm::Rsa(_) => {
-                    w.oid(&oids::oid(oids::ALG_RSA));
+                    w.oid_dotted(oids::ALG_RSA);
                     w.null();
                 }
                 KeyAlgorithm::Ec(bits) => {
-                    w.oid(&oids::oid(oids::ALG_EC));
+                    w.oid_dotted(oids::ALG_EC);
                     match curve_oid(bits) {
-                        Some(c) => w.oid(&Oid::parse(c).expect("static")),
+                        Some(c) => w.oid_dotted(c),
                         None => w.null(), // non-standard curve size
                     }
                 }
             });
             // The bit string wraps (bits, key-bytes) so size metadata
             // survives a DER round trip for both families.
-            let mut inner = DerWriter::new();
-            inner.sequence(|w| {
-                w.integer_i64(self.public_key.algorithm.bits() as i64);
-                w.octet_string(&self.public_key.bytes);
+            w.bit_string_with(|w| {
+                w.sequence(|w| {
+                    w.integer_i64(self.public_key.algorithm.bits() as i64);
+                    w.octet_string(&self.public_key.bytes);
+                })
             });
-            w.bit_string(&inner.finish());
         });
     }
 
@@ -172,6 +178,7 @@ impl TbsCertificate {
         let mut tbs = r.sequence()?;
         let mut version = tbs.context(0)?;
         let v = version.integer_i64()?;
+        version.finish()?;
         if v != 2 {
             return Err(Asn1Error::BadValue("only v3 certificates supported"));
         }
@@ -181,14 +188,18 @@ impl TbsCertificate {
         let mut validity = tbs.sequence()?;
         let not_before = validity.time()?;
         let not_after = validity.time()?;
+        validity.finish()?;
         let subject = DistinguishedName::decode(&mut tbs)?;
         let public_key = Self::decode_spki(&mut tbs)?;
         let extensions = if tbs.peek_tag() == Some(Tag::context(3)) {
             let mut ext = tbs.context(3)?;
-            Extensions::decode(&mut ext)?
+            let extensions = Extensions::decode(&mut ext)?;
+            ext.finish()?;
+            extensions
         } else {
             Extensions::default()
         };
+        tbs.finish()?;
         Ok(TbsCertificate {
             serial,
             signature_alg,
@@ -223,11 +234,15 @@ impl TbsCertificate {
             }
             _ => return Err(Asn1Error::BadValue("unknown SPKI algorithm")),
         };
+        alg.finish()?;
         let (_unused, key_der) = spki.bit_string()?;
+        spki.finish()?;
         let mut inner = DerReader::new(key_der);
         let mut seq = inner.sequence()?;
+        inner.finish()?;
         let bits = seq.integer_i64()? as u16;
         let bytes = seq.octet_string()?.to_vec();
+        seq.finish()?;
         let algorithm = if family_ec {
             KeyAlgorithm::Ec(bits)
         } else {
@@ -239,7 +254,7 @@ impl TbsCertificate {
 
 fn encode_sig_alg(w: &mut DerWriter, alg: SignatureAlgorithm) {
     w.sequence(|w| {
-        w.oid(&Oid::parse(alg.oid()).expect("static"));
+        w.oid_dotted(alg.oid());
         if !alg.is_ecdsa() {
             w.null(); // RSA algorithm identifiers carry a NULL parameter
         }
@@ -254,45 +269,93 @@ fn decode_sig_alg(r: &mut DerReader<'_>) -> Result<SignatureAlgorithm> {
     if !alg.is_ecdsa() {
         seq.null()?;
     }
+    seq.finish()?;
     Ok(alg)
 }
 
 impl Certificate {
-    /// Assemble a certificate from its signed fields, with empty caches.
+    /// Encode `tbs` once, sign those bytes with `key` under
+    /// `tbs.signature_alg`, and keep them as the certificate's encoding.
+    /// Fails when `key`'s family cannot make that signature.
+    pub fn sign(tbs: TbsCertificate, key: &KeyPair) -> std::result::Result<Certificate, SignError> {
+        let algorithm = tbs.signature_alg;
+        if !algorithm.compatible_with(key.algorithm) {
+            return Err(SignError::IncompatibleKey);
+        }
+        Ok(Certificate::encode(tbs, |tbs_der| {
+            govscan_crypto::sign(key, algorithm, tbs_der).expect("key family checked above")
+        }))
+    }
+
+    /// Assemble a certificate from its signed fields and a signature
+    /// made elsewhere (or taken from another certificate), encoding it
+    /// once.
     pub fn new(tbs: TbsCertificate, signature: Signature) -> Certificate {
-        Certificate {
+        Certificate::encode(tbs, |_| signature)
+    }
+
+    /// Encode the whole certificate into one buffer: the TBS first, then
+    /// the signature `sign` makes over exactly those bytes.
+    fn encode(tbs: TbsCertificate, sign: impl FnOnce(&[u8]) -> Signature) -> Certificate {
+        let mut w = DerWriter::with_capacity(DER_CAPACITY);
+        let mut signed = None;
+        w.sequence(|w| {
+            let start = w.len();
+            tbs.encode(w);
+            let tbs_len = w.len() - start;
+            let signature = sign(&w.as_bytes()[start..]);
+            let tail_start = w.len();
+            encode_sig_alg(w, signature.algorithm);
+            w.bit_string(&signature.bytes);
+            signed = Some((signature, tbs_len, w.len() - tail_start));
+        });
+        let (signature, tbs_len, tail_len) = signed.expect("the SEQUENCE body runs once");
+        let der = w.finish().into_boxed_slice();
+        // The outer length is backpatched after the body, so the TBS
+        // offset is known only from the end.
+        let tbs_start = der.len() - tail_len - tbs_len;
+        Certificate(Arc::new(Body {
             tbs,
             signature,
-            cache: Arc::new(CertCache::default()),
-        }
+            der,
+            tbs_der: tbs_start..tbs_start + tbs_len,
+            fingerprint: OnceLock::new(),
+        }))
     }
 
-    /// DER-encode the full certificate.
-    ///
-    /// Computed once and memoized; returns the cached bytes on every
-    /// later call (and on calls through clones of this certificate).
+    /// The signed fields.
+    pub fn tbs(&self) -> &TbsCertificate {
+        &self.0.tbs
+    }
+
+    /// The signature over [`Certificate::tbs_der`].
+    pub fn signature(&self) -> &Signature {
+        &self.0.signature
+    }
+
+    /// The full certificate DER, encoded when the certificate was built.
     pub fn to_der(&self) -> &[u8] {
-        self.cache.der.get_or_init(|| {
-            let mut w = DerWriter::new();
-            w.sequence(|w| {
-                self.tbs.encode(w);
-                encode_sig_alg(w, self.signature.algorithm);
-                w.bit_string(&self.signature.bytes);
-            });
-            w.finish().into_boxed_slice()
-        })
+        &self.0.der
     }
 
-    /// Parse a certificate from DER. Strict: trailing bytes are rejected.
+    /// The TBSCertificate's DER inside [`Certificate::to_der`]: the bytes
+    /// the signature was made over, kept rather than re-encoded.
+    pub fn tbs_der(&self) -> &[u8] {
+        &self.0.der[self.0.tbs_der.clone()]
+    }
+
+    /// Parse a certificate from DER. Strict: every SEQUENCE and SET must
+    /// end exactly where its last field does, and nothing may follow the
+    /// certificate; either violation fails with
+    /// [`Asn1Error::TrailingData`].
     pub fn from_der(der: &[u8]) -> Result<Certificate> {
         let mut r = DerReader::new(der);
         let mut outer = r.sequence()?;
-        if !r.is_empty() {
-            return Err(Asn1Error::TrailingData);
-        }
+        r.finish()?;
         let tbs = TbsCertificate::decode(&mut outer)?;
         let algorithm = decode_sig_alg(&mut outer)?;
         let (_unused, sig_bytes) = outer.bit_string()?;
+        outer.finish()?;
         if algorithm != tbs.signature_alg {
             return Err(Asn1Error::BadValue("inner/outer algorithm mismatch"));
         }
@@ -307,49 +370,53 @@ impl Certificate {
 
     /// SHA-256 fingerprint of the DER encoding.
     ///
-    /// Computed once and memoized, like [`Certificate::to_der`].
+    /// Computed on first use and memoized, shared by every clone.
     pub fn fingerprint(&self) -> Fingerprint {
         *self
-            .cache
+            .0
             .fingerprint
             .get_or_init(|| Fingerprint::from_digest(&Sha256::digest(self.to_der())))
     }
 
     /// Serial number as lowercase hex.
     pub fn serial_hex(&self) -> String {
-        hex::encode(&self.tbs.serial)
+        hex::encode(&self.0.tbs.serial)
     }
 
     /// Whether issuer and subject names are identical (self-issued).
     pub fn is_self_issued(&self) -> bool {
-        self.tbs.issuer == self.tbs.subject
+        self.0.tbs.issuer == self.0.tbs.subject
     }
 
     /// Whether the certificate verifies under its *own* public key —
     /// i.e. it is genuinely self-signed, not merely self-issued.
     pub fn is_self_signed(&self) -> bool {
-        self.is_self_issued()
-            && govscan_crypto::verify(&self.tbs.public_key, &self.signature, &self.tbs.to_der())
+        self.is_self_issued() && self.verify_signature(&self.0.tbs.public_key)
     }
 
     /// Verify this certificate's signature under the claimed issuer key.
+    ///
+    /// A real check on every call: it hashes the kept TBS bytes and
+    /// recomputes the signature binding; only the encoding is reused.
     pub fn verify_signature(&self, issuer_key: &PublicKey) -> bool {
-        govscan_crypto::verify(issuer_key, &self.signature, &self.tbs.to_der())
+        govscan_crypto::verify(issuer_key, &self.0.signature, self.tbs_der())
     }
 
     /// The DNS names this certificate is valid for: subjectAltName entries,
     /// or the subject CN when no SAN extension is present (legacy
     /// behaviour, which the paper's OpenSSL-based pipeline also applied).
     pub fn dns_names(&self) -> Vec<&str> {
-        if !self.tbs.extensions.subject_alt_names.is_empty() {
-            self.tbs
+        if !self.0.tbs.extensions.subject_alt_names.is_empty() {
+            self.0
+                .tbs
                 .extensions
                 .subject_alt_names
                 .iter()
                 .map(|s| s.as_str())
                 .collect()
         } else {
-            self.tbs
+            self.0
+                .tbs
                 .subject
                 .common_name
                 .as_deref()
@@ -365,7 +432,8 @@ impl Certificate {
 
     /// Whether basicConstraints marks this certificate as a CA.
     pub fn is_ca(&self) -> bool {
-        self.tbs
+        self.0
+            .tbs
             .extensions
             .basic_constraints
             .map(|bc| bc.is_ca)
@@ -374,11 +442,12 @@ impl Certificate {
 
     /// The issuer common name — the label Figures 2, 8 and 11 group by.
     pub fn issuer_label(&self) -> String {
-        self.tbs
+        self.0
+            .tbs
             .issuer
             .common_name
             .clone()
-            .unwrap_or_else(|| self.tbs.issuer.to_oneline())
+            .unwrap_or_else(|| self.0.tbs.issuer.to_oneline())
     }
 }
 
@@ -408,8 +477,7 @@ mod tests {
 
     fn signed(tbs: TbsCertificate) -> Certificate {
         let ca_key = KeyPair::from_seed(KeyAlgorithm::Rsa(2048), b"ca");
-        let signature = govscan_crypto::sign(&ca_key, tbs.signature_alg, &tbs.to_der()).unwrap();
-        Certificate::new(tbs, signature)
+        Certificate::sign(tbs, &ca_key).unwrap()
     }
 
     #[test]
@@ -434,8 +502,9 @@ mod tests {
     fn tampered_der_fails_verification() {
         let ca_key = KeyPair::from_seed(KeyAlgorithm::Rsa(2048), b"ca");
         let cert = signed(sample_tbs());
-        let mut tampered = cert.clone();
-        tampered.tbs.subject = DistinguishedName::cn("evil.example.gov");
+        let mut edited = cert.tbs().clone();
+        edited.subject = DistinguishedName::cn("evil.example.gov");
+        let tampered = Certificate::new(edited, cert.signature().clone());
         assert!(!tampered.verify_signature(&ca_key.public()));
     }
 
@@ -446,10 +515,9 @@ mod tests {
         tbs.public_key = key.public();
         tbs.signature_alg = SignatureAlgorithm::EcdsaWithSha384;
         let ca = KeyPair::from_seed(KeyAlgorithm::Ec(384), b"ec-ca");
-        let signature = govscan_crypto::sign(&ca, tbs.signature_alg, &tbs.to_der()).unwrap();
-        let cert = Certificate::new(tbs, signature);
+        let cert = Certificate::sign(tbs, &ca).unwrap();
         let parsed = Certificate::from_der(cert.to_der()).unwrap();
-        assert_eq!(parsed.tbs.public_key.algorithm, KeyAlgorithm::Ec(384));
+        assert_eq!(parsed.tbs().public_key.algorithm, KeyAlgorithm::Ec(384));
         assert!(parsed.verify_signature(&ca.public()));
     }
 
@@ -460,10 +528,9 @@ mod tests {
         tbs.public_key = KeyPair::from_seed(KeyAlgorithm::Ec(192), b"odd").public();
         tbs.signature_alg = SignatureAlgorithm::EcdsaWithSha256;
         let ca = KeyPair::from_seed(KeyAlgorithm::Ec(256), b"ca");
-        let signature = govscan_crypto::sign(&ca, tbs.signature_alg, &tbs.to_der()).unwrap();
-        let cert = Certificate::new(tbs, signature);
+        let cert = Certificate::sign(tbs, &ca).unwrap();
         let parsed = Certificate::from_der(cert.to_der()).unwrap();
-        assert_eq!(parsed.tbs.public_key.algorithm, KeyAlgorithm::Ec(192));
+        assert_eq!(parsed.tbs().public_key.algorithm, KeyAlgorithm::Ec(192));
     }
 
     #[test]
@@ -482,18 +549,16 @@ mod tests {
             public_key: key.public(),
             extensions: Extensions::default(),
         };
-        let signature = govscan_crypto::sign(&key, tbs.signature_alg, &tbs.to_der()).unwrap();
-        let cert = Certificate::new(tbs, signature);
+        let cert = Certificate::sign(tbs, &key).unwrap();
         assert!(cert.is_self_issued());
         assert!(cert.is_self_signed());
 
         // Same names but signed by a different key: self-issued only.
         let other = KeyPair::from_seed(KeyAlgorithm::Rsa(2048), b"other");
         let cert2 = {
-            let mut tbs = cert.tbs.clone();
+            let mut tbs = cert.tbs().clone();
             tbs.serial = vec![2];
-            let signature = govscan_crypto::sign(&other, tbs.signature_alg, &tbs.to_der()).unwrap();
-            Certificate::new(tbs, signature)
+            Certificate::sign(tbs, &other).unwrap()
         };
         assert!(cert2.is_self_issued());
         assert!(!cert2.is_self_signed());
@@ -529,13 +594,13 @@ mod tests {
         let cert = signed(sample_tbs());
         let mut w = DerWriter::new();
         w.sequence(|w| {
-            w.raw(&cert.tbs.to_der());
+            w.raw(cert.tbs_der());
             // Outer says SHA-1 while TBS says SHA-256.
             w.sequence(|w| {
-                w.oid(&Oid::parse(SignatureAlgorithm::Sha1WithRsa.oid()).unwrap());
+                w.oid_dotted(SignatureAlgorithm::Sha1WithRsa.oid());
                 w.null();
             });
-            w.bit_string(&cert.signature.bytes);
+            w.bit_string(&cert.signature().bytes);
         });
         assert!(Certificate::from_der(&w.finish()).is_err());
     }
@@ -556,5 +621,156 @@ mod tests {
     fn issuer_label_prefers_cn() {
         let cert = signed(sample_tbs());
         assert_eq!(cert.issuer_label(), "R3");
+    }
+
+    #[test]
+    fn kept_tbs_bytes_are_the_signed_encoding() {
+        let ca_key = KeyPair::from_seed(KeyAlgorithm::Rsa(2048), b"ca");
+        for tbs in [sample_tbs(), full_tbs()] {
+            let cert = signed(tbs);
+            assert_eq!(cert.tbs_der(), &cert.tbs().to_der()[..]);
+            assert!(cert.to_der().ends_with(&cert.signature().bytes));
+            assert!(cert.verify_signature(&ca_key.public()));
+            // Parsing re-encodes; the kept bytes come out the same.
+            let parsed = Certificate::from_der(cert.to_der()).unwrap();
+            assert_eq!(parsed.tbs_der(), cert.tbs_der());
+        }
+    }
+
+    #[test]
+    fn clones_share_one_body() {
+        let cert = signed(full_tbs());
+        let clone = cert.clone();
+        assert!(std::ptr::eq(cert.tbs(), clone.tbs()));
+        assert!(std::ptr::eq(cert.to_der(), clone.to_der()));
+        assert_eq!(clone, cert);
+        assert_eq!(clone.fingerprint(), cert.fingerprint());
+    }
+
+    #[test]
+    fn sign_rejects_an_incompatible_key() {
+        let ec = KeyPair::from_seed(KeyAlgorithm::Ec(256), b"ec");
+        assert_eq!(
+            Certificate::sign(sample_tbs(), &ec).unwrap_err(),
+            SignError::IncompatibleKey
+        );
+    }
+
+    #[test]
+    fn static_oids_encode_in_place_like_to_der_content() {
+        let curves = [192, 256, 384, 521].into_iter().filter_map(curve_oid);
+        let algorithms = SignatureAlgorithm::ALL.into_iter().map(|a| a.oid());
+        for dotted in oids::ALL.into_iter().chain(algorithms).chain(curves) {
+            let mut w = DerWriter::new();
+            w.oid_dotted(dotted);
+            let expected = govscan_asn1::Oid::parse(dotted).unwrap().to_der_content();
+            let mut reference = DerWriter::new();
+            reference.tlv(Tag::OID, &expected);
+            assert_eq!(w.finish(), reference.finish(), "{dotted}");
+        }
+    }
+
+    /// A leaf-shaped TBS carrying every extension the model encodes.
+    fn full_tbs() -> TbsCertificate {
+        let mut tbs = sample_tbs();
+        tbs.extensions = Extensions {
+            subject_alt_names: vec!["www.example.gov".into()],
+            basic_constraints: Some(crate::extensions::BasicConstraints {
+                is_ca: true,
+                path_len: Some(0),
+            }),
+            key_usage: Some(crate::extensions::KeyUsage {
+                digital_signature: true,
+                ..Default::default()
+            }),
+            policies: vec![oids::oid(oids::POLICY_DV)],
+            subject_key_id: Some(vec![1; 20]),
+            authority_key_id: Some(vec![2; 20]),
+        };
+        tbs
+    }
+
+    /// `der` (one TLV) re-encoded with a NULL appended to the content of
+    /// the element `path` leads to. Each step picks a child TLV; inside a
+    /// BIT STRING or OCTET STRING it picks from the DER the string wraps.
+    fn with_trailing_null(der: &[u8], path: &[usize]) -> Vec<u8> {
+        let (tag, content) = DerReader::new(der).read_tlv().unwrap();
+        // A BIT STRING's first content octet counts its unused bits.
+        let (prefix, inner) = content.split_at(usize::from(tag == Tag::BIT_STRING));
+        let mut body = prefix.to_vec();
+        match path.split_first() {
+            None => {
+                body.extend_from_slice(inner);
+                body.extend_from_slice(&[0x05, 0x00]);
+            }
+            Some((&child, rest)) => {
+                let mut r = DerReader::new(inner);
+                let mut i = 0;
+                while !r.is_empty() {
+                    let raw = r.read_raw_tlv().unwrap();
+                    if i == child {
+                        body.extend(with_trailing_null(raw, rest));
+                    } else {
+                        body.extend_from_slice(raw);
+                    }
+                    i += 1;
+                }
+                assert!(child < i, "no child {child} in {path:?}");
+            }
+        }
+        let mut w = DerWriter::new();
+        w.tlv(tag, &body);
+        w.finish()
+    }
+
+    #[test]
+    fn from_der_rejects_trailing_content_in_every_structure() {
+        let cert = signed(full_tbs());
+        let der = cert.to_der();
+        assert_eq!(Certificate::from_der(der).unwrap(), cert);
+        // Paths from the Certificate SEQUENCE. Extensions come in encoding
+        // order (SAN, basicConstraints, keyUsage, policies, SKI, AKI);
+        // critical ones carry the BOOLEAN before their value.
+        let cases: &[(&str, &[usize])] = &[
+            ("Certificate", &[]),
+            ("TBSCertificate", &[0]),
+            ("version", &[0, 0]),
+            ("TBS signature AlgorithmIdentifier", &[0, 2]),
+            ("issuer RDN", &[0, 3, 2]),
+            ("issuer AttributeTypeAndValue", &[0, 3, 2, 0]),
+            ("Validity", &[0, 4]),
+            ("subject RDN", &[0, 5, 0]),
+            ("subject AttributeTypeAndValue", &[0, 5, 0, 0]),
+            ("SubjectPublicKeyInfo", &[0, 6]),
+            ("SPKI AlgorithmIdentifier", &[0, 6, 0]),
+            ("SPKI key BIT STRING", &[0, 6, 1]),
+            ("SPKI key SEQUENCE", &[0, 6, 1, 0]),
+            ("extensions [3]", &[0, 7]),
+            ("subjectAltName Extension", &[0, 7, 0, 0]),
+            ("subjectAltName value", &[0, 7, 0, 0, 1]),
+            ("basicConstraints Extension", &[0, 7, 0, 1]),
+            ("basicConstraints value", &[0, 7, 0, 1, 2]),
+            ("BasicConstraints SEQUENCE", &[0, 7, 0, 1, 2, 0]),
+            ("keyUsage Extension", &[0, 7, 0, 2]),
+            ("keyUsage value", &[0, 7, 0, 2, 2]),
+            ("certificatePolicies Extension", &[0, 7, 0, 3]),
+            ("certificatePolicies value", &[0, 7, 0, 3, 1]),
+            ("PolicyInformation", &[0, 7, 0, 3, 1, 0, 0]),
+            ("subjectKeyIdentifier Extension", &[0, 7, 0, 4]),
+            ("subjectKeyIdentifier value", &[0, 7, 0, 4, 1]),
+            ("authorityKeyIdentifier Extension", &[0, 7, 0, 5]),
+            ("authorityKeyIdentifier value", &[0, 7, 0, 5, 1]),
+            ("AuthorityKeyIdentifier SEQUENCE", &[0, 7, 0, 5, 1, 0]),
+            ("signatureAlgorithm", &[1]),
+        ];
+        for (structure, path) in cases {
+            let tampered = with_trailing_null(der, path);
+            assert_eq!(tampered.len(), der.len() + 2, "{structure}");
+            assert_eq!(
+                Certificate::from_der(&tampered).unwrap_err(),
+                Asn1Error::TrailingData,
+                "{structure}"
+            );
+        }
     }
 }

@@ -65,7 +65,7 @@ impl EvRegistry {
 
     /// Does `cert` assert any recognised EV policy?
     pub fn is_ev(&self, cert: &Certificate) -> bool {
-        cert.tbs
+        cert.tbs()
             .extensions
             .policies
             .iter()

@@ -135,6 +135,7 @@ impl Extensions {
                 false
             };
             let value = ext.octet_string()?;
+            ext.finish()?;
             let mut vr = DerReader::new(value);
             match oid.as_str() {
                 oids::CE_SUBJECT_ALT_NAME => {
@@ -162,6 +163,7 @@ impl Extensions {
                     } else {
                         None
                     };
+                    bc.finish()?;
                     exts.basic_constraints = Some(BasicConstraints { is_ca, path_len });
                 }
                 oids::CE_KEY_USAGE => {
@@ -181,7 +183,11 @@ impl Extensions {
                     while !policies.is_empty() {
                         let mut info = policies.sequence()?;
                         exts.policies.push(info.oid()?);
-                        // policyQualifiers ignored if present.
+                        // policyQualifiers, if present, are skipped.
+                        if info.peek_tag() == Some(Tag::SEQUENCE) {
+                            info.sequence()?;
+                        }
+                        info.finish()?;
                     }
                 }
                 oids::CE_SUBJECT_KEY_ID => {
@@ -192,9 +198,11 @@ impl Extensions {
                     if let Some(kid) = aki.optional(Tag::context_primitive(0))? {
                         exts.authority_key_id = Some(kid.to_vec());
                     }
+                    aki.finish()?;
                 }
                 _ => return Err(Asn1Error::BadValue("unknown extension")),
             }
+            vr.finish()?;
         }
         Ok(exts)
     }
@@ -207,13 +215,11 @@ fn encode_ext(
     value: impl FnOnce(&mut DerWriter),
 ) {
     w.sequence(|w| {
-        w.oid(&oids::oid(oid_str));
+        w.oid_dotted(oid_str);
         if critical {
             w.boolean(true);
         }
-        let mut inner = DerWriter::new();
-        value(&mut inner);
-        w.octet_string(&inner.finish());
+        w.octet_string_with(value);
     });
 }
 

@@ -10,9 +10,13 @@
 //! The crate deliberately mirrors the shape of a real PKI stack:
 //!
 //! - [`Certificate`] is a full `TBSCertificate ‖ signatureAlgorithm ‖
-//!   signature` structure, DER-encoded by [`Certificate::to_der`] and
-//!   re-parsed by [`Certificate::from_der`]; the validator verifies
-//!   signatures over the *encoded TBS bytes*, exactly as OpenSSL does.
+//!   signature` structure, DER-encoded once when it is built
+//!   ([`Certificate::sign`], [`Certificate::new`]) and re-parsed, strictly,
+//!   by [`Certificate::from_der`]; the validator verifies signatures over
+//!   the *encoded TBS bytes*, exactly as OpenSSL does — the very bytes the
+//!   issuer signed, kept inside the DER ([`Certificate::tbs_der`]). A
+//!   certificate is immutable and `Arc`-shared, so cloning a chain copies
+//!   pointers, not certificates.
 //! - [`CertificateAuthority`] issues leaf and intermediate certificates
 //!   under configurable policy (validity length, serial strategy, EV
 //!   policy OIDs) — including, on request, the pathological artifacts the
@@ -20,7 +24,8 @@
 //!   scope misuse).
 //! - [`TrustStore`] models root-store profiles; the study used the Apple
 //!   store as the most restrictive of Apple (174 roots) / Microsoft (402)
-//!   / Mozilla NSS (152).
+//!   / Mozilla NSS (152). Roots are found by fingerprint (anchor check)
+//!   and by [`DistinguishedName`] (issuer lookup).
 //! - [`validate::validate_chain`] is the OpenSSL-equivalent verdict the
 //!   whole analysis pipeline keys off.
 

@@ -44,33 +44,26 @@ impl DistinguishedName {
         }
     }
 
-    fn attributes(&self) -> Vec<(&'static str, &str)> {
-        let mut attrs = Vec::new();
-        if let Some(v) = &self.country {
-            attrs.push((oids::AT_COUNTRY, v.as_str()));
-        }
-        if let Some(v) = &self.organization {
-            attrs.push((oids::AT_ORGANIZATION, v.as_str()));
-        }
-        if let Some(v) = &self.org_unit {
-            attrs.push((oids::AT_ORG_UNIT, v.as_str()));
-        }
-        if let Some(v) = &self.locality {
-            attrs.push((oids::AT_LOCALITY, v.as_str()));
-        }
-        if let Some(v) = &self.common_name {
-            attrs.push((oids::AT_COMMON_NAME, v.as_str()));
-        }
-        attrs
+    /// The set attributes as `(OID, value)`, in encoding order.
+    fn attributes(&self) -> impl Iterator<Item = (&'static str, &str)> {
+        [
+            (oids::AT_COUNTRY, &self.country),
+            (oids::AT_ORGANIZATION, &self.organization),
+            (oids::AT_ORG_UNIT, &self.org_unit),
+            (oids::AT_LOCALITY, &self.locality),
+            (oids::AT_COMMON_NAME, &self.common_name),
+        ]
+        .into_iter()
+        .filter_map(|(oid, value)| Some((oid, value.as_deref()?)))
     }
 
     /// Encode into `w` as an RDNSequence.
     pub fn encode(&self, w: &mut DerWriter) {
         w.sequence(|w| {
-            for (oid_str, value) in self.attributes() {
+            for (oid, value) in self.attributes() {
                 w.set(|w| {
                     w.sequence(|w| {
-                        w.oid(&oids::oid(oid_str));
+                        w.oid_dotted(oid);
                         w.utf8(value);
                     });
                 });
@@ -85,8 +78,10 @@ impl DistinguishedName {
         while !rdns.is_empty() {
             let mut set = rdns.set()?;
             let mut atv = set.sequence()?;
+            set.finish()?;
             let oid = atv.oid()?;
             let value = atv.any_string()?.to_string();
+            atv.finish()?;
             match oid.to_string().as_str() {
                 oids::AT_COUNTRY => name.country = Some(value),
                 oids::AT_ORGANIZATION => name.organization = Some(value),
@@ -99,8 +94,8 @@ impl DistinguishedName {
         Ok(name)
     }
 
-    /// A single-line rendering, `C=.., O=.., CN=..` (stable, used as a map
-    /// key by the chain builder).
+    /// A single-line rendering, `C=.., O=.., CN=..` (stable; the issuer
+    /// label when a name has no CN).
     pub fn to_oneline(&self) -> String {
         let mut parts = Vec::new();
         if let Some(v) = &self.country {

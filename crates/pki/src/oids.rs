@@ -46,30 +46,34 @@ pub fn oid(s: &str) -> Oid {
     Oid::parse(s).expect("static OID must parse")
 }
 
+/// Every constant above, for the tests that cover them all.
+#[cfg(test)]
+pub(crate) const ALL: [&str; 16] = [
+    AT_COMMON_NAME,
+    AT_COUNTRY,
+    AT_LOCALITY,
+    AT_ORGANIZATION,
+    AT_ORG_UNIT,
+    CE_SUBJECT_KEY_ID,
+    CE_KEY_USAGE,
+    CE_SUBJECT_ALT_NAME,
+    CE_BASIC_CONSTRAINTS,
+    CE_CERT_POLICIES,
+    CE_AUTHORITY_KEY_ID,
+    ALG_RSA,
+    ALG_EC,
+    POLICY_DV,
+    POLICY_OV,
+    POLICY_EV_CABF,
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn all_constants_parse() {
-        for s in [
-            AT_COMMON_NAME,
-            AT_COUNTRY,
-            AT_LOCALITY,
-            AT_ORGANIZATION,
-            AT_ORG_UNIT,
-            CE_SUBJECT_KEY_ID,
-            CE_KEY_USAGE,
-            CE_SUBJECT_ALT_NAME,
-            CE_BASIC_CONSTRAINTS,
-            CE_CERT_POLICIES,
-            CE_AUTHORITY_KEY_ID,
-            ALG_RSA,
-            ALG_EC,
-            POLICY_DV,
-            POLICY_OV,
-            POLICY_EV_CABF,
-        ] {
+        for s in ALL {
             assert_eq!(oid(s).to_string(), s);
         }
     }

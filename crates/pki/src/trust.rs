@@ -12,6 +12,7 @@ use std::collections::{HashMap, HashSet};
 use govscan_crypto::Fingerprint;
 
 use crate::cert::Certificate;
+use crate::name::DistinguishedName;
 
 /// Which vendor trust store a validation run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -36,10 +37,11 @@ impl TrustStoreProfile {
 /// A set of trusted root certificates, indexed by subject name and by
 /// fingerprint. The fingerprint index makes the anchor check the chain
 /// walker performs on every link an O(1) set probe instead of a deep
-/// certificate comparison.
+/// certificate comparison; the name index matches an issuer to a root by
+/// `DistinguishedName` equality, with no rendering.
 #[derive(Debug, Clone, Default)]
 pub struct TrustStore {
-    roots: HashMap<String, Certificate>,
+    roots: HashMap<DistinguishedName, Certificate>,
     fingerprints: HashSet<Fingerprint>,
 }
 
@@ -59,7 +61,7 @@ impl TrustStore {
             return false;
         }
         let fp = cert.fingerprint();
-        if let Some(old) = self.roots.insert(cert.tbs.subject.to_oneline(), cert) {
+        if let Some(old) = self.roots.insert(cert.tbs().subject.clone(), cert) {
             // A same-subject replacement evicts the old anchor entirely.
             self.fingerprints.remove(&old.fingerprint());
         }
@@ -68,8 +70,8 @@ impl TrustStore {
     }
 
     /// Find a trusted root by subject name.
-    pub fn find_by_subject(&self, subject_oneline: &str) -> Option<&Certificate> {
-        self.roots.get(subject_oneline)
+    pub fn find_by_subject(&self, subject: &DistinguishedName) -> Option<&Certificate> {
+        self.roots.get(subject)
     }
 
     /// Is this exact certificate (by fingerprint) a trust anchor?
@@ -98,7 +100,6 @@ mod tests {
     use super::*;
     use crate::ca::{self, CertificateAuthority, IssuancePolicy};
     use crate::cert::Validity;
-    use crate::name::DistinguishedName;
     use govscan_asn1::Time;
     use govscan_crypto::{KeyAlgorithm, KeyPair, SignatureAlgorithm};
 
@@ -124,9 +125,7 @@ mod tests {
         let mut store = TrustStore::new();
         assert!(store.add_root(ca.cert.clone()));
         assert_eq!(store.len(), 1);
-        let found = store
-            .find_by_subject(&ca.cert.tbs.subject.to_oneline())
-            .unwrap();
+        let found = store.find_by_subject(&ca.cert.tbs().subject).unwrap();
         assert_eq!(found, &ca.cert);
         assert!(store.contains(&ca.cert));
     }

@@ -19,10 +19,6 @@
 
 use govscan_asn1::Time;
 
-use std::collections::HashSet;
-
-use govscan_crypto::Fingerprint;
-
 use crate::cert::Certificate;
 use crate::hostname;
 use crate::trust::TrustStore;
@@ -134,8 +130,8 @@ pub fn validate_chain_structure(
     let leaf = peer_chain.first().ok_or(CertError::EmptyChain)?;
 
     // --- Phase 1: path construction (leaf → anchor). ---
-    let mut path: Vec<Certificate> = vec![leaf.clone()];
-    let mut used: HashSet<Fingerprint> = HashSet::from([leaf.fingerprint()]);
+    let mut path: Vec<Certificate> = Vec::with_capacity(peer_chain.len() + 1);
+    path.push(leaf.clone());
     loop {
         let cur = path.last().expect("non-empty");
         if path.len() > MAX_PATH {
@@ -152,24 +148,22 @@ pub fn validate_chain_structure(
                 CertError::SelfSignedInChain
             });
         }
-        let issuer_name = cur.tbs.issuer.to_oneline();
-        // Prefer an issuer from the peer stack (skipping already-used
-        // certificates so loops terminate).
+        let issuer_name = &cur.tbs().issuer;
+        // Prefer an issuer from the peer stack (skipping certificates
+        // already on the path so loops terminate).
         let from_peer = peer_chain.iter().find(|c| {
-            c.tbs.subject.to_oneline() == issuer_name && !used.contains(&c.fingerprint())
+            c.tbs().subject == *issuer_name
+                && !path.iter().any(|p| p.fingerprint() == c.fingerprint())
         });
-        let issuer = match from_peer {
+        let issuer = match from_peer.or_else(|| trust.find_by_subject(issuer_name)) {
             Some(c) => c.clone(),
-            None => match trust.find_by_subject(&issuer_name) {
-                Some(root) => root.clone(),
-                None => return Err(CertError::UnableToGetLocalIssuer),
-            },
+            None => return Err(CertError::UnableToGetLocalIssuer),
         };
         // --- Phase 2 checks applied as we extend. ---
         if !issuer.is_ca() {
             return Err(CertError::NotACa);
         }
-        if let Some(bc) = issuer.tbs.extensions.basic_constraints {
+        if let Some(bc) = issuer.tbs().extensions.basic_constraints {
             if let Some(max) = bc.path_len {
                 // Number of intermediates below this issuer (excluding leaf).
                 let intermediates_below = path.len().saturating_sub(1);
@@ -178,19 +172,19 @@ pub fn validate_chain_structure(
                 }
             }
         }
-        if !cur.verify_signature(&issuer.tbs.public_key) {
+        if !cur.verify_signature(&issuer.tbs().public_key) {
             return Err(CertError::BadSignature);
         }
-        used.insert(issuer.fingerprint());
         path.push(issuer);
     }
 
     // --- Phase 3: time validity (leaf-first precedence). ---
     for cert in &path {
-        if now > cert.tbs.validity.not_after {
+        let validity = &cert.tbs().validity;
+        if now > validity.not_after {
             return Err(CertError::Expired);
         }
-        if now < cert.tbs.validity.not_before {
+        if now < validity.not_before {
             return Err(CertError::NotYetValid);
         }
     }
@@ -374,9 +368,11 @@ mod tests {
     #[test]
     fn tampered_leaf_fails_signature() {
         let mut p = pki();
-        let mut leaf = issue(&mut p, "tamper.gov");
-        leaf.tbs.subject = DistinguishedName::cn("evil.gov");
-        leaf.tbs.extensions.subject_alt_names = vec!["tamper.gov".into()];
+        let issued = issue(&mut p, "tamper.gov");
+        let mut edited = issued.tbs().clone();
+        edited.subject = DistinguishedName::cn("evil.gov");
+        edited.extensions.subject_alt_names = vec!["tamper.gov".into()];
+        let leaf = Certificate::new(edited, issued.signature().clone());
         let chain = vec![leaf, p.inter.cert.clone()];
         let err = validate_chain(&chain, &p.trust, "tamper.gov", scan_time()).unwrap_err();
         assert_eq!(err, CertError::BadSignature);
@@ -388,14 +384,13 @@ mod tests {
         // A leaf "issuing" another leaf: forge the names so the walk finds it.
         let leaf1 = issue(&mut p, "siteone.gov");
         let key2 = KeyPair::from_seed(KeyAlgorithm::Rsa(2048), b"two");
-        let mut tbs = leaf1.tbs.clone();
-        tbs.issuer = leaf1.tbs.subject.clone();
+        let mut tbs = leaf1.tbs().clone();
+        tbs.issuer = leaf1.tbs().subject.clone();
         tbs.subject = DistinguishedName::cn("sitetwo.gov");
         tbs.extensions.subject_alt_names = vec!["sitetwo.gov".into()];
         tbs.public_key = key2.public();
         let fake_key = KeyPair::from_seed(KeyAlgorithm::Rsa(2048), b"siteone.gov");
-        let signature = govscan_crypto::sign(&fake_key, tbs.signature_alg, &tbs.to_der()).unwrap();
-        let leaf2 = Certificate::new(tbs, signature);
+        let leaf2 = Certificate::sign(tbs, &fake_key).unwrap();
         let chain = vec![leaf2, leaf1, p.inter.cert.clone()];
         let err = validate_chain(&chain, &p.trust, "sitetwo.gov", scan_time()).unwrap_err();
         assert_eq!(err, CertError::NotACa);

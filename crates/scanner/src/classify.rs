@@ -171,15 +171,16 @@ impl CertMeta {
     /// Extract from a peer chain (leaf first).
     pub fn from_chain(chain: &[Certificate], ev: &EvRegistry) -> Option<CertMeta> {
         let leaf = chain.first()?;
+        let tbs = leaf.tbs();
         Some(CertMeta {
             issuer: leaf.issuer_label(),
-            key_algorithm: leaf.tbs.public_key.algorithm,
-            signature_algorithm: leaf.signature.algorithm,
-            not_before: leaf.tbs.validity.not_before,
-            not_after: leaf.tbs.validity.not_after,
+            key_algorithm: tbs.public_key.algorithm,
+            signature_algorithm: leaf.signature().algorithm,
+            not_before: tbs.validity.not_before,
+            not_after: tbs.validity.not_after,
             serial: leaf.serial_hex(),
             fingerprint: leaf.fingerprint(),
-            key_fingerprint: leaf.tbs.public_key.fingerprint(),
+            key_fingerprint: tbs.public_key.fingerprint(),
             wildcard: leaf.has_wildcard(),
             is_ev: ev.is_ev(leaf),
             self_issued: leaf.is_self_issued(),

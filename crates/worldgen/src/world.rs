@@ -1379,6 +1379,37 @@ mod tests {
     }
 
     #[test]
+    fn kept_tbs_bytes_equal_a_fresh_encoding_for_every_certificate() {
+        // Every certificate the world holds: each CA's root and
+        // intermediate, then every chain a TLS host serves (leaves,
+        // self-signed certificates, untrusted roots sent in the chain,
+        // and the cluster and shared chains several hosts serve).
+        let w = World::generate(&WorldConfig::small(7));
+        let mut certs: Vec<&Certificate> = (0..w.cadb.len())
+            .flat_map(|i| [&w.cadb.get(i).root.cert, &w.cadb.get(i).issuing.cert])
+            .collect();
+        let mut hosts_per_leaf: HashMap<govscan_crypto::Fingerprint, usize> = HashMap::new();
+        for name in w.net.hostnames() {
+            let Some(tls) = w.net.host(name).and_then(|h| h.tls.as_ref()) else {
+                continue;
+            };
+            if let Some(leaf) = tls.chain.first() {
+                *hosts_per_leaf.entry(leaf.fingerprint()).or_default() += 1;
+            }
+            certs.extend(tls.chain.iter());
+        }
+        assert!(certs.iter().any(|c| c.is_self_signed() && !c.is_ca()));
+        assert!(certs
+            .iter()
+            .skip(2 * w.cadb.len())
+            .any(|c| c.is_ca() && c.is_self_signed()));
+        assert!(hosts_per_leaf.values().any(|&hosts| hosts > 1));
+        for cert in certs {
+            assert_eq!(cert.tbs_der(), &cert.tbs().to_der()[..], "{cert:?}");
+        }
+    }
+
+    #[test]
     fn thread_count_invariance() {
         // The tentpole invariant: per-(phase, shard) RNG streams plus
         // ordered merges make the world a pure function of the seed —
@@ -1565,7 +1596,7 @@ mod tests {
                 if let Ok(s) = w.net.tls_connect(h, &client) {
                     if let Some(leaf) = s.peer_chain.first() {
                         *fingerprints
-                            .entry(leaf.tbs.public_key.fingerprint())
+                            .entry(leaf.tbs().public_key.fingerprint())
                             .or_default() += 1;
                     }
                 }
