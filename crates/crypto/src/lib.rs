@@ -8,9 +8,14 @@
 //!    and [`Sha512`] are complete, from-scratch implementations of the
 //!    corresponding RFC 1321 / FIPS 180-4 algorithms, verified against the
 //!    published test vectors. They are used for certificate fingerprints,
-//!    key identifiers, and the signature binding below. (MD5 and SHA-1 are
-//!    of course broken for collision resistance; they exist here because the
-//!    paper *measures* certificates signed with them.)
+//!    key identifiers, archive digests and the signature binding below.
+//!    (MD5 and SHA-1 are of course broken for collision resistance; they
+//!    exist here because the paper *measures* certificates signed with
+//!    them.) All five share one fixed-size block buffer, so a hasher's
+//!    only heap allocation is its output. SHA-256 and SHA-224 compress on
+//!    the x86 SHA extensions when the CPU has them, chosen at run time
+//!    ([`sha256::kernel`] names the choice), and on the portable
+//!    implementation everywhere else; both give the same bytes.
 //!
 //! 2. **Simulated public-key signatures** — the study this workspace
 //!    reproduces never attacks RSA/ECDSA mathematics; it only needs
@@ -18,14 +23,20 @@
 //!    key, fail on any tamper or wrong-issuer verification, and carry the
 //!    algorithm / key-size metadata that the analysis groups by. [`KeyPair`]
 //!    and [`sign()`]/[`verify()`] provide those properties deterministically:
-//!    a key pair is a 32-byte secret, its public key is derived by hashing
-//!    the secret, and a signature over `tbs` is a deterministic binding of
-//!    `(algorithm, signer public key, H(tbs))` — any tamper, issuer
-//!    substitution, or algorithm confusion fails verification. Outside-
-//!    attacker unforgeability is not modelled (the simulation is a closed
-//!    world). See DESIGN.md §1 for the substitution rationale.
+//!    a key pair is a 32-byte secret, its public key is
+//!    `SHA-256("govscan-pubkey-v1" ‖ secret)`, and a signature over `tbs` is
+//!    `SHA-256("govscan-sig-v1" ‖ algorithm OID ‖ signer public key ‖
+//!    H_alg(tbs))`, with `H_alg` the algorithm's own hash. The secret never
+//!    enters the signature, so a verifier recomputes it from the public key;
+//!    any tamper, issuer substitution, or algorithm confusion fails
+//!    verification. Outside-attacker unforgeability is not modelled (the
+//!    simulation is a closed world). See DESIGN.md §1 for the substitution
+//!    rationale.
+//!
+//! The SHA extension kernel is the crate's only `unsafe` code, confined to
+//! one private module; the rest of the crate denies `unsafe`.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod digest;
@@ -36,6 +47,9 @@ pub mod keys;
 pub mod md5;
 pub mod sha1;
 pub mod sha256;
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod sha256_ni;
 pub mod sha512;
 pub mod sign;
 

@@ -4,7 +4,7 @@
 //! it is implemented here because the reproduced study *measures* live
 //! certificates that are still signed with `md5WithRSAEncryption`.
 
-use crate::digest::{md_pad_64, Digest};
+use crate::digest::{BlockBuffer, Digest};
 
 /// Per-round left-rotate amounts.
 const S: [u32; 64] = [
@@ -30,50 +30,51 @@ const K: [u32; 64] = [
 #[derive(Clone)]
 pub struct Md5 {
     state: [u32; 4],
-    buf: Vec<u8>,
-    total: u64,
+    buf: BlockBuffer<64>,
 }
 
 impl Default for Md5 {
     fn default() -> Self {
         Md5 {
             state: [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476],
-            buf: Vec::with_capacity(64),
-            total: 0,
+            buf: BlockBuffer::default(),
         }
     }
 }
 
 impl Md5 {
-    fn compress(state: &mut [u32; 4], block: &[u8]) {
-        debug_assert_eq!(block.len(), 64);
-        let mut m = [0u32; 16];
-        for (i, w) in m.iter_mut().enumerate() {
-            *w = u32::from_le_bytes(block[i * 4..i * 4 + 4].try_into().unwrap());
+    /// Compress a run of whole 64-byte blocks into `state`.
+    fn compress(state: &mut [u32; 4], blocks: &[u8]) {
+        debug_assert_eq!(blocks.len() % 64, 0);
+        for block in blocks.chunks_exact(64) {
+            let mut m = [0u32; 16];
+            for (i, w) in m.iter_mut().enumerate() {
+                *w = u32::from_le_bytes(block[i * 4..i * 4 + 4].try_into().unwrap());
+            }
+            let [mut a, mut b, mut c, mut d] = *state;
+            for i in 0..64 {
+                let (f, g) = match i / 16 {
+                    0 => ((b & c) | (!b & d), i),
+                    1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
+                    2 => (b ^ c ^ d, (3 * i + 5) % 16),
+                    _ => (c ^ (b | !d), (7 * i) % 16),
+                };
+                let tmp = d;
+                d = c;
+                c = b;
+                b = b.wrapping_add(
+                    a.wrapping_add(f)
+                        .wrapping_add(K[i])
+                        .wrapping_add(m[g])
+                        .rotate_left(S[i]),
+                );
+                a = tmp;
+            }
+            state[0] = state[0].wrapping_add(a);
+            state[1] = state[1].wrapping_add(b);
+            state[2] = state[2].wrapping_add(c);
+            state[3] = state[3].wrapping_add(d);
         }
-        let [mut a, mut b, mut c, mut d] = *state;
-        for i in 0..64 {
-            let (f, g) = match i / 16 {
-                0 => ((b & c) | (!b & d), i),
-                1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                2 => (b ^ c ^ d, (3 * i + 5) % 16),
-                _ => (c ^ (b | !d), (7 * i) % 16),
-            };
-            let tmp = d;
-            d = c;
-            c = b;
-            b = b.wrapping_add(
-                a.wrapping_add(f)
-                    .wrapping_add(K[i])
-                    .wrapping_add(m[g])
-                    .rotate_left(S[i]),
-            );
-            a = tmp;
-        }
-        state[0] = state[0].wrapping_add(a);
-        state[1] = state[1].wrapping_add(b);
-        state[2] = state[2].wrapping_add(c);
-        state[3] = state[3].wrapping_add(d);
     }
 }
 
@@ -82,21 +83,14 @@ impl Digest for Md5 {
     const BLOCK: usize = 64;
 
     fn update(&mut self, data: &[u8]) {
-        self.total = self.total.wrapping_add(data.len() as u64);
-        self.buf.extend_from_slice(data);
-        let full = self.buf.len() / 64 * 64;
-        for block in self.buf[..full].chunks_exact(64) {
-            Self::compress(&mut self.state, block);
-        }
-        self.buf.drain(..full);
+        self.buf
+            .update(data, |blocks| Self::compress(&mut self.state, blocks));
     }
 
     fn finalize(mut self) -> Vec<u8> {
-        let pad = md_pad_64(self.buf.len(), self.total, true);
-        let total = self.total; // update() below would double-count
-        self.update(&pad);
-        self.total = total;
-        debug_assert!(self.buf.is_empty());
+        let length = (self.buf.bit_len() as u64).to_le_bytes();
+        self.buf
+            .finish(&length, |blocks| Self::compress(&mut self.state, blocks));
         let mut out = Vec::with_capacity(16);
         for w in self.state {
             out.extend_from_slice(&w.to_le_bytes());

@@ -3,61 +3,62 @@
 //! SHA-1 is deprecated for signatures; implemented here because the study
 //! measures certificates still signed with `sha1WithRSAEncryption`.
 
-use crate::digest::{md_pad_64, Digest};
+use crate::digest::{BlockBuffer, Digest};
 
 /// Streaming SHA-1 hasher.
 #[derive(Clone)]
 pub struct Sha1 {
     state: [u32; 5],
-    buf: Vec<u8>,
-    total: u64,
+    buf: BlockBuffer<64>,
 }
 
 impl Default for Sha1 {
     fn default() -> Self {
         Sha1 {
             state: [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476, 0xc3d2e1f0],
-            buf: Vec::with_capacity(64),
-            total: 0,
+            buf: BlockBuffer::default(),
         }
     }
 }
 
 impl Sha1 {
-    fn compress(state: &mut [u32; 5], block: &[u8]) {
-        debug_assert_eq!(block.len(), 64);
-        let mut w = [0u32; 80];
-        for (i, word) in w.iter_mut().take(16).enumerate() {
-            *word = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().unwrap());
+    /// Compress a run of whole 64-byte blocks into `state`.
+    fn compress(state: &mut [u32; 5], blocks: &[u8]) {
+        debug_assert_eq!(blocks.len() % 64, 0);
+        for block in blocks.chunks_exact(64) {
+            let mut w = [0u32; 80];
+            for (i, word) in w.iter_mut().take(16).enumerate() {
+                *word = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().unwrap());
+            }
+            for i in 16..80 {
+                w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+            }
+            let [mut a, mut b, mut c, mut d, mut e] = *state;
+            for (i, &wi) in w.iter().enumerate() {
+                let (f, k) = match i / 20 {
+                    0 => ((b & c) | (!b & d), 0x5a827999),
+                    1 => (b ^ c ^ d, 0x6ed9eba1),
+                    2 => ((b & c) | (b & d) | (c & d), 0x8f1bbcdc),
+                    _ => (b ^ c ^ d, 0xca62c1d6),
+                };
+                let tmp = a
+                    .rotate_left(5)
+                    .wrapping_add(f)
+                    .wrapping_add(e)
+                    .wrapping_add(k)
+                    .wrapping_add(wi);
+                e = d;
+                d = c;
+                c = b.rotate_left(30);
+                b = a;
+                a = tmp;
+            }
+            state[0] = state[0].wrapping_add(a);
+            state[1] = state[1].wrapping_add(b);
+            state[2] = state[2].wrapping_add(c);
+            state[3] = state[3].wrapping_add(d);
+            state[4] = state[4].wrapping_add(e);
         }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e] = *state;
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i / 20 {
-                0 => ((b & c) | (!b & d), 0x5a827999),
-                1 => (b ^ c ^ d, 0x6ed9eba1),
-                2 => ((b & c) | (b & d) | (c & d), 0x8f1bbcdc),
-                _ => (b ^ c ^ d, 0xca62c1d6),
-            };
-            let tmp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = tmp;
-        }
-        state[0] = state[0].wrapping_add(a);
-        state[1] = state[1].wrapping_add(b);
-        state[2] = state[2].wrapping_add(c);
-        state[3] = state[3].wrapping_add(d);
-        state[4] = state[4].wrapping_add(e);
     }
 }
 
@@ -66,21 +67,14 @@ impl Digest for Sha1 {
     const BLOCK: usize = 64;
 
     fn update(&mut self, data: &[u8]) {
-        self.total = self.total.wrapping_add(data.len() as u64);
-        self.buf.extend_from_slice(data);
-        let full = self.buf.len() / 64 * 64;
-        for block in self.buf[..full].chunks_exact(64) {
-            Self::compress(&mut self.state, block);
-        }
-        self.buf.drain(..full);
+        self.buf
+            .update(data, |blocks| Self::compress(&mut self.state, blocks));
     }
 
     fn finalize(mut self) -> Vec<u8> {
-        let pad = md_pad_64(self.buf.len(), self.total, false);
-        let total = self.total;
-        self.update(&pad);
-        self.total = total;
-        debug_assert!(self.buf.is_empty());
+        let length = (self.buf.bit_len() as u64).to_be_bytes();
+        self.buf
+            .finish(&length, |blocks| Self::compress(&mut self.state, blocks));
         let mut out = Vec::with_capacity(20);
         for w in self.state {
             out.extend_from_slice(&w.to_be_bytes());

@@ -1,10 +1,15 @@
 //! SHA-224 and SHA-256 (FIPS 180-4 §6.2–6.3).
+//!
+//! Runs of whole blocks go through the x86 SHA extensions when the CPU
+//! has them ([`kernel`] names the choice). The portable `compress`
+//! below is the only path on other CPUs and the reference the
+//! extension kernel is tested against.
 
-use crate::digest::{md_pad_64, Digest};
+use crate::digest::{BlockBuffer, Digest};
 
 /// Round constants: first 32 bits of the fractional parts of the cube roots
 /// of the first 64 primes.
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -15,6 +20,29 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
+/// The SHA-256 compression kernel this process runs: `"sha-ni"` when
+/// the CPU has the x86 SHA extensions (with SSSE3 and SSE4.1),
+/// otherwise `"portable"`. It is detected at run time, not configured.
+pub fn kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if crate::sha256_ni::available() {
+        return "sha-ni";
+    }
+    "portable"
+}
+
+/// Compress a run of whole 64-byte blocks into `state`.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::sha256_ni::try_compress_blocks(state, blocks) {
+        return;
+    }
+    for block in blocks.chunks_exact(64) {
+        compress(state, block);
+    }
+}
+
+/// The portable compression function: one 64-byte block.
 fn compress(state: &mut [u32; 8], block: &[u8]) {
     debug_assert_eq!(block.len(), 64);
     let mut w = [0u32; 64];
@@ -61,16 +89,14 @@ macro_rules! sha2_32 {
         #[derive(Clone)]
         pub struct $name {
             state: [u32; 8],
-            buf: Vec<u8>,
-            total: u64,
+            buf: BlockBuffer<64>,
         }
 
         impl Default for $name {
             fn default() -> Self {
                 $name {
                     state: $iv,
-                    buf: Vec::with_capacity(64),
-                    total: 0,
+                    buf: BlockBuffer::default(),
                 }
             }
         }
@@ -80,21 +106,14 @@ macro_rules! sha2_32 {
             const BLOCK: usize = 64;
 
             fn update(&mut self, data: &[u8]) {
-                self.total = self.total.wrapping_add(data.len() as u64);
-                self.buf.extend_from_slice(data);
-                let full = self.buf.len() / 64 * 64;
-                for block in self.buf[..full].chunks_exact(64) {
-                    compress(&mut self.state, block);
-                }
-                self.buf.drain(..full);
+                self.buf
+                    .update(data, |blocks| compress_blocks(&mut self.state, blocks));
             }
 
             fn finalize(mut self) -> Vec<u8> {
-                let pad = md_pad_64(self.buf.len(), self.total, false);
-                let total = self.total;
-                self.update(&pad);
-                self.total = total;
-                debug_assert!(self.buf.is_empty());
+                let length = (self.buf.bit_len() as u64).to_be_bytes();
+                self.buf
+                    .finish(&length, |blocks| compress_blocks(&mut self.state, blocks));
                 let mut out = Vec::with_capacity(32);
                 for w in self.state {
                     out.extend_from_slice(&w.to_be_bytes());
@@ -183,5 +202,57 @@ mod tests {
             h.update(&data[split..]);
             assert_eq!(h.finalize(), Sha256::digest(&data), "split={split}");
         }
+    }
+
+    /// `len` seeded pseudo-random bytes (SplitMix64).
+    fn pseudo_random(seed: u64, len: usize) -> Vec<u8> {
+        let mut x = seed;
+        let mut out = Vec::with_capacity(len + 8);
+        while out.len() < len {
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            out.extend_from_slice(&(z ^ (z >> 31)).to_le_bytes());
+        }
+        out.truncate(len);
+        out
+    }
+
+    /// The SHA extension kernel and the portable `compress` reach the
+    /// same state from the same state, on runs of 1 block up to 4 MiB.
+    #[test]
+    fn extension_kernel_matches_portable_compress() {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if !crate::sha256_ni::available() {
+                eprintln!("note: this CPU lacks the SHA extensions; kernel comparison skipped");
+                return;
+            }
+            for (seed, blocks) in [
+                (1u64, 1usize),
+                (2, 2),
+                (3, 3),
+                (4, 17),
+                (5, 256),
+                (6, 65_536),
+            ] {
+                let data = pseudo_random(seed, blocks * 64);
+                let start_bytes = pseudo_random(!seed, 32);
+                let mut start = [0u32; 8];
+                for (word, bytes) in start.iter_mut().zip(start_bytes.chunks_exact(4)) {
+                    *word = u32::from_le_bytes(bytes.try_into().unwrap());
+                }
+                let mut portable = start;
+                for block in data.chunks_exact(64) {
+                    compress(&mut portable, block);
+                }
+                let mut kernel = start;
+                assert!(crate::sha256_ni::try_compress_blocks(&mut kernel, &data));
+                assert_eq!(kernel, portable, "seed={seed} blocks={blocks}");
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        eprintln!("note: not an x86_64 CPU; kernel comparison skipped");
     }
 }

@@ -1,7 +1,7 @@
 //! SHA-384 and SHA-512 (FIPS 180-4 §6.4–6.5): the 64-bit SHA-2 variants on
 //! 128-byte blocks with 80 rounds.
 
-use crate::digest::Digest;
+use crate::digest::{BlockBuffer, Digest};
 
 /// Round constants: first 64 bits of the fractional parts of the cube roots
 /// of the first 80 primes.
@@ -88,59 +88,47 @@ const K: [u64; 80] = [
     0x6c44198c4a475817,
 ];
 
-fn compress(state: &mut [u64; 8], block: &[u8]) {
-    debug_assert_eq!(block.len(), 128);
-    let mut w = [0u64; 80];
-    for (i, word) in w.iter_mut().take(16).enumerate() {
-        *word = u64::from_be_bytes(block[i * 8..i * 8 + 8].try_into().unwrap());
+/// Compress a run of whole 128-byte blocks into `state`.
+fn compress(state: &mut [u64; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 128, 0);
+    for block in blocks.chunks_exact(128) {
+        let mut w = [0u64; 80];
+        for (i, word) in w.iter_mut().take(16).enumerate() {
+            *word = u64::from_be_bytes(block[i * 8..i * 8 + 8].try_into().unwrap());
+        }
+        for i in 16..80 {
+            let s0 = w[i - 15].rotate_right(1) ^ w[i - 15].rotate_right(8) ^ (w[i - 15] >> 7);
+            let s1 = w[i - 2].rotate_right(19) ^ w[i - 2].rotate_right(61) ^ (w[i - 2] >> 6);
+            w[i] = w[i - 16]
+                .wrapping_add(s0)
+                .wrapping_add(w[i - 7])
+                .wrapping_add(s1);
+        }
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+        for i in 0..80 {
+            let s1 = e.rotate_right(14) ^ e.rotate_right(18) ^ e.rotate_right(41);
+            let ch = (e & f) ^ (!e & g);
+            let t1 = h
+                .wrapping_add(s1)
+                .wrapping_add(ch)
+                .wrapping_add(K[i])
+                .wrapping_add(w[i]);
+            let s0 = a.rotate_right(28) ^ a.rotate_right(34) ^ a.rotate_right(39);
+            let maj = (a & b) ^ (a & c) ^ (b & c);
+            let t2 = s0.wrapping_add(maj);
+            h = g;
+            g = f;
+            f = e;
+            e = d.wrapping_add(t1);
+            d = c;
+            c = b;
+            b = a;
+            a = t1.wrapping_add(t2);
+        }
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
     }
-    for i in 16..80 {
-        let s0 = w[i - 15].rotate_right(1) ^ w[i - 15].rotate_right(8) ^ (w[i - 15] >> 7);
-        let s1 = w[i - 2].rotate_right(19) ^ w[i - 2].rotate_right(61) ^ (w[i - 2] >> 6);
-        w[i] = w[i - 16]
-            .wrapping_add(s0)
-            .wrapping_add(w[i - 7])
-            .wrapping_add(s1);
-    }
-    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
-    for i in 0..80 {
-        let s1 = e.rotate_right(14) ^ e.rotate_right(18) ^ e.rotate_right(41);
-        let ch = (e & f) ^ (!e & g);
-        let t1 = h
-            .wrapping_add(s1)
-            .wrapping_add(ch)
-            .wrapping_add(K[i])
-            .wrapping_add(w[i]);
-        let s0 = a.rotate_right(28) ^ a.rotate_right(34) ^ a.rotate_right(39);
-        let maj = (a & b) ^ (a & c) ^ (b & c);
-        let t2 = s0.wrapping_add(maj);
-        h = g;
-        g = f;
-        f = e;
-        e = d.wrapping_add(t1);
-        d = c;
-        c = b;
-        b = a;
-        a = t1.wrapping_add(t2);
-    }
-    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
-        *s = s.wrapping_add(v);
-    }
-}
-
-/// 128-byte-block Merkle–Damgård padding with a 16-byte big-endian length.
-fn pad_128(buf_len: usize, total_len: u64) -> Vec<u8> {
-    let bit_len = (total_len as u128) * 8;
-    let pad_len = if buf_len % 128 < 112 {
-        112 - buf_len % 128
-    } else {
-        240 - buf_len % 128
-    };
-    let mut pad = vec![0u8; pad_len + 16];
-    pad[0] = 0x80;
-    let l = pad.len();
-    pad[l - 16..].copy_from_slice(&bit_len.to_be_bytes());
-    pad
 }
 
 macro_rules! sha2_64 {
@@ -149,16 +137,14 @@ macro_rules! sha2_64 {
         #[derive(Clone)]
         pub struct $name {
             state: [u64; 8],
-            buf: Vec<u8>,
-            total: u64,
+            buf: BlockBuffer<128>,
         }
 
         impl Default for $name {
             fn default() -> Self {
                 $name {
                     state: $iv,
-                    buf: Vec::with_capacity(128),
-                    total: 0,
+                    buf: BlockBuffer::default(),
                 }
             }
         }
@@ -168,21 +154,14 @@ macro_rules! sha2_64 {
             const BLOCK: usize = 128;
 
             fn update(&mut self, data: &[u8]) {
-                self.total = self.total.wrapping_add(data.len() as u64);
-                self.buf.extend_from_slice(data);
-                let full = self.buf.len() / 128 * 128;
-                for block in self.buf[..full].chunks_exact(128) {
-                    compress(&mut self.state, block);
-                }
-                self.buf.drain(..full);
+                self.buf
+                    .update(data, |blocks| compress(&mut self.state, blocks));
             }
 
             fn finalize(mut self) -> Vec<u8> {
-                let pad = pad_128(self.buf.len(), self.total);
-                let total = self.total;
-                self.update(&pad);
-                self.total = total;
-                debug_assert!(self.buf.is_empty());
+                let length = self.buf.bit_len().to_be_bytes();
+                self.buf
+                    .finish(&length, |blocks| compress(&mut self.state, blocks));
                 let mut out = Vec::with_capacity(64);
                 for w in self.state {
                     out.extend_from_slice(&w.to_be_bytes());
@@ -263,15 +242,6 @@ mod tests {
             "8e959b75dae313da8cf4f72814fc143f8f7779c6eb9f7fa17299aeadb6889018\
              501d289e4900f7e4331b99dec4b5433ac7d329eeb6dd26545e96e55b874be909"
         );
-    }
-
-    #[test]
-    fn pad_alignment() {
-        for n in 0..300usize {
-            let pad = pad_128(n, n as u64);
-            assert_eq!((n + pad.len()) % 128, 0, "n={n}");
-            assert!(pad.len() >= 17);
-        }
     }
 
     #[test]

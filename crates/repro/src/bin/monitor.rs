@@ -14,7 +14,8 @@
 //! `GOVSCAN_THREADS` workers, and the on-disk chain identical to the
 //! final archive.
 //!
-//! Honours `GOVSCAN_SCALE`, `GOVSCAN_SEED` and `GOVSCAN_THREADS`.
+//! The start-up line names the SHA-256 kernel the CPU selected. Honours
+//! `GOVSCAN_SCALE`, `GOVSCAN_SEED` and `GOVSCAN_THREADS`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -55,8 +56,9 @@ fn main() -> ExitCode {
     world.scale = scale;
     eprintln!(
         "[govscan] monitor: seed={seed}, scale={scale}, {epochs} weekly epochs, \
-         {threads} threads{}",
-        if self_check { ", self-check" } else { "" }
+         {threads} threads{}, sha256={}",
+        if self_check { ", self-check" } else { "" },
+        govscan_crypto::sha256::kernel()
     );
 
     let monitor = Monitor::new(MonitorConfig {

@@ -7,8 +7,9 @@
 //! ```
 //!
 //! The receipt line carries hosts/s, the writer's peak pooled bytes and
-//! the process's peak RSS. Honours `GOVSCAN_SEED` and, for the producer
-//! pool, `GOVSCAN_THREADS`.
+//! the process's peak RSS; the start-up line names the SHA-256 kernel
+//! the CPU selected, so a throughput figure records what produced it.
+//! Honours `GOVSCAN_SEED` and, for the producer pool, `GOVSCAN_THREADS`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -51,7 +52,10 @@ fn main() -> ExitCode {
     config.scale = scale;
 
     let threads = govscan_exec::resolve_threads("GOVSCAN_THREADS");
-    eprintln!("[pipeline] seed={seed} scale={scale} window={window} threads={threads}");
+    eprintln!(
+        "[pipeline] seed={seed} scale={scale} window={window} threads={threads} sha256={}",
+        govscan_crypto::sha256::kernel()
+    );
 
     let report = match stream_scan_archive(&config, &out, window, threads) {
         Ok(r) => r,
