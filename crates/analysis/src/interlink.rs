@@ -29,7 +29,7 @@ pub fn build(net: &SimNet, filter: &GovFilter, scan: &ScanDataset) -> InterlinkR
     for r in scan.available() {
         let Some(src) = r.country else { continue };
         let page = match net.fetch(&r.hostname, r.https.is_valid(), &client) {
-            HttpOutcome::Response(resp) if resp.is_ok() => resp.body,
+            HttpOutcome::Response(resp) if resp.is_ok() => resp.body(),
             _ => continue,
         };
         for link in html::extract_links(&page) {

@@ -6,6 +6,8 @@
 //! deterministically derived. See the crate docs for why a simulated
 //! scheme is the right substitution for this reproduction.
 
+use std::io::Write;
+
 use crate::digest::Digest;
 use crate::fingerprint::Fingerprint;
 use crate::sha256::Sha256;
@@ -52,6 +54,19 @@ impl KeyAlgorithm {
             KeyAlgorithm::Ec(b) => format!("EC-{b}"),
         }
     }
+
+    /// [`Self::label`]'s bytes, written into `buf` instead of a new
+    /// `String`: the key derivations hash them on every call.
+    fn label_into(self, buf: &mut [u8; 9]) -> &[u8] {
+        let mut rest = &mut buf[..];
+        let written = match self {
+            KeyAlgorithm::Rsa(b) => write!(rest, "RSA-{b}"),
+            KeyAlgorithm::Ec(b) => write!(rest, "EC-{b}"),
+        };
+        written.expect("the longest label, `RSA-65535`, is nine bytes");
+        let len = 9 - rest.len();
+        &buf[..len]
+    }
 }
 
 /// A public key: algorithm metadata plus the derived key bytes.
@@ -69,7 +84,7 @@ impl PublicKey {
     pub fn fingerprint(&self) -> Fingerprint {
         let mut h = Sha256::new();
         h.update(&self.bytes);
-        h.update(&self.algorithm.label().into_bytes());
+        h.update(self.algorithm.label_into(&mut [0; 9]));
         Fingerprint::from_digest(&h.finalize())
     }
 }
@@ -93,7 +108,7 @@ impl KeyPair {
     pub fn from_seed(algorithm: KeyAlgorithm, seed: &[u8]) -> Self {
         let mut h = Sha256::new();
         h.update(b"govscan-keyseed-v1");
-        h.update(&algorithm.label().into_bytes());
+        h.update(algorithm.label_into(&mut [0; 9]));
         h.update(seed);
         let digest = h.finalize();
         let mut secret = [0u8; 32];
@@ -162,9 +177,49 @@ mod tests {
     }
 
     #[test]
+    fn derivation_is_pinned() {
+        // The public key and its fingerprint, both derived through the
+        // algorithm label's bytes, pinned to the values the label
+        // `String` gave.
+        let mut pinned = Vec::new();
+        for (algorithm, seed) in [
+            (KeyAlgorithm::Rsa(2048), &b"www.nih.gov"[..]),
+            (KeyAlgorithm::Ec(256), &b"minwon.go.kr"[..]),
+        ] {
+            let public = KeyPair::from_seed(algorithm, seed).public();
+            pinned.push((
+                crate::hex::encode(&public.bytes),
+                public.fingerprint().to_hex(),
+            ));
+        }
+        let pin = |key: &str, fingerprint: &str| (key.to_string(), fingerprint.to_string());
+        assert_eq!(
+            pinned,
+            [
+                pin(
+                    "f187c40127ad5902228222a3b910dcc6963af203dd4f8ff567306a70282ecf41",
+                    "63078e3e2a14e8dc95a95a5e4dccc98f72469e967293596a1de566ab460548f8"
+                ),
+                pin(
+                    "c634270081f6efa5c48bd0bfd2b68d099e6283661b04df1943742ea5cb067676",
+                    "b066061222b54b2259d33a906230ded2b99ba71243c83568940156284c3f9b64"
+                ),
+            ]
+        );
+    }
+
+    #[test]
     fn labels() {
         assert_eq!(KeyAlgorithm::Rsa(2048).label(), "RSA-2048");
         assert_eq!(KeyAlgorithm::Ec(256).label(), "EC-256");
+        for alg in [
+            KeyAlgorithm::Rsa(2048),
+            KeyAlgorithm::Rsa(u16::MAX),
+            KeyAlgorithm::Ec(0),
+            KeyAlgorithm::Ec(384),
+        ] {
+            assert_eq!(alg.label_into(&mut [0; 9]), alg.label().as_bytes());
+        }
         assert_eq!(KeyAlgorithm::Ec(384).bits(), 384);
         assert!(KeyAlgorithm::Ec(256).is_ec());
         assert!(!KeyAlgorithm::Rsa(2048).is_ec());

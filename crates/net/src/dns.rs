@@ -1,5 +1,6 @@
 //! The DNS simulation: A and CAA records with failure behaviours.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -88,18 +89,27 @@ impl DnsZone {
 
     /// Resolve A records for `name`.
     pub fn resolve(&self, name: &str) -> DnsOutcome {
-        let name = name.to_ascii_lowercase();
+        match self.answer(name) {
+            Ok(addrs) => DnsOutcome::Ok(addrs.to_vec()),
+            Err(failure) => failure,
+        }
+    }
+
+    /// [`Self::resolve`] without copying the answer: the A records, or
+    /// the failed outcome.
+    pub(crate) fn answer(&self, name: &str) -> Result<&[Ipv4Addr], DnsOutcome> {
+        let name = lowercase(name);
         match self
             .behavior
-            .get(&name)
+            .get(&*name)
             .copied()
             .unwrap_or(DnsBehavior::Answer)
         {
-            DnsBehavior::NxDomain => DnsOutcome::NxDomain,
-            DnsBehavior::Timeout => DnsOutcome::Timeout,
-            DnsBehavior::Answer => match self.records.get(&name) {
-                Some(r) if !r.a.is_empty() => DnsOutcome::Ok(r.a.clone()),
-                _ => DnsOutcome::NxDomain,
+            DnsBehavior::NxDomain => Err(DnsOutcome::NxDomain),
+            DnsBehavior::Timeout => Err(DnsOutcome::Timeout),
+            DnsBehavior::Answer => match self.records.get(&*name) {
+                Some(r) if !r.a.is_empty() => Ok(&r.a),
+                _ => Err(DnsOutcome::NxDomain),
             },
         }
     }
@@ -108,17 +118,16 @@ impl DnsZone {
     /// closest ancestor (including `name` itself) that publishes any CAA
     /// records. Returns an empty slice when no ancestor publishes CAA.
     pub fn caa_relevant_set(&self, name: &str) -> &[CaaRecord] {
-        let mut current = name.to_ascii_lowercase();
+        let name = lowercase(name);
+        let mut current: &str = &name;
         loop {
-            if let Some(r) = self.records.get(&current) {
+            if let Some(r) = self.records.get(current) {
                 if !r.caa.is_empty() {
-                    return &self.records[&current].caa;
+                    return &r.caa;
                 }
             }
             match current.split_once('.') {
-                Some((_, parent)) if parent.contains('.') || !parent.is_empty() => {
-                    current = parent.to_string();
-                }
+                Some((_, parent)) if !parent.is_empty() => current = parent,
                 _ => return &[],
             }
         }
@@ -126,7 +135,7 @@ impl DnsZone {
 
     /// Whether `name` has any records at all.
     pub fn has_name(&self, name: &str) -> bool {
-        self.records.contains_key(&name.to_ascii_lowercase())
+        self.records.contains_key(&*lowercase(name))
     }
 
     /// Number of published names.
@@ -137,6 +146,16 @@ impl DnsZone {
     /// True if no names are published.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
+    }
+}
+
+/// `name` lowercased, borrowed when it already is (as generated
+/// hostnames always are), so a lookup allocates only for mixed case.
+pub(crate) fn lowercase(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
     }
 }
 
@@ -206,6 +225,23 @@ mod tests {
         zone.publish_caa("www.agency.gov.uk", vec![CaaRecord::issue("digicert.com")]);
         let set = zone.caa_relevant_set("www.agency.gov.uk");
         assert_eq!(set[0].value, "digicert.com");
+    }
+
+    #[test]
+    fn caa_climb_ignores_case_and_stops_at_the_last_label() {
+        let mut zone = DnsZone::new();
+        zone.publish_caa("Agency.GOV.uk", vec![CaaRecord::issue("letsencrypt.org")]);
+        zone.publish_caa("uk", vec![CaaRecord::issue("tld.example")]);
+        assert_eq!(
+            zone.caa_relevant_set("WWW.agency.gov.UK")[0].value,
+            "letsencrypt.org"
+        );
+        assert_eq!(zone.caa_relevant_set("x.gov.uk")[0].value, "tld.example");
+        assert_eq!(zone.caa_relevant_set("UK")[0].value, "tld.example");
+        // A trailing dot leaves an empty last label, which is never
+        // climbed to.
+        assert!(zone.caa_relevant_set("x.gov.uk.").is_empty());
+        assert!(zone.caa_relevant_set("").is_empty());
     }
 
     #[test]

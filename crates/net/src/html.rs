@@ -4,7 +4,9 @@
 //! every link, and follows those with a valid country-code extension. To
 //! exercise a *real* extraction code path, simulated pages are rendered
 //! to actual HTML and the crawler parses `<a href=...>` attributes back
-//! out of the markup rather than reading a side channel.
+//! out of the markup rather than reading a side channel. A page is
+//! rendered when its body is read ([`crate::HttpResponse::body`]), not
+//! when its host is built: scanning never reads one.
 
 /// Render a government-portal-shaped page whose nav and footer link to
 /// `links` (absolute URLs or bare hostnames).

@@ -1,9 +1,17 @@
 //! The HTTP layer of the simulation: status codes, redirects, HSTS.
 
+use std::borrow::Cow;
+use std::fmt;
+use std::sync::Arc;
+
 use crate::html;
 
 /// A simulated HTTP response.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A page keeps its title and links and renders its HTML only when
+/// [`Self::body`] is read: the scanner never reads a body, and a clone
+/// (one per host side, one per fetch) shares the page.
+#[derive(Clone)]
 pub struct HttpResponse {
     /// Status code (200, 301, 404, 500, …).
     pub status: u16,
@@ -11,18 +19,42 @@ pub struct HttpResponse {
     pub location: Option<String>,
     /// `Strict-Transport-Security` header value, if sent.
     pub hsts: Option<String>,
-    /// Response body (HTML).
-    pub body: String,
+    body: Body,
+}
+
+/// A response body: fixed markup, or a page rendered when read.
+#[derive(Clone)]
+enum Body {
+    Text(&'static str),
+    Page(Arc<Page>),
+}
+
+/// What [`html::render_page`] renders a page from.
+struct Page {
+    title: String,
+    links: Vec<String>,
 }
 
 impl HttpResponse {
-    /// A 200 page rendered from a title and links.
-    pub fn page(title: &str, links: &[String]) -> Self {
+    /// A 200 page with a title and links, rendered by
+    /// [`html::render_page`] when its body is read.
+    pub fn page(title: impl Into<String>, links: &[String]) -> Self {
         HttpResponse {
             status: 200,
             location: None,
             hsts: None,
-            body: html::render_page(title, links),
+            body: Body::Page(Arc::new(Page {
+                title: title.into(),
+                links: links.to_vec(),
+            })),
+        }
+    }
+
+    /// The response body (HTML).
+    pub fn body(&self) -> Cow<'static, str> {
+        match &self.body {
+            Body::Text(text) => Cow::Borrowed(text),
+            Body::Page(page) => Cow::Owned(html::render_page(&page.title, &page.links)),
         }
     }
 
@@ -32,7 +64,7 @@ impl HttpResponse {
             status: 301,
             location: Some(location.into()),
             hsts: None,
-            body: String::new(),
+            body: Body::Text(""),
         }
     }
 
@@ -42,7 +74,7 @@ impl HttpResponse {
             status: 404,
             location: None,
             hsts: None,
-            body: "<html><body><h1>404 Not Found</h1></body></html>".into(),
+            body: Body::Text("<html><body><h1>404 Not Found</h1></body></html>"),
         }
     }
 
@@ -52,7 +84,7 @@ impl HttpResponse {
             status: 500,
             location: None,
             hsts: None,
-            body: "<html><body><h1>500 Internal Server Error</h1></body></html>".into(),
+            body: Body::Text("<html><body><h1>500 Internal Server Error</h1></body></html>"),
         }
     }
 
@@ -72,6 +104,31 @@ impl HttpResponse {
         (300..400).contains(&self.status) && self.location.is_some()
     }
 }
+
+/// The derived form, with the rendered body as the `body` field: world
+/// digests hash this text.
+impl fmt::Debug for HttpResponse {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("HttpResponse")
+            .field("status", &self.status)
+            .field("location", &self.location)
+            .field("hsts", &self.hsts)
+            .field("body", &self.body())
+            .finish()
+    }
+}
+
+/// Responses are equal when their headers and rendered bodies are.
+impl PartialEq for HttpResponse {
+    fn eq(&self, other: &Self) -> bool {
+        self.status == other.status
+            && self.location == other.location
+            && self.hsts == other.hsts
+            && self.body() == other.body()
+    }
+}
+
+impl Eq for HttpResponse {}
 
 /// What an HTTP(S) fetch observed end to end, transport included.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,8 +168,34 @@ mod tests {
     fn page_response_contains_links() {
         let r = HttpResponse::page("City of Testville", &["https://county.gov".to_string()]);
         assert!(r.is_ok());
-        assert!(r.body.contains("https://county.gov"));
+        assert!(r.body().contains("https://county.gov"));
         assert!(!r.is_redirect());
+    }
+
+    #[test]
+    fn page_body_is_the_rendered_page() {
+        let links = [
+            "https://county.gov".to_string(),
+            "http://a.gov.br/x".to_string(),
+        ];
+        let title = "Official portal — <x> & \"y\"";
+        let r = HttpResponse::page(title, &links);
+        let rendered = html::render_page(title, &links);
+        assert_eq!(r.body(), rendered);
+        assert_eq!(r.clone().with_hsts().body(), rendered);
+        // `Debug` prints the rendered body in the derived form.
+        assert_eq!(
+            format!("{r:?}"),
+            format!(
+                "HttpResponse {{ status: 200, location: None, hsts: None, body: {rendered:?} }}"
+            )
+        );
+        assert_eq!(
+            format!("{:?}", HttpResponse::redirect("https://a.gov/")),
+            "HttpResponse { status: 301, location: Some(\"https://a.gov/\"), hsts: None, body: \"\" }"
+        );
+        assert_eq!(r, HttpResponse::page(title.to_string(), &links));
+        assert_ne!(r, HttpResponse::page("other", &links));
     }
 
     #[test]

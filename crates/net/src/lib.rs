@@ -17,7 +17,8 @@
 //!   suites, alerts, and peer certificate-chain delivery; the client side
 //!   behaves like the paper's OpenSSL probe.
 //! - [`http`] — status codes, `Location` redirects, HSTS headers, and
-//!   HTML bodies with real anchor tags for the crawler.
+//!   HTML bodies with real anchor tags for the crawler, rendered when
+//!   read.
 //! - [`html`] — page rendering and link extraction.
 //! - [`simnet`] — the host registry tying it all together; every scanner
 //!   operation dials a [`SimNet`].

@@ -5,7 +5,7 @@ use std::net::Ipv4Addr;
 
 use govscan_pki::caa::CaaRecord;
 
-use crate::dns::{DnsBehavior, DnsOutcome, DnsZone};
+use crate::dns::{lowercase, DnsBehavior, DnsOutcome, DnsZone};
 use crate::http::{HttpOutcome, HttpResponse};
 use crate::tcp::{PortTable, TcpOutcome};
 use crate::tls::{handshake, TlsClientConfig, TlsServerConfig, TlsSession};
@@ -31,10 +31,12 @@ pub struct HostConfig {
 impl HostConfig {
     /// A plain-HTTP-only host serving a page.
     pub fn http_only(hostname: impl Into<String>, ip: Ipv4Addr, page: HttpResponse) -> Self {
+        let mut hostname = hostname.into();
+        hostname.make_ascii_lowercase();
         let mut ports = PortTable::default();
         ports.set(80, TcpOutcome::Accepted);
         HostConfig {
-            hostname: hostname.into().to_ascii_lowercase(),
+            hostname,
             ip,
             ports,
             tls: None,
@@ -51,8 +53,10 @@ impl HostConfig {
         http: HttpResponse,
         https: HttpResponse,
     ) -> Self {
+        let mut hostname = hostname.into();
+        hostname.make_ascii_lowercase();
         HostConfig {
-            hostname: hostname.into().to_ascii_lowercase(),
+            hostname,
             ip,
             ports: PortTable::both_open(),
             tls: Some(tls),
@@ -92,13 +96,13 @@ impl SimNet {
     /// Look up a host's configuration (test/diagnostic use; scanner code
     /// goes through the wire-level operations below).
     pub fn host(&self, name: &str) -> Option<&HostConfig> {
-        self.hosts.get(&name.to_ascii_lowercase())
+        self.hosts.get(&*lowercase(name))
     }
 
     /// Mutable host access, for the remediation model in the disclosure
     /// simulation (webmasters fixing certificates between scans).
     pub fn host_mut(&mut self, name: &str) -> Option<&mut HostConfig> {
-        self.hosts.get_mut(&name.to_ascii_lowercase())
+        self.hosts.get_mut(&*lowercase(name))
     }
 
     /// Remove a host entirely (sites taken down after disclosure).
@@ -163,10 +167,10 @@ impl SimNet {
     /// The complete client fetch the paper's availability probe performed:
     /// resolve → connect → (handshake) → GET /.
     pub fn fetch(&self, name: &str, https: bool, client: &TlsClientConfig) -> HttpOutcome {
-        match self.resolve(name) {
-            DnsOutcome::NxDomain => return HttpOutcome::DnsFailure,
-            DnsOutcome::Timeout => return HttpOutcome::DnsTimeout,
-            DnsOutcome::Ok(_) => {}
+        match self.dns.answer(name) {
+            Err(DnsOutcome::Timeout) => return HttpOutcome::DnsTimeout,
+            Err(_) => return HttpOutcome::DnsFailure,
+            Ok(_) => {}
         }
         let port = if https { 443 } else { 80 };
         let tcp = self.tcp_connect(name, port);

@@ -64,19 +64,19 @@ impl CrawlReport {
 /// https, fall back to https directly.
 fn fetch_page(net: &SimNet, client: &TlsClientConfig, host: &str) -> Option<String> {
     match net.fetch(host, false, client) {
-        HttpOutcome::Response(r) if r.is_ok() => return Some(r.body),
+        HttpOutcome::Response(r) if r.is_ok() => return Some(r.body().into_owned()),
         HttpOutcome::Response(r) if r.is_redirect() => {
             // Follow to https (the common http→https upgrade).
             if let HttpOutcome::Response(r2) = net.fetch(host, true, client) {
                 if r2.is_ok() {
-                    return Some(r2.body);
+                    return Some(r2.body().into_owned());
                 }
             }
         }
         _ => {}
     }
     match net.fetch(host, true, client) {
-        HttpOutcome::Response(r) if r.is_ok() => Some(r.body),
+        HttpOutcome::Response(r) if r.is_ok() => Some(r.body().into_owned()),
         _ => None,
     }
 }

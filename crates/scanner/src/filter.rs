@@ -93,47 +93,59 @@ impl GovFilter {
 
     /// Classify a hostname. Returns the inferred ISO country code when
     /// the hostname is governmental, `None` otherwise.
+    ///
+    /// Matches on the hostname's bytes, ignoring ASCII case, so it never
+    /// allocates; non-ASCII bytes match only themselves.
     pub fn classify(&self, hostname: &str) -> Option<&'static str> {
-        let host = hostname.trim_end_matches('.').to_ascii_lowercase();
-        if host.is_empty() || !host.contains('.') {
-            return None;
-        }
-        let labels: Vec<&str> = host.split('.').collect();
-        if labels.iter().any(|l| l.is_empty()) {
+        let host = hostname.trim_end_matches('.').as_bytes();
+        if !host.contains(&b'.') || host.split(|&b| b == b'.').any(<[u8]>::is_empty) {
             return None;
         }
         // Explicit exceptions first (longest suffix match, label-aligned).
         for (suffix, cc) in EXCEPTIONS {
-            if ends_with_labels(&labels, suffix) {
+            if ends_with_labels(host, suffix) {
                 return Some(cc);
             }
         }
         // Convention: <gov-label>.<cc> as the last two labels.
-        if labels.len() >= 3 {
-            let cc_label = labels[labels.len() - 1];
-            let gov_label = labels[labels.len() - 2];
-            // "uk" is the ccTLD for GB.
-            let cc: &'static str = match self.cc.get(cc_label) {
-                Some(&cc) => {
-                    if cc == "uk" {
-                        "gb"
-                    } else {
-                        cc
-                    }
-                }
-                None => return None,
-            };
-            if GOV_LABELS.contains(&gov_label) {
-                return Some(cc);
-            }
-            // `government.bg`-style: the full word directly under the cc.
-            if gov_label.starts_with("gov")
-                && GOV_LABELS.contains(&gov_label.trim_end_matches(|c: char| c.is_ascii_digit()))
-            {
-                return Some(cc);
-            }
+        let mut labels = host.rsplit(|&b| b == b'.');
+        let (Some(cc_label), Some(gov_label), Some(_)) =
+            (labels.next(), labels.next(), labels.next())
+        else {
+            return None;
+        };
+        let cc = self.country_code(cc_label)?;
+        // "uk" is the ccTLD for GB.
+        let cc = if cc == "uk" { "gb" } else { cc };
+        let is_gov_label = |label: &[u8]| {
+            GOV_LABELS
+                .iter()
+                .any(|g| label.eq_ignore_ascii_case(g.as_bytes()))
+        };
+        if is_gov_label(gov_label) {
+            return Some(cc);
+        }
+        // `government.bg`-style: the full word directly under the cc.
+        let digits = gov_label
+            .iter()
+            .rev()
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        if gov_label.len() >= 3
+            && gov_label[..3].eq_ignore_ascii_case(b"gov")
+            && is_gov_label(&gov_label[..gov_label.len() - digits])
+        {
+            return Some(cc);
         }
         None
+    }
+
+    /// The table's entry for a TLD label, ignoring ASCII case. Every code
+    /// is two ASCII letters, so the label is folded on the stack.
+    fn country_code(&self, label: &[u8]) -> Option<&'static str> {
+        let &[a, b] = label else { return None };
+        let folded = [a.to_ascii_lowercase(), b.to_ascii_lowercase()];
+        self.cc.get(std::str::from_utf8(&folded).ok()?).copied()
     }
 
     /// Is this a government hostname?
@@ -145,31 +157,32 @@ impl GovFilter {
     /// link-following criterion, §4.2.2)? gTLD links (`.com`, `.org`,
     /// `.net`, …) are not followed.
     pub fn has_cc_tld(&self, hostname: &str) -> bool {
-        let host = hostname.trim_end_matches('.').to_ascii_lowercase();
-        match host.rsplit_once('.') {
-            Some((_, tld)) => self.cc.contains(tld),
+        match hostname.trim_end_matches('.').rsplit_once('.') {
+            Some((_, tld)) => self.country_code(tld.as_bytes()).is_some(),
             None => false,
         }
     }
 
     /// The US's bare TLDs also count for crawling (`.gov`, `.mil`).
     pub fn crawlable(&self, hostname: &str) -> bool {
-        let host = hostname.to_ascii_lowercase();
-        self.has_cc_tld(&host) || host.ends_with(".gov") || host.ends_with(".mil")
+        let ends_with = |tld: &[u8]| {
+            let host = hostname.as_bytes();
+            host.len() >= tld.len() && host[host.len() - tld.len()..].eq_ignore_ascii_case(tld)
+        };
+        self.has_cc_tld(hostname) || ends_with(b".gov") || ends_with(b".mil")
     }
 }
 
-/// Suffix match aligned to label boundaries.
-fn ends_with_labels(labels: &[&str], suffix: &str) -> bool {
-    let suffix_labels: Vec<&str> = suffix.split('.').collect();
-    if labels.len() < suffix_labels.len() {
+/// Whether `host` ends with `suffix` at a label boundary, ignoring ASCII
+/// case, with at least one label before it: `www.gc.ca` matches `gc.ca`,
+/// but neither `gc.ca` itself nor `notgc.ca` does. `host` has no empty
+/// labels, so a dot before the suffix means a label before it.
+fn ends_with_labels(host: &[u8], suffix: &str) -> bool {
+    let suffix = suffix.as_bytes();
+    let Some(dot) = host.len().checked_sub(suffix.len() + 1) else {
         return false;
-    }
-    // The full hostname must have at least one label before the suffix —
-    // except we also accept the apex itself for multi-label exceptions
-    // like `gc.ca` (www.gc.ca and gc.ca are both governmental).
-    let tail = &labels[labels.len() - suffix_labels.len()..];
-    tail == suffix_labels.as_slice() && labels.len() > suffix_labels.len()
+    };
+    host[dot] == b'.' && host[dot + 1..].eq_ignore_ascii_case(suffix)
 }
 
 #[cfg(test)]
@@ -178,6 +191,159 @@ mod tests {
 
     fn f() -> GovFilter {
         GovFilter::standard()
+    }
+
+    /// The label-vector classifier the byte matcher replaced: the
+    /// reference it must agree with.
+    fn classify_reference(filter: &GovFilter, hostname: &str) -> Option<&'static str> {
+        let host = hostname.trim_end_matches('.').to_ascii_lowercase();
+        if host.is_empty() || !host.contains('.') {
+            return None;
+        }
+        let labels: Vec<&str> = host.split('.').collect();
+        if labels.iter().any(|l| l.is_empty()) {
+            return None;
+        }
+        for (suffix, cc) in EXCEPTIONS {
+            let suffix_labels: Vec<&str> = suffix.split('.').collect();
+            if labels.len() > suffix_labels.len()
+                && labels[labels.len() - suffix_labels.len()..] == suffix_labels[..]
+            {
+                return Some(cc);
+            }
+        }
+        if labels.len() >= 3 {
+            let cc_label = labels[labels.len() - 1];
+            let gov_label = labels[labels.len() - 2];
+            let cc: &'static str = match filter.cc.get(cc_label) {
+                Some(&"uk") => "gb",
+                Some(&cc) => cc,
+                None => return None,
+            };
+            if GOV_LABELS.contains(&gov_label) {
+                return Some(cc);
+            }
+            if gov_label.starts_with("gov")
+                && GOV_LABELS.contains(&gov_label.trim_end_matches(|c: char| c.is_ascii_digit()))
+            {
+                return Some(cc);
+            }
+        }
+        None
+    }
+
+    /// Edge cases for the byte matcher: case, dots, empty labels,
+    /// non-ASCII bytes (next to and inside the labels it compares), apex
+    /// exceptions and phishing twins.
+    const EDGE_CASES: &[&str] = &[
+        "",
+        ".",
+        "..",
+        "gov",
+        ".gov",
+        "gov.",
+        "x.gov",
+        "X.GOV",
+        "x.gov.",
+        "x.gov..",
+        "x..gov",
+        ".x.gov",
+        "WWW.NIH.GOV.",
+        "www.Nih.Gov",
+        "gc.ca",
+        "www.gc.ca",
+        "WWW.GC.CA",
+        "notgc.ca",
+        "x.notgc.ca",
+        "gov.on.ca",
+        "a.gov.on.ca",
+        "on.ca",
+        "rks-gov.net",
+        "e.RKS-GOV.net",
+        "govmu.org",
+        "a.govmu.org",
+        "a.xgovmu.org",
+        "abcgov.us",
+        "gov.us",
+        "a.gov.us",
+        "a.fed.us",
+        "etagov.sl",
+        "etagovlk.sl",
+        "eta.gov.lk",
+        "eta.GOV.LK",
+        "x.gov.bd",
+        "gov.bd",
+        "x.gov.b",
+        "x.gov.bdd",
+        "x.gov2.bg",
+        "x.GOV22.bg",
+        "x.gov2x.bg",
+        "x.government.bg",
+        "x.governments.bg",
+        "x.go.kr",
+        "x.g.kr",
+        "x.gv.at",
+        "x.admin.ch",
+        "x.Admin.CH",
+        "agency.gov.uk",
+        "x.gov.UK",
+        "x.gov.é",
+        "x.gov.bé",
+        "é.gov.bd",
+        "x.góv.bd",
+        "x.gov.🇧🇩",
+        "ñ.gob.mx",
+        "x.gob.mx",
+        "x.gob.m\u{0301}",
+        "x.\u{0130}.tr",
+        "x.gov\u{0130}.tr",
+        "x.gov.tr\u{0130}",
+        "gov.gov.gov",
+        "a.b.c.d.gov.br",
+        "x.gouvernement.lu",
+        "x.public.lu",
+        "x.llv.li",
+        "x.nic.in",
+        "x.dep.no",
+        "x.fgov.be",
+        "mil",
+        "x.mil",
+        "x.MIL.",
+        "x.mil.us",
+    ];
+
+    #[test]
+    fn byte_matcher_agrees_with_the_label_vectors() {
+        let filter = f();
+        let world =
+            govscan_worldgen::World::generate(&govscan_worldgen::WorldConfig::small(0xF117));
+        let mut hosts: Vec<String> = world.net.hostnames().map(str::to_string).collect();
+        hosts.extend(world.records.keys().cloned());
+        hosts.extend(EDGE_CASES.iter().map(|h| h.to_string()));
+        // The crawl criteria's reference forms, over lowercased copies.
+        let cc_tld = |h: &str| {
+            let host = h.trim_end_matches('.').to_ascii_lowercase();
+            host.rsplit_once('.')
+                .is_some_and(|(_, tld)| filter.cc.contains(tld))
+        };
+        let crawlable = |h: &str| {
+            let host = h.to_ascii_lowercase();
+            cc_tld(&host) || host.ends_with(".gov") || host.ends_with(".mil")
+        };
+        let mut matched = 0;
+        for host in &hosts {
+            for h in [host.clone(), host.to_ascii_uppercase(), format!("{host}.")] {
+                let got = filter.classify(&h);
+                assert_eq!(got, classify_reference(&filter, &h), "{h:?}");
+                assert_eq!(filter.has_cc_tld(&h), cc_tld(&h), "{h:?}");
+                assert_eq!(filter.crawlable(&h), crawlable(&h), "{h:?}");
+                matched += usize::from(got.is_some());
+            }
+        }
+        assert!(
+            matched > hosts.len(),
+            "the world's government hosts classify"
+        );
     }
 
     #[test]

@@ -28,7 +28,6 @@
 //! byte for byte, which is what makes [`crate::Snapshot::digest`] a
 //! meaningful identity.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::{Seek, SeekFrom, Write};
 use std::net::Ipv4Addr;
@@ -43,8 +42,8 @@ use govscan_scanner::{ErrorCategory, ScanDataset, ScanRecord};
 
 pub use crate::container::Section;
 use crate::container::{
-    decode_time, encode_header, encode_strings, encode_table, encode_time, Frame, SectionKind,
-    HEADER_LEN, TABLE_OFFSET_AT,
+    decode_time, encode_header, encode_table, encode_time, Frame, SectionKind, HEADER_LEN,
+    TABLE_OFFSET_AT,
 };
 use crate::error::{Result, StoreError};
 use crate::intern::{intern_static, StringTable, NO_STRING};
@@ -158,6 +157,8 @@ pub struct SnapshotWriter<W: Write + Seek> {
     cert_metas: Vec<CertMeta>,
     caa: Encoder,
     caa_count: u32,
+    /// One host record's encoding, reused for every record.
+    record: Encoder,
     hosts_checksum: Checksum,
     hosts_len: u64,
     host_count: u64,
@@ -181,6 +182,7 @@ impl<W: Write + Seek> SnapshotWriter<W> {
             cert_metas: Vec::new(),
             caa: Encoder::new(),
             caa_count: 0,
+            record: Encoder::new(),
             hosts_checksum: Checksum::default(),
             hosts_len: 0,
             host_count: 0,
@@ -203,8 +205,8 @@ impl<W: Write + Seek> SnapshotWriter<W> {
         self.cert_count += 1;
         #[cfg(debug_assertions)]
         self.cert_metas.push(meta.clone());
-        let issuer = self.strings.intern(&meta.issuer);
-        let serial = self.strings.intern(&meta.serial);
+        let issuer = self.strings.intern(&meta.issuer)?;
+        let serial = self.strings.intern(&meta.serial)?;
         let e = &mut self.certs;
         e.bytes(meta.fingerprint.as_bytes());
         e.bytes(meta.key_fingerprint.as_bytes());
@@ -248,7 +250,7 @@ impl<W: Write + Seek> SnapshotWriter<W> {
         let caa_len = u16::try_from(record.caa.len())
             .map_err(|_| StoreError::Unrepresentable { field: "caa run" })?;
         for rec in &record.caa {
-            let value = self.strings.intern(&rec.value);
+            let value = self.strings.intern(&rec.value)?;
             let mut flags = match rec.tag {
                 CaaTag::Issue => 0u8,
                 CaaTag::IssueWild => 1,
@@ -274,8 +276,22 @@ impl<W: Write + Seek> SnapshotWriter<W> {
             });
         }
 
-        let mut e = Encoder::new();
-        e.u32(self.strings.intern(&record.hostname));
+        // Interned in this order (hostname, provider, country) after the
+        // CAA values and the certificate: ids are first-seen.
+        let hostname = self.strings.intern(&record.hostname)?;
+        let (hosting_tag, provider) = match record.hosting {
+            HostingKind::Private => (0u8, NO_STRING),
+            HostingKind::Cloud(p) => (1, self.strings.intern(p)?),
+            HostingKind::Cdn(p) => (2, self.strings.intern(p)?),
+        };
+        let country = match record.country {
+            Some(cc) => self.strings.intern(cc)?,
+            None => NO_STRING,
+        };
+
+        let e = &mut self.record;
+        e.clear();
+        e.u32(hostname);
         let mut flags = 0u16;
         let mut set = |bit: u16, on: bool| {
             if on {
@@ -294,18 +310,10 @@ impl<W: Write + Seek> SnapshotWriter<W> {
         e.u32(record.ip.map(u32::from).unwrap_or(0));
         e.u8(error.map(error_code).unwrap_or(u8::MAX));
         e.u8(record.negotiated.map(tls_code).unwrap_or(u8::MAX));
-        let (hosting_tag, provider) = match record.hosting {
-            HostingKind::Private => (0u8, NO_STRING),
-            HostingKind::Cloud(p) => (1, self.strings.intern(p)),
-            HostingKind::Cdn(p) => (2, self.strings.intern(p)),
-        };
         e.u8(hosting_tag);
         e.u32(provider);
         e.u32(cert);
-        e.u32(match record.country {
-            Some(cc) => self.strings.intern(cc),
-            None => NO_STRING,
-        });
+        e.u32(country);
         e.u32(record.tranco_rank.unwrap_or(u32::MAX));
         e.u32(caa_offset);
         e.u16(caa_len);
@@ -362,12 +370,14 @@ impl<W: Write + Seek> SnapshotWriter<W> {
     /// Write the pools, metadata, and section table; backpatch the
     /// header; return the underlying writer.
     ///
-    /// The pool sections are encoded and FNV-1a-checksummed concurrently
-    /// on the shared executor ([`govscan_exec`], worker count from
-    /// `GOVSCAN_STORE_THREADS` / `GOVSCAN_THREADS`), then written
-    /// strictly in the canonical v1 order (CAA, certs, strings, meta) —
-    /// so archives stay byte-identical at any worker count, which is
-    /// what keeps [`crate::Snapshot::digest`] a meaningful identity.
+    /// Every pool is already its section payload (the string table keeps
+    /// its text in the section's encoding). The payloads are
+    /// FNV-1a-checksummed concurrently on the shared executor
+    /// ([`govscan_exec`], worker count from `GOVSCAN_STORE_THREADS` /
+    /// `GOVSCAN_THREADS`), then written strictly in the canonical v1
+    /// order (CAA, certs, strings, meta) — so archives stay
+    /// byte-identical at any worker count, which is what keeps
+    /// [`crate::Snapshot::digest`] a meaningful identity.
     pub fn finish(mut self) -> Result<W> {
         let hosts = Section {
             id: SectionId::Hosts as u32,
@@ -384,44 +394,29 @@ impl<W: Write + Seek> SnapshotWriter<W> {
         meta.u64(self.caa_count as u64);
         meta.u64(self.strings.len() as u64);
 
-        /// A pool section job: either already-encoded bytes that only
-        /// need checksumming, or the string table still to flatten.
-        enum Pool<'a> {
-            Ready(&'a [u8]),
-            Strings(&'a StringTable),
-        }
-        let jobs: Vec<(SectionId, Pool<'_>)> = vec![
-            (SectionId::Caa, Pool::Ready(self.caa.as_bytes())),
-            (SectionId::Certs, Pool::Ready(self.certs.as_bytes())),
-            (SectionId::Strings, Pool::Strings(&self.strings)),
-            (SectionId::Meta, Pool::Ready(meta.as_bytes())),
+        let payloads = vec![
+            (SectionId::Caa, self.caa.as_bytes()),
+            (SectionId::Certs, self.certs.as_bytes()),
+            (SectionId::Strings, self.strings.payload()),
+            (SectionId::Meta, meta.as_bytes()),
         ];
         let threads = govscan_exec::resolve_threads("GOVSCAN_STORE_THREADS");
-        let encoded: Vec<(SectionId, Cow<'_, [u8]>, u64)> =
-            govscan_exec::par_map(threads, jobs, |_, (id, pool)| {
-                let payload: Cow<'_, [u8]> = match pool {
-                    Pool::Ready(bytes) => Cow::Borrowed(bytes),
-                    Pool::Strings(table) => {
-                        let mut e = Encoder::new();
-                        encode_strings(&mut e, table.strings().iter().map(String::as_str));
-                        Cow::Owned(e.into_bytes())
-                    }
-                };
-                let checksum = Checksum::of(&payload);
-                (id, payload, checksum)
+        let encoded: Vec<(SectionId, &[u8], u64)> =
+            govscan_exec::par_map(threads, payloads, |_, (id, payload)| {
+                (id, payload, Checksum::of(payload))
             });
 
         // Pools follow the streamed host section, in canonical order.
         let mut cursor = HEADER_LEN + self.hosts_len;
         let mut table = vec![hosts];
-        for (id, payload, checksum) in &encoded {
+        for (id, payload, checksum) in encoded {
             self.out.write_all(payload)?;
             table.push(Section {
-                id: *id as u32,
+                id: id as u32,
                 name: id.name(),
                 offset: cursor,
                 len: payload.len() as u64,
-                checksum: *checksum,
+                checksum,
             });
             cursor += payload.len() as u64;
         }

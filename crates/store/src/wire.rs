@@ -58,6 +58,11 @@ impl Encoder {
         Encoder::default()
     }
 
+    /// Empty the payload, keeping its buffer for reuse.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// The encoded bytes.
     pub fn as_bytes(&self) -> &[u8] {
         &self.buf

@@ -30,7 +30,7 @@ use std::collections::HashMap;
 use govscan_asn1::Time;
 use govscan_net::SimNet;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use crate::cadb::CaDb;
 use crate::config::WorldConfig;
@@ -39,8 +39,8 @@ use crate::host::{HostRecord, Posture};
 use crate::rankings::RankingList;
 use crate::webgraph::WebGraph;
 use crate::world::{
-    build_tranco, cluster_candidate_cap, cluster_candidate_countries, plan_reuse_clusters,
-    ranked_pool_accept, worldwide_country_records, RealizeBatch, SharedCluster,
+    build_tranco, cluster_candidate_cap, cluster_candidate_countries, country_host_count,
+    plan_reuse_clusters, worldwide_country_records, RealizeBatch, SharedCluster,
 };
 
 /// Derives independent RNG streams from the world seed.
@@ -132,11 +132,12 @@ pub fn stream_shards(config: &WorldConfig) -> StreamPlan {
 ///
 /// Built by one planning walk:
 ///
-/// 1. **Transient population pass** — each country's records are
-///    generated from its own `("worldwide", cc)` stream and immediately
-///    reduced to what the plan needs: ranked-pool membership draws in
-///    global host order, and a capped per-country candidate prefix for
-///    the cluster walk.
+/// 1. **Transient population pass** — ranked-pool membership is drawn
+///    first, serially in global host order, from each country's host
+///    count alone. Then each country's records are generated from its own
+///    `("worldwide", cc)` stream on the shared executor and immediately
+///    reduced to what the plan needs: the hostnames those draws accepted,
+///    and a capped per-country candidate prefix for the cluster walk.
 /// 2. **§5.3.3 cluster plan** — `plan_reuse_clusters`, RNG-free.
 /// 3. **Tranco** — the `("rankings", "")` stream, stopping where the
 ///    other two ranking lists (which only feed discovery, not the
@@ -177,30 +178,54 @@ impl StreamPlan {
         let total_weight = countries::total_weight();
         let needed = cluster_candidate_countries(&config);
 
+        // Ranked-pool membership: one draw per host from the single
+        // `("rankings", "")` stream, in global host order. A draw needs only
+        // its country's host count and rate, both known before any record
+        // exists, so every draw is made here, serially, and each country
+        // keeps the indices of its accepted hosts.
         let mut rankings_rng = seeder.rng("rankings", "");
+        let mut host_count = 0u64;
+        let accepted: Vec<Vec<usize>> = countries
+            .iter()
+            .map(|country| {
+                let n = country_host_count(&config, country, total_weight);
+                host_count += n;
+                // Higher-tech countries are far more likely to be ranked.
+                let rate = 0.18 + 0.6 * country.tech;
+                (0..n as usize)
+                    .filter(|_| rankings_rng.gen::<f64>() < rate)
+                    .collect()
+            })
+            .collect();
+
+        // Transient: each country's records are generated on the shared
+        // executor, reduced to its pool members and (for the countries the
+        // cluster walk can consult) its capped candidate prefix, and
+        // dropped.
+        let jobs: Vec<_> = countries.iter().copied().zip(accepted).collect();
+        let reduced = par_map(worldgen_threads(), jobs, |_, (country, accepted)| {
+            let mut records = worldwide_country_records(&config, seeder, country, total_weight);
+            // Candidacy is judged on original postures; the flips the
+            // plan will imply keep `attempts_https`.
+            let cand: Option<Vec<String>> = needed.contains(country.code).then(|| {
+                records
+                    .iter()
+                    .filter(|rec| rec.posture.attempts_https())
+                    .take(cluster_candidate_cap(&config, country.code))
+                    .map(|rec| rec.hostname.clone())
+                    .collect()
+            });
+            let members: Vec<String> = accepted
+                .into_iter()
+                .map(|i| std::mem::take(&mut records[i].hostname))
+                .collect();
+            (members, cand)
+        });
         let mut pool: Vec<String> = Vec::new();
         let mut candidates: HashMap<&'static str, Vec<String>> = HashMap::new();
-        let mut host_count = 0u64;
-        for country in &countries {
-            // Transient: generated, reduced, dropped.
-            let records = worldwide_country_records(&config, seeder, country, total_weight);
-            host_count += records.len() as u64;
-            let wanted = needed.contains(country.code);
-            let cap = cluster_candidate_cap(&config, country.code);
-            let mut cand: Vec<String> = Vec::new();
-            for rec in &records {
-                // One membership draw per host, in global generation
-                // order.
-                if ranked_pool_accept(&mut rankings_rng, rec.country) {
-                    pool.push(rec.hostname.clone());
-                }
-                // Candidacy is judged on original postures; the flips
-                // the plan will imply keep `attempts_https`.
-                if wanted && cand.len() < cap && rec.posture.attempts_https() {
-                    cand.push(rec.hostname.clone());
-                }
-            }
-            if wanted {
+        for (country, (members, cand)) in countries.iter().zip(reduced) {
+            pool.extend(members);
+            if let Some(cand) = cand {
                 candidates.insert(country.code, cand);
             }
         }
@@ -363,7 +388,6 @@ pub struct ShardWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
     fn streams_are_deterministic_and_independent() {

@@ -527,6 +527,20 @@ pub(crate) fn cloud_share(country: &Country) -> f64 {
     }
 }
 
+/// How many government records [`worldwide_country_records`] generates
+/// for `country`: its share of the scaled candidate population, at least
+/// one. Draw-free, so the planning walk knows every country's size before
+/// any record exists.
+pub(crate) fn country_host_count(
+    config: &WorldConfig,
+    country: &Country,
+    total_weight: f64,
+) -> u64 {
+    let candidates = config.scaled(WORLD_CANDIDATES);
+    let n = ((candidates as f64) * country.host_weight / total_weight).round() as u64;
+    n.max(1)
+}
+
 /// Generate one country's worldwide government records — the per-shard
 /// generation kernel. Every draw comes from the country's own
 /// `("worldwide", cc)` stream, so the records are byte-identical
@@ -538,9 +552,7 @@ pub(crate) fn worldwide_country_records(
     total_weight: f64,
 ) -> Vec<HostRecord> {
     let mut rng = seeder.rng("worldwide", country.code);
-    let candidates = config.scaled(WORLD_CANDIDATES);
-    let n = ((candidates as f64) * country.host_weight / total_weight).round() as u64;
-    let n = n.max(1);
+    let n = country_host_count(config, country, total_weight);
     let rates = PostureRates::for_country(country);
     let mut namer = HostnameGen::new(country);
     // Construction is draw-free, so a per-shard assigner samples
@@ -767,14 +779,6 @@ pub(crate) fn plan_reuse_clusters(
         }
     }
     plan
-}
-
-/// One ranked-pool membership draw, made by the planning walk for every
-/// worldwide host in generation order — higher-tech countries are far
-/// more likely to be ranked.
-pub(crate) fn ranked_pool_accept(rng: &mut StdRng, country: &'static str) -> bool {
-    let tech = Country::by_code(country).map(|c| c.tech).unwrap_or(0.5);
-    rng.gen::<f64>() < 0.18 + 0.6 * tech
 }
 
 /// Finish the ranked-pool walk into the authoritative tranco list:
@@ -1021,8 +1025,7 @@ impl Realizer<'_> {
             return;
         }
         let ip = self.assigner.allocate_ip(&mut self.rng, &rec.hosting);
-        let title = format!("Official portal — {}", rec.hostname);
-        let page = HttpResponse::page(&title, links);
+        let page = HttpResponse::page(format!("Official portal — {}", rec.hostname), links);
 
         match rec.posture.clone() {
             Posture::Unreachable => unreachable!("handled above"),
