@@ -16,12 +16,12 @@
 //! asserts in tests here and in `tests/equivalence.rs`.
 //!
 //! At paper scale the build itself is parallel: the record range is cut
-//! into fixed-size contiguous shards, workers on the shared
-//! work-stealing executor ([`govscan_exec`]) build one partial index per
-//! shard, and the partials are merged *in shard order* — issuer ids
-//! remapped to global first-seen order, certificate slots rebased,
-//! grouped positions concatenated ascending — so the final index is
-//! bit-identical to a serial build at any worker count (DESIGN.md §11).
+//! into fixed-size contiguous shards, workers on the shared executor
+//! ([`govscan_exec`]) build one partial index per shard, and the
+//! partials are merged *in shard order* — issuer ids remapped to global
+//! first-seen order, certificate slots rebased, grouped positions
+//! concatenated ascending — so the final index is bit-identical to a
+//! serial build at any worker count (DESIGN.md §11).
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::BuildHasherDefault;
@@ -215,8 +215,8 @@ pub struct AggregateIndex {
 /// from the worker count: the merge already makes the output independent
 /// of the shard layout (proven by the invariance test comparing a
 /// one-shard build against a many-shard one), but a fixed width keeps
-/// the partials' memory footprint predictable and gives the executor's
-/// half-batch stealing enough grains to balance.
+/// the partials' memory footprint predictable and gives the executor
+/// enough shards to balance across its workers.
 const SHARD_SIZE: usize = 4096;
 
 /// One shard's partial index over records `[base, base + len)`.
@@ -375,12 +375,9 @@ impl Totals {
 impl AggregateIndex {
     /// Build the index in a single pass (exactly one
     /// [`ScanDataset::records`] call), sharded across the worker count
-    /// resolved from `GOVSCAN_ANALYSIS_THREADS` / `GOVSCAN_THREADS`.
+    /// resolved from `GOVSCAN_THREADS`.
     pub fn build(scan: &ScanDataset) -> AggregateIndex {
-        Self::build_with_threads(
-            scan,
-            govscan_exec::resolve_threads("GOVSCAN_ANALYSIS_THREADS"),
-        )
+        Self::build_with_threads(scan, govscan_exec::resolve_threads("GOVSCAN_THREADS"))
     }
 
     /// [`Self::build`] with an explicit worker count. The output is

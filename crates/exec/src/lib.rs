@@ -1,44 +1,20 @@
 //! # govscan-exec
 //!
-//! The workspace's shared parallel executor: a work-stealing, chunked
-//! `par_map` used by world generation, the scan engine, aggregation, and
-//! the snapshot store.
+//! The workspace's shared parallel executor: [`par_map`] and
+//! [`par_map_indexed`] for batch work (world generation, the scan
+//! engine, aggregation, the monitor's shards), [`pipeline::run`] for the
+//! streamed producer/consumer pipeline, and [`WorkerPool`] for the
+//! daemon.
 //!
-//! ## Why not per-item rendezvous dispatch
+//! ## One claim protocol
 //!
-//! The previous design (one `sync_channel` sized to the worker count,
-//! its receiver behind a `Mutex`, one send per item) put a lock acquire,
-//! a channel rendezvous, and usually a context switch on the critical
-//! path of *every* item. The parallel-worldgen bench measured the result
-//! (CHANGES.md, "shared work-stealing chunked executor"): at 2 workers
-//! the parallel build ran at 0.92× the serial one — the dispatch cost
-//! more than it bought. This executor removes the rendezvous entirely:
-//!
-//! - **Contiguous chunk seeding.** The `n` item indices are split into
-//!   one contiguous range per worker up front. There is no dispatcher
-//!   thread and no queue; a worker starts with its whole share already
-//!   in hand, and neighbouring items stay on the same core (the output
-//!   slots it writes are adjacent too).
-//! - **Per-worker deques.** Each worker owns a `[head, tail)` range and
-//!   claims small batches from the *front* — the only synchronisation on
-//!   the hot path is one uncontended mutex lock per claimed batch, and
-//!   the claim size adapts (`remaining / (8 · workers)`, floored at
-//!   `MIN_CLAIM` (4) and clamped to the range) so large inputs amortise
-//!   locking while small lopsided inputs degrade to small-batch claims
-//!   for balance. The floor matters for cheap items: with per-item
-//!   claims an 8-worker sweep over fast shards spends more time in the
-//!   deque locks than in the shards (this executor's first sweep measured
-//!   0.83× serial at 8 workers on one core; CHANGES.md, "streamed
-//!   generate→scan→archive pipeline"); claiming at least a few
-//!   items per lock acquisition keeps the lock traffic amortised while
-//!   the half-batch steal below still rebalances lopsided tails.
-//! - **Half-batch stealing.** An idle worker scans the other deques and
-//!   splits *half* of a victim's remaining range off the *back*. The
-//!   thief leaves the victim the front half it is already streaming
-//!   through, takes a range far from the victim's cache lines, and —
-//!   because each steal halves the remainder — lopsided seeds (China
-//!   alone is ~17% of worldgen) spread across the pool in O(log n)
-//!   steals without any coordination while work is balanced.
+//! The batch maps and the pipeline hand out work the same way: each of
+//! `workers` scoped threads takes the next index from one shared
+//! `AtomicUsize` (`fetch_add(1)`) until the index passes `n`. There is
+//! no dispatcher thread, no queue and no lock on the claim, and no
+//! worker ever holds more than the one item it is running, so a slow
+//! item strands nothing behind it: the other workers keep claiming the
+//! indices after it.
 //!
 //! ## Determinism contract
 //!
@@ -48,7 +24,7 @@
 //! keep the stronger contract they already had — `f` derives everything
 //! from `(i, item)` (in worldgen, from the shard's own RNG stream) — so
 //! any thread count produces bit-identical worlds, scans, indexes, and
-//! archives. A panic in any worker aborts the remaining work and is
+//! archives. A panic in any worker stops the others claiming and is
 //! propagated to the caller by the scope join.
 
 #![forbid(unsafe_code)]
@@ -59,30 +35,25 @@ pub mod pool;
 
 pub use pool::WorkerPool;
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Default cap on the worker count when no environment variable pins it:
 /// beyond 8 workers the workloads in this workspace are memory-bound and
-/// extra threads only add steal traffic.
+/// extra threads only add contention.
 const DEFAULT_THREAD_CAP: usize = 8;
-
-/// Minimum owner-claim batch. The adaptive claim `remaining / (8·W)`
-/// reaches 1 near the end of every range; for cheap items that turns
-/// the tail of the job into one lock acquisition per item, which is
-/// where the 8-worker worldgen sweep lost to serial. Claiming at least
-/// this many (clamped to what the deque still holds) keeps locking
-/// amortised; the batch is still small enough that half-batch steals
-/// rebalance a lopsided tail.
-const MIN_CLAIM: usize = 4;
 
 /// Resolve a worker count from the environment.
 ///
-/// Precedence: the caller's specific variable (e.g.
-/// `GOVSCAN_WORLDGEN_THREADS`, `GOVSCAN_SCAN_THREADS`), then the shared
-/// `GOVSCAN_THREADS` fallback, then the machine's available parallelism
-/// capped at `DEFAULT_THREAD_CAP` (8). Explicit values are floored at 1;
-/// the repository benchmark pins `GOVSCAN_THREADS` to the core count.
+/// Precedence: `specific_var`, then `GOVSCAN_THREADS`, then the
+/// machine's available parallelism capped at `DEFAULT_THREAD_CAP` (8).
+/// Explicit values are floored at 1. Every program call site passes
+/// `"GOVSCAN_THREADS"` itself, so the workspace reads one thread
+/// variable. The parameter stays only for the repository benchmark's
+/// probe mirror, which passes a name of its own; the benchmark removes
+/// that variable from its child processes and pins `GOVSCAN_THREADS` to
+/// the core count, so the mirror and `scan_hosts` resolve the same
+/// count.
 pub fn resolve_threads(specific_var: &str) -> usize {
     for var in [specific_var, "GOVSCAN_THREADS"] {
         if let Some(n) = std::env::var(var)
@@ -98,7 +69,7 @@ pub fn resolve_threads(specific_var: &str) -> usize {
         .min(DEFAULT_THREAD_CAP)
 }
 
-/// Map `f` over `items` on a work-stealing worker pool, returning
+/// Map `f` over `items` on `threads` scoped workers, returning
 /// results in input order.
 ///
 /// Each item is consumed exactly once and its result written in place
@@ -126,29 +97,17 @@ where
             .collect();
     }
     let inputs: Vec<Mutex<Option<I>>> = items.into_iter().map(|it| Mutex::new(Some(it))).collect();
-    let slots: Vec<Mutex<Option<R>>> = std::iter::repeat_with(|| Mutex::new(None))
-        .take(n)
-        .collect();
-    run(threads.min(n), n, &|i| {
+    par_map_indexed(threads, n, |i| {
         let item = inputs[i]
             .lock()
             .expect("input cell lock is never poisoned")
             .take()
             .expect("each index is claimed exactly once");
-        let r = f(i, item);
-        *slots[i].lock().expect("slot lock is never poisoned") = Some(r);
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("slot lock is never poisoned")
-                .expect("every claimed index stored its result")
-        })
-        .collect()
+        f(i, item)
+    })
 }
 
-/// Run `f(i)` for every `i in 0..n` on the work-stealing pool, returning
+/// Run `f(i)` for every `i in 0..n` on `threads` scoped workers, returning
 /// results in index order.
 ///
 /// The borrowed-input sibling of [`par_map`]: callers that map over a
@@ -184,27 +143,8 @@ where
         .collect()
 }
 
-/// One worker's deque: a contiguous `[head, tail)` range of item
-/// indices. The owner claims batches from the front; thieves split half
-/// off the back. The mutex is held only for the range arithmetic, never
-/// while an item runs.
-struct Deque {
-    range: Mutex<(usize, usize)>,
-}
-
-/// Engine counters, returned so tests can prove the steal path runs.
-#[derive(Debug, Default, Clone, Copy)]
-struct Stats {
-    /// Successful half-batch steals across all workers. Only tests read
-    /// it (to assert the steal path runs); production callers get their
-    /// results through the output slots.
-    #[cfg_attr(not(test), allow(dead_code))]
-    steals: u64,
-}
-
 /// Sets the abort flag if its scope unwinds, so sibling workers stop
-/// claiming work instead of spinning on a count that will never reach
-/// zero.
+/// claiming work.
 struct AbortOnPanic<'a>(&'a AtomicBool);
 
 impl Drop for AbortOnPanic<'_> {
@@ -215,104 +155,37 @@ impl Drop for AbortOnPanic<'_> {
     }
 }
 
-/// The engine: seed `workers` deques with contiguous chunks of `0..n`,
-/// then let every worker claim-from-front / steal-half-from-back until
-/// all indices are claimed. `job` must handle each index exactly once;
-/// both are guaranteed by the claim protocol.
-fn run(workers: usize, n: usize, job: &(impl Fn(usize) + Sync)) -> Stats {
+/// The engine: `workers` scoped threads each claim the next index from
+/// one shared counter until it passes `n` or a sibling panics. Every
+/// index is returned by exactly one `fetch_add`, so `job` runs once per
+/// index. `Relaxed` suffices for both atomics: neither publishes data
+/// (results pass through the slot mutexes, and the scope join orders
+/// every write before the caller reads them).
+fn run(workers: usize, n: usize, job: &(impl Fn(usize) + Sync)) {
     debug_assert!(workers >= 2 && workers <= n);
-    let deques: Vec<Deque> = (0..workers)
-        .map(|w| Deque {
-            // Balanced contiguous seeding: worker w owns
-            // [w·n/workers, (w+1)·n/workers).
-            range: Mutex::new((w * n / workers, (w + 1) * n / workers)),
-        })
-        .collect();
-    let unclaimed = AtomicUsize::new(n);
+    let next = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
-    let steals = AtomicU64::new(0);
     std::thread::scope(|s| {
-        for w in 0..workers {
-            let deques = &deques;
-            let unclaimed = &unclaimed;
-            let abort = &abort;
-            let steals = &steals;
-            s.spawn(move || {
-                let _guard = AbortOnPanic(abort);
-                loop {
-                    // Claim a batch from the front of our own deque.
-                    let claimed = {
-                        let mut r = deques[w].range.lock().expect("deque lock never poisoned");
-                        let (head, tail) = *r;
-                        if head < tail {
-                            let take = ((tail - head) / (8 * workers))
-                                .max(MIN_CLAIM)
-                                .min(tail - head);
-                            *r = (head + take, tail);
-                            Some((head, head + take))
-                        } else {
-                            None
-                        }
-                    };
-                    if let Some((a, b)) = claimed {
-                        unclaimed.fetch_sub(b - a, Ordering::Relaxed);
-                        for i in a..b {
-                            if abort.load(Ordering::Relaxed) {
-                                return;
-                            }
-                            job(i);
-                        }
-                        continue;
-                    }
-                    // Own deque empty: scan the others and steal the
-                    // back half of the first non-empty range.
-                    let mut stole = false;
-                    for off in 1..workers {
-                        let v = (w + off) % workers;
-                        let taken = {
-                            let mut r = deques[v].range.lock().expect("deque lock never poisoned");
-                            let (head, tail) = *r;
-                            if head < tail {
-                                let take = (tail - head).div_ceil(2);
-                                *r = (head, tail - take);
-                                Some((tail - take, tail))
-                            } else {
-                                None
-                            }
-                        };
-                        if let Some(range) = taken {
-                            *deques[w].range.lock().expect("deque lock never poisoned") = range;
-                            steals.fetch_add(1, Ordering::Relaxed);
-                            stole = true;
-                            break;
-                        }
-                    }
-                    if stole {
-                        continue;
-                    }
-                    if unclaimed.load(Ordering::Relaxed) == 0 || abort.load(Ordering::Relaxed) {
-                        // Every index is claimed (its claimant will
-                        // finish it before exiting) or a sibling
-                        // panicked; either way there is nothing left to
-                        // take.
+        for _ in 0..workers {
+            s.spawn(|| {
+                let _guard = AbortOnPanic(&abort);
+                while !abort.load(Ordering::Relaxed) {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
                         return;
                     }
-                    // Claimed-but-uncounted window on another worker, or
-                    // a steal race: let it settle.
-                    std::thread::yield_now();
+                    job(i);
                 }
             });
         }
     });
-    Stats {
-        steals: steals.load(Ordering::Relaxed),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Condvar;
     use std::time::Duration;
 
     #[test]
@@ -366,19 +239,31 @@ mod tests {
     }
 
     #[test]
-    fn steal_path_runs_on_lopsided_input() {
-        // Worker 0 is seeded the slow half; worker 1 exhausts its cheap
-        // half and must steal from worker 0's back to finish the job.
-        let n = 16;
-        let done: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-        let stats = run(2, n, &|i| {
-            if i < n / 2 {
-                std::thread::sleep(Duration::from_millis(4));
+    fn a_slow_item_strands_no_other_item() {
+        // Item 0 holds its worker until every other index has run (or a
+        // generous timeout passes). With one claim per index the other
+        // worker takes all of them meanwhile, so none runs on item 0's
+        // thread; an engine that hands out batches leaves the rest of
+        // item 0's batch waiting behind it.
+        let n = 64;
+        let others_done = (Mutex::new(0usize), Condvar::new());
+        let ran_on = par_map_indexed(2, n, |i| {
+            let (count, cv) = &others_done;
+            if i == 0 {
+                let guard = count.lock().expect("count lock");
+                let waited = cv.wait_timeout_while(guard, Duration::from_secs(5), |c| *c < n - 1);
+                drop(waited.expect("count lock"));
+            } else {
+                *count.lock().expect("count lock") += 1;
+                cv.notify_all();
             }
-            assert!(!done[i].swap(true, Ordering::Relaxed), "index ran once");
+            std::thread::current().id()
         });
-        assert!(done.iter().all(|d| d.load(Ordering::Relaxed)));
-        assert!(stats.steals > 0, "idle worker stole from the loaded one");
+        let stranded: Vec<usize> = (1..n).filter(|&i| ran_on[i] == ran_on[0]).collect();
+        assert!(
+            stranded.is_empty(),
+            "ran after the slow item on its thread: {stranded:?}"
+        );
     }
 
     #[test]

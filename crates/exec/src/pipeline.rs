@@ -19,7 +19,8 @@
 //!
 //! ## Ordering
 //!
-//! Tickets are claimed from a shared counter, finish in whatever order
+//! Tickets are claimed from a shared counter, the crate's one claim
+//! protocol (as in [`crate::par_map`]), finish in whatever order
 //! the scheduler allows, and park in a reorder buffer; the consumer
 //! drains the buffer strictly in ticket order. Callers therefore keep
 //! the workspace-wide determinism contract: as long as `produce(i)`

@@ -237,41 +237,12 @@ pub fn incremental_epoch_scan(
             state.iter().map(|h| h.record.hostname.as_str()),
             |name| prev.and_then(|p| p.get(name)).cloned(),
         );
-        let probe_idx: Vec<usize> = iplan
-            .decisions
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, d))| matches!(d, Decision::Probe(_)))
-            .map(|(i, _)| i)
-            .collect();
-        // The CAA relevant set climbs the DNS tree, so a probe measures
-        // its in-population ancestors' published records too: realize
-        // them alongside the probe set (they are not scanned) so the
-        // climb resolves exactly as it would against the full world.
-        let by_name: std::collections::HashMap<&str, usize> = state
-            .iter()
-            .enumerate()
-            .map(|(i, h)| (h.record.hostname.as_str(), i))
-            .collect();
-        let mut realize_idx = probe_idx.clone();
-        let mut included: HashSet<usize> = probe_idx.iter().copied().collect();
-        for &i in &probe_idx {
-            let mut current = state[i].record.hostname.as_str();
-            while let Some((_, parent)) = current.split_once('.') {
-                if let Some(&pi) = by_name.get(parent) {
-                    if included.insert(pi) {
-                        realize_idx.push(pi);
-                    }
-                }
-                current = parent;
-            }
-        }
-        realize_idx.sort_unstable();
-        let net = plan.realize_subset(&state, &realize_idx);
-        let probe_names: Vec<String> = probe_idx
-            .iter()
-            .map(|&i| state[i].record.hostname.clone())
-            .collect();
+        // The CAA relevant set climbs the DNS tree, so the plan's
+        // realize set holds each probe's in-population ancestors too
+        // (they are not scanned): the climb resolves exactly as it
+        // would against the full world.
+        let net = plan.realize_subset(&state, &iplan.realize);
+        let probe_names: Vec<String> = iplan.probes().map(str::to_string).collect();
         let probed = scanner.scan(&net, &probe_names);
         let records: Vec<ScanRecord> = iplan
             .decisions

@@ -2,13 +2,13 @@
 //! lookalike-domain detector — the security-facing analyses of the study.
 //!
 //! ```sh
-//! cargo run --release --example cert_forensics
+//! cargo run --release -p govscan-repro --example cert_forensics
 //! ```
 
-use govscan::analysis::aggregate::AggregateIndex;
-use govscan::analysis::{phishing, reuse};
-use govscan::scanner::{GovFilter, StudyPipeline};
-use govscan::worldgen::{World, WorldConfig};
+use govscan_analysis::aggregate::AggregateIndex;
+use govscan_analysis::{phishing, reuse};
+use govscan_scanner::{GovFilter, StudyPipeline};
+use govscan_worldgen::{World, WorldConfig};
 
 fn main() {
     let world = World::generate(&WorldConfig::small(42));

@@ -2,16 +2,16 @@
 //! table, with the paper's China / USA / South-Korea call-outs.
 //!
 //! ```sh
-//! cargo run --release --example country_report [cc ...]
+//! cargo run --release -p govscan-repro --example country_report [cc ...]
 //! ```
 //!
 //! Pass ISO country codes to print only those rows (e.g.
 //! `country_report cn us kr bd`).
 
-use govscan::analysis::aggregate::AggregateIndex;
-use govscan::analysis::choropleth;
-use govscan::scanner::StudyPipeline;
-use govscan::worldgen::{World, WorldConfig};
+use govscan_analysis::aggregate::AggregateIndex;
+use govscan_analysis::choropleth;
+use govscan_scanner::StudyPipeline;
+use govscan_worldgen::{World, WorldConfig};
 
 fn main() {
     let wanted: Vec<String> = std::env::args()

@@ -3,12 +3,12 @@
 //! effect — the §7.2 arc end to end.
 //!
 //! ```sh
-//! cargo run --release --example disclosure_campaign
+//! cargo run --release -p govscan-repro --example disclosure_campaign
 //! ```
 
-use govscan::disclosure::{campaign, remediation, run_rescan};
-use govscan::scanner::StudyPipeline;
-use govscan::worldgen::{World, WorldConfig};
+use govscan_disclosure::{campaign, remediation, run_rescan};
+use govscan_scanner::StudyPipeline;
+use govscan_worldgen::{World, WorldConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -3,15 +3,15 @@
 //! disclosure arc — printing one summary block per section of the paper.
 //!
 //! ```sh
-//! cargo run --release --example full_study           # ~1.5% scale
-//! GOVSCAN_SCALE=0.2 cargo run --release --example full_study
+//! cargo run --release -p govscan-repro --example full_study           # ~1.5% scale
+//! GOVSCAN_SCALE=0.2 cargo run --release -p govscan-repro --example full_study
 //! ```
 
-use govscan::analysis::aggregate::AggregateIndex;
-use govscan::analysis::{casestudy, choropleth, hosting, issuers, table2};
-use govscan::disclosure::{campaign, remediation, run_rescan};
-use govscan::scanner::StudyPipeline;
-use govscan::worldgen::{World, WorldConfig};
+use govscan_analysis::aggregate::AggregateIndex;
+use govscan_analysis::{casestudy, choropleth, hosting, issuers, table2};
+use govscan_disclosure::{campaign, remediation, run_rescan};
+use govscan_scanner::StudyPipeline;
+use govscan_worldgen::{World, WorldConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -2,13 +2,13 @@
 //! measurement pipeline against it, and print the headline numbers.
 //!
 //! ```sh
-//! cargo run --release --example quickstart
+//! cargo run --release -p govscan-repro --example quickstart
 //! ```
 
-use govscan::analysis::aggregate::AggregateIndex;
-use govscan::analysis::table2;
-use govscan::scanner::StudyPipeline;
-use govscan::worldgen::{World, WorldConfig};
+use govscan_analysis::aggregate::AggregateIndex;
+use govscan_analysis::table2;
+use govscan_scanner::StudyPipeline;
+use govscan_worldgen::{World, WorldConfig};
 
 fn main() {
     // A deterministic ~1.5% world (≈2,700 government hosts). The same

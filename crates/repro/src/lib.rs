@@ -15,6 +15,21 @@
 //! Reported numbers are `paper=<value> measured=<value>` rows; absolute
 //! counts scale with `GOVSCAN_SCALE`, percentages and orderings should
 //! not.
+//!
+//! ## Quickstart
+//!
+//! ```
+//! use govscan_analysis::aggregate::AggregateIndex;
+//! use govscan_scanner::StudyPipeline;
+//! use govscan_worldgen::{World, WorldConfig};
+//!
+//! // A small world: ~1% of the paper's scale, fully deterministic.
+//! let world = World::generate(&WorldConfig::small(42));
+//! let study = StudyPipeline::new(&world).run();
+//! let index = AggregateIndex::build(&study.scan);
+//! let t2 = govscan_analysis::table2::build_from_index(&index);
+//! assert!(t2.total > 0);
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -4,8 +4,8 @@
 
 use std::sync::OnceLock;
 
-use govscan::scanner::{ErrorCategory, StudyOutput, StudyPipeline};
-use govscan::worldgen::{Posture, World, WorldConfig};
+use govscan_scanner::{ErrorCategory, StudyOutput, StudyPipeline};
+use govscan_worldgen::{Posture, World, WorldConfig};
 
 static STUDY: OnceLock<(World, StudyOutput)> = OnceLock::new();
 
@@ -61,7 +61,7 @@ fn measured_outcomes_agree_with_generated_ground_truth() {
 
 #[test]
 fn injected_error_classes_survive_the_full_pipeline() {
-    use govscan::worldgen::InjectedError as I;
+    use govscan_worldgen::InjectedError as I;
     let (world, out) = study();
     let mut agreements = 0usize;
     let mut total = 0usize;
@@ -141,7 +141,7 @@ fn every_available_host_has_consistent_flags() {
 
 #[test]
 fn trust_store_choice_changes_verdicts() {
-    use govscan::pki::trust::TrustStoreProfile;
+    use govscan_pki::trust::TrustStoreProfile;
     let (world, out) = study();
     // Microsoft trusts more roots than Apple, so scanning with the
     // Microsoft store can only increase the valid count.
@@ -158,8 +158,8 @@ fn trust_store_choice_changes_verdicts() {
 
 #[test]
 fn certificates_on_the_wire_are_real_der() {
-    use govscan::net::TlsClientConfig;
-    use govscan::pki::Certificate;
+    use govscan_net::TlsClientConfig;
+    use govscan_pki::Certificate;
     // Pull chains off the wire and round-trip them through DER, like any
     // external tool could.
     let (world, out) = study();

@@ -5,10 +5,10 @@
 
 use std::sync::OnceLock;
 
-use govscan::analysis;
-use govscan::analysis::aggregate::AggregateIndex;
-use govscan::scanner::{GovFilter, StudyOutput, StudyPipeline};
-use govscan::worldgen::{World, WorldConfig};
+use govscan_analysis as analysis;
+use govscan_analysis::aggregate::AggregateIndex;
+use govscan_scanner::{GovFilter, StudyOutput, StudyPipeline};
+use govscan_worldgen::{World, WorldConfig};
 
 static STUDY: OnceLock<(World, StudyOutput)> = OnceLock::new();
 static INDEX: OnceLock<AggregateIndex> = OnceLock::new();
@@ -157,7 +157,7 @@ fn reuse_and_caa_shapes() {
     assert!(reuse.cross_country().count() >= 1);
     assert!(!reuse.valid_cross_country_reuse());
     let caa = analysis::caa::build(&out.scan, |issuer| {
-        govscan::worldgen::cadb::CA_PROFILES
+        govscan_worldgen::cadb::CA_PROFILES
             .iter()
             .find(|p| p.label == issuer)
             .map(|p| p.caa_domain.to_string())

@@ -56,9 +56,10 @@
 //! chain, headers, the trust verdict at the new scan time — is
 //! unchanged by construction, which is what the monitor's `--self-check`
 //! proves end-to-end (spliced + probed re-archives to the same bytes as
-//! a full rescan). Callers probing against a simulated subset must also
-//! realize the in-population ancestors of every probe so the CAA climb
-//! resolves as it would against the full world.
+//! a full rescan). A probe's CAA climb also reads its in-population
+//! ancestors' published records, so a caller that realizes only part of
+//! the population realizes [`IncrementalPlan::realize`]: the probes plus
+//! those ancestors, which the planner collects on the same walk.
 
 use std::collections::{HashMap, HashSet};
 
@@ -153,6 +154,10 @@ impl IncrementalStats {
 pub struct IncrementalPlan {
     /// `(hostname, decision)` aligned with the input host list.
     pub decisions: Vec<(String, Decision)>,
+    /// Input indices to realize, ascending: every probe plus its
+    /// in-population DNS ancestors, whose published CAA records the
+    /// probe's climb reads (module docs).
+    pub realize: Vec<usize>,
     /// Aggregate counts.
     pub stats: IncrementalStats,
 }
@@ -167,6 +172,14 @@ impl IncrementalPlan {
     }
 }
 
+/// The proper DNS ancestors of `name`, nearest first:
+/// `a.www.agency.gov` yields `www.agency.gov`, `agency.gov`, `gov`.
+fn ancestors(name: &str) -> impl Iterator<Item = &str> {
+    std::iter::successors(name.split_once('.').map(|(_, p)| p), |n| {
+        n.split_once('.').map(|(_, p)| p)
+    })
+}
+
 /// Plan the rescan of `hostnames` at `now`, given lookup of the
 /// previous epoch's records. See the module docs for the predicate and
 /// the argument for why splicing the rest is lossless.
@@ -177,8 +190,9 @@ pub fn plan_rescan<'a>(
     mut prior: impl FnMut(&str) -> Option<ScanRecord>,
 ) -> IncrementalPlan {
     let horizon = now.plus_days(policy.horizon_days);
-    let mut decisions = Vec::new();
-    for hostname in hostnames {
+    let names: Vec<&str> = hostnames.into_iter().collect();
+    let mut decisions = Vec::with_capacity(names.len());
+    for &hostname in &names {
         let decision = match prior(hostname) {
             None => Decision::Probe(SelectReason::New),
             Some(prev) => {
@@ -204,38 +218,37 @@ pub fn plan_rescan<'a>(
     // differently. The test is against the rule-1–4 probe set only —
     // an ancestor flipped by this pass has unchanged published records,
     // so the rule cannot cascade (module docs).
-    let by_name: HashMap<&str, usize> = decisions
-        .iter()
-        .enumerate()
-        .map(|(i, (name, _))| (name.as_str(), i))
-        .collect();
+    let by_name: HashMap<&str, usize> = names.iter().enumerate().map(|(i, &n)| (n, i)).collect();
     let base_probe: Vec<bool> = decisions
         .iter()
         .map(|(_, d)| matches!(d, Decision::Probe(_)))
         .collect();
-    let mut flips = Vec::new();
-    for (i, (name, decision)) in decisions.iter().enumerate() {
-        if matches!(decision, Decision::Probe(_)) {
+    for (i, &name) in names.iter().enumerate() {
+        if base_probe[i] {
             continue;
         }
-        let mut current = name.as_str();
-        while let Some((_, parent)) = current.split_once('.') {
-            let ancestor_changed = match by_name.get(parent) {
-                Some(&pi) => base_probe[pi],
-                // Not in this epoch's population: if it was in the
-                // previous one, it just churned out and un-published.
-                None => prior(parent).is_some(),
-            };
-            if ancestor_changed {
-                flips.push(i);
-                break;
-            }
-            current = parent;
+        let ancestor_changed = ancestors(name).any(|parent| match by_name.get(parent) {
+            Some(&pi) => base_probe[pi],
+            // Not in this epoch's population: if it was in the
+            // previous one, it just churned out and un-published.
+            None => prior(parent).is_some(),
+        });
+        if ancestor_changed {
+            decisions[i].1 = Decision::Probe(SelectReason::AncestorChanged);
         }
     }
-    for i in flips {
-        decisions[i].1 = Decision::Probe(SelectReason::AncestorChanged);
+
+    // The realize set: every probe and its in-population ancestors.
+    let mut realize_mask = vec![false; names.len()];
+    for (i, (_, decision)) in decisions.iter().enumerate() {
+        if matches!(decision, Decision::Probe(_)) {
+            realize_mask[i] = true;
+            for pi in ancestors(names[i]).filter_map(|parent| by_name.get(parent)) {
+                realize_mask[*pi] = true;
+            }
+        }
     }
+    let realize = (0..names.len()).filter(|&i| realize_mask[i]).collect();
 
     let mut stats = IncrementalStats::default();
     for (_, decision) in &decisions {
@@ -254,7 +267,11 @@ pub fn plan_rescan<'a>(
             Decision::Splice => stats.spliced += 1,
         }
     }
-    IncrementalPlan { decisions, stats }
+    IncrementalPlan {
+        decisions,
+        realize,
+        stats,
+    }
 }
 
 #[cfg(test)]
@@ -476,9 +493,44 @@ mod tests {
     }
 
     #[test]
+    fn a_probe_realizes_its_in_population_ancestors() {
+        // a.www.agency.gov is probed; its CAA climb reads www.agency.gov
+        // and agency.gov, which stay spliced but must be realized. The
+        // unrelated host is neither.
+        let far = Time(0).plus_days(365);
+        let prior_records = [
+            host("unrelated.gov", HttpsStatus::Valid(meta(far))),
+            host(
+                "a.www.agency.gov",
+                HttpsStatus::Invalid(ErrorCategory::SelfSigned, Some(meta(far))),
+            ),
+            host("agency.gov", HttpsStatus::Valid(meta(far))),
+            host("www.agency.gov", HttpsStatus::Valid(meta(far))),
+        ];
+        let names: Vec<String> = prior_records.iter().map(|r| r.hostname.clone()).collect();
+        let plan = plan_rescan(
+            &IncrementalPolicy::new(30),
+            Time(0),
+            names.iter().map(|s| s.as_str()),
+            |name| prior_records.iter().find(|r| r.hostname == name).cloned(),
+        );
+        assert_eq!(plan.probes().collect::<Vec<_>>(), vec!["a.www.agency.gov"]);
+        assert_eq!(plan.realize, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn with_no_prior_epoch_everything_is_realized() {
+        let names = ["agency.gov", "www.agency.gov", "other.gov", "x.other.gov"];
+        let plan = plan_rescan(&IncrementalPolicy::new(30), Time(0), names, |_| None);
+        assert_eq!(plan.stats.new, names.len());
+        assert_eq!(plan.realize, (0..names.len()).collect::<Vec<_>>());
+    }
+
+    #[test]
     fn empty_population_plans_cleanly() {
         let plan = plan_rescan(&IncrementalPolicy::new(30), Time(0), [], |_| None);
         assert_eq!(plan.stats, IncrementalStats::default());
+        assert!(plan.realize.is_empty());
         assert_eq!(plan.stats.probe_fraction(), 0.0);
     }
 }

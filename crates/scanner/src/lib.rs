@@ -23,10 +23,11 @@
 //!    previous epoch, splice the rest forward.
 //!
 //! The scanner dials only the simulated wire ([`govscan_net::SimNet`]);
-//! it never reads generator ground truth. Scan parallelism uses a
-//! scoped worker pool fed by bounded chunked dispatch, and all workers
-//! share one [`govscan_pki::ChainVerdictCache`] so each distinct
-//! certificate chain is structurally validated only once per scan.
+//! it never reads generator ground truth. Scan workers claim hostnames
+//! one at a time from the shared executor ([`govscan_exec`]), and all of
+//! them share one [`govscan_pki::ChainVerdictCache`], so a certificate
+//! chain that repeats is structurally validated twice per scan, not
+//! once per host.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -164,21 +164,18 @@ pub fn scan_host(ctx: &ScanContext<'_>, hostname: &str) -> ScanRecord {
 /// for themselves on a handful of simulated dials.
 const PARALLEL_THRESHOLD: usize = 64;
 
-/// Scan many hostnames on the shared work-stealing executor
-/// ([`govscan_exec`]). Results are returned in input order; the pool
-/// size adapts to the machine, or is pinned by the
-/// `GOVSCAN_SCAN_THREADS` environment variable (≥ 1; reproducibility
-/// runs set it for stable numbers), with the
-/// workspace-wide `GOVSCAN_THREADS` as the shared fallback.
+/// Scan many hostnames on the shared executor ([`govscan_exec`]), with
+/// the worker count from `GOVSCAN_THREADS` (≥ 1), otherwise the
+/// machine's parallelism capped at 8. Results are returned in input
+/// order.
 ///
-/// Each worker is seeded a contiguous run of hostnames and writes every
-/// record straight into its pre-sized output slot, so there is no
-/// per-host send/receive traffic and no queue holding the whole world —
-/// memory stays O(1) beyond the output itself. Hosts with slow probes
-/// (retry-heavy DNS, timed-out handshakes) no longer serialize the tail:
-/// idle workers steal the back half of a loaded worker's remaining run.
+/// Each worker claims the next hostname from one shared counter and
+/// writes its record straight into the pre-sized output slot, so there
+/// is no per-host send/receive traffic and no queue holding the whole
+/// world. A host with a slow probe (retry-heavy DNS, a timed-out
+/// handshake) holds up only its own worker: the others keep claiming.
 pub fn scan_hosts(ctx: &ScanContext<'_>, hostnames: &[String]) -> Vec<ScanRecord> {
-    let workers = govscan_exec::resolve_threads("GOVSCAN_SCAN_THREADS");
+    let workers = govscan_exec::resolve_threads("GOVSCAN_THREADS");
     if workers <= 1 || hostnames.len() < PARALLEL_THRESHOLD {
         return hostnames.iter().map(|h| scan_host(ctx, h)).collect();
     }
@@ -238,9 +235,9 @@ mod tests {
         // env var is process-global; a concurrent test scanning hosts
         // merely changes its pool size, never its output — which is
         // exactly the property under test.)
-        std::env::set_var("GOVSCAN_SCAN_THREADS", "3");
+        std::env::set_var("GOVSCAN_THREADS", "3");
         let parallel = scan_hosts(&ctx, &hosts);
-        std::env::remove_var("GOVSCAN_SCAN_THREADS");
+        std::env::remove_var("GOVSCAN_THREADS");
         assert_eq!(serial.len(), parallel.len());
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.hostname, b.hostname);

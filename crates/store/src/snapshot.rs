@@ -372,12 +372,9 @@ impl<W: Write + Seek> SnapshotWriter<W> {
     ///
     /// Every pool is already its section payload (the string table keeps
     /// its text in the section's encoding). The payloads are
-    /// FNV-1a-checksummed concurrently on the shared executor
-    /// ([`govscan_exec`], worker count from `GOVSCAN_STORE_THREADS` /
-    /// `GOVSCAN_THREADS`), then written strictly in the canonical v1
-    /// order (CAA, certs, strings, meta) — so archives stay
-    /// byte-identical at any worker count, which is what keeps
-    /// [`crate::Snapshot::digest`] a meaningful identity.
+    /// FNV-1a-checksummed and written in one serial pass, in the
+    /// canonical v1 order (CAA, certs, strings, meta), which is what
+    /// keeps [`crate::Snapshot::digest`] a meaningful identity.
     pub fn finish(mut self) -> Result<W> {
         let hosts = Section {
             id: SectionId::Hosts as u32,
@@ -394,29 +391,24 @@ impl<W: Write + Seek> SnapshotWriter<W> {
         meta.u64(self.caa_count as u64);
         meta.u64(self.strings.len() as u64);
 
-        let payloads = vec![
+        let payloads = [
             (SectionId::Caa, self.caa.as_bytes()),
             (SectionId::Certs, self.certs.as_bytes()),
             (SectionId::Strings, self.strings.payload()),
             (SectionId::Meta, meta.as_bytes()),
         ];
-        let threads = govscan_exec::resolve_threads("GOVSCAN_STORE_THREADS");
-        let encoded: Vec<(SectionId, &[u8], u64)> =
-            govscan_exec::par_map(threads, payloads, |_, (id, payload)| {
-                (id, payload, Checksum::of(payload))
-            });
 
         // Pools follow the streamed host section, in canonical order.
         let mut cursor = HEADER_LEN + self.hosts_len;
         let mut table = vec![hosts];
-        for (id, payload, checksum) in encoded {
+        for (id, payload) in payloads {
             self.out.write_all(payload)?;
             table.push(Section {
                 id: id as u32,
                 name: id.name(),
                 offset: cursor,
                 len: payload.len() as u64,
-                checksum,
+                checksum: Checksum::of(payload),
             });
             cursor += payload.len() as u64;
         }

@@ -167,34 +167,6 @@ fn reencoding_is_byte_identical() {
 }
 
 #[test]
-fn encoding_is_worker_count_invariant() {
-    // The writer encodes and checksums pool sections on the shared
-    // executor; the archive must come out byte-identical whether that
-    // pool has one worker or several (sections are written in canonical
-    // order regardless of completion order).
-    std::env::set_var("GOVSCAN_STORE_THREADS", "1");
-    let serial = Snapshot::encode(scan()).expect("encodable at 1 worker");
-    std::env::set_var("GOVSCAN_STORE_THREADS", "4");
-    let parallel = Snapshot::encode(scan()).expect("encodable at 4 workers");
-    std::env::remove_var("GOVSCAN_STORE_THREADS");
-    assert_eq!(
-        serial, parallel,
-        "archive bytes must not depend on worker count"
-    );
-    assert_eq!(
-        &serial,
-        snapshot(),
-        "pinned-thread archives must match the default-environment fixture"
-    );
-    // The reader accepts the parallel-encoded archive.
-    let restored = read_lazy(&parallel).expect("valid snapshot");
-    assert_eq!(
-        Snapshot::digest_of(scan()).unwrap(),
-        Snapshot::digest_of(&restored).unwrap()
-    );
-}
-
-#[test]
 fn snapshot_deduplicates_certificates() {
     let reader = Snapshot::from_bytes(snapshot().clone()).expect("valid snapshot");
     let with_cert = scan()

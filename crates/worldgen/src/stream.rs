@@ -20,8 +20,8 @@
 //! materialized world, so a streamed shard is its slice of that world by
 //! construction (DESIGN.md §14).
 //!
-//! The worker pool itself lives in [`govscan_exec`]: shards run on the
-//! shared work-stealing chunked executor ([`par_map`] is a re-export).
+//! Shards run on the shared executor, [`govscan_exec::par_map`], with
+//! the worker count from `GOVSCAN_THREADS`.
 //!
 //! [`World::generate`]: crate::World::generate
 
@@ -88,28 +88,6 @@ impl StreamSeeder {
         StdRng::seed_from_u64(self.stream_id(phase, shard))
     }
 }
-
-/// Worker-pool size for world generation: the `GOVSCAN_WORLDGEN_THREADS`
-/// environment variable when set (≥ 1), then the workspace-wide
-/// `GOVSCAN_THREADS`, otherwise the machine's parallelism capped at 8
-/// ([`govscan_exec::resolve_threads`] is the one implementation of that
-/// policy).
-pub fn worldgen_threads() -> usize {
-    govscan_exec::resolve_threads("GOVSCAN_WORLDGEN_THREADS")
-}
-
-/// Map `f` over `items` in input order on the shared work-stealing
-/// executor — a re-export of [`govscan_exec::par_map`].
-///
-/// Worldgen shards are few and lopsided (China alone is ~17% of the
-/// world); the executor's contiguous seeding degrades to per-item claims
-/// at these sizes while half-batch stealing rebalances the tail, which
-/// measured strictly faster than the per-item rendezvous dispatch that
-/// used to live here (DESIGN.md §11). Determinism does not depend on the
-/// pool: `f` must derive everything from `(index, item)` — in worldgen,
-/// from the shard's own RNG stream — so any `threads` value produces
-/// identical output.
-pub use govscan_exec::par_map;
 
 /// Plan a streamed world: run the cross-shard phases once, cheaply, and
 /// return a [`StreamPlan`] that realizes one country shard at a time.
@@ -203,7 +181,8 @@ impl StreamPlan {
         // cluster walk can consult) its capped candidate prefix, and
         // dropped.
         let jobs: Vec<_> = countries.iter().copied().zip(accepted).collect();
-        let reduced = par_map(worldgen_threads(), jobs, |_, (country, accepted)| {
+        let threads = govscan_exec::resolve_threads("GOVSCAN_THREADS");
+        let reduced = govscan_exec::par_map(threads, jobs, |_, (country, accepted)| {
             let mut records = worldwide_country_records(&config, seeder, country, total_weight);
             // Candidacy is judged on original postures; the flips the
             // plan will imply keep `attempts_https`.
@@ -409,33 +388,6 @@ mod tests {
         let s = StreamSeeder::new(7);
         assert_ne!(s.stream_id("ab", "c"), s.stream_id("a", "bc"));
         assert_ne!(s.stream_id("", "abc"), s.stream_id("abc", ""));
-    }
-
-    #[test]
-    fn par_map_matches_serial_any_thread_count() {
-        let items: Vec<u64> = (0..97).collect();
-        let f = |i: usize, x: u64| x.wrapping_mul(31).wrapping_add(i as u64);
-        let serial = par_map(1, items.clone(), f);
-        for threads in [2, 3, 8] {
-            assert_eq!(par_map(threads, items.clone(), f), serial);
-        }
-    }
-
-    #[test]
-    fn par_map_preserves_input_order() {
-        let items: Vec<usize> = (0..500).collect();
-        let out = par_map(4, items, |i, x| {
-            assert_eq!(i, x);
-            x * 2
-        });
-        assert_eq!(out, (0..500).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn threads_env_override_parses() {
-        // Only shape-checks the default path (the env var is global
-        // state; the invariance test in world.rs exercises the override).
-        assert!(worldgen_threads() >= 1);
     }
 
     #[test]

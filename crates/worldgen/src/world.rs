@@ -34,7 +34,7 @@ use crate::hosting::{provider_table, HostingAssigner};
 use crate::posture::{self, PostureRates};
 use crate::rankings::{self, RankingEntry, RankingList};
 use crate::rok::{ROK, ROK_DEPARTMENTS};
-use crate::stream::{self, StreamPlan, StreamSeeder};
+use crate::stream::{StreamPlan, StreamSeeder};
 use crate::usa::USA_DATASETS;
 use crate::webgraph::{self, GraphHost, WebGraph};
 
@@ -92,10 +92,10 @@ impl World {
     /// and the GSA, ROK, non-government and phishing populations. Realize
     /// batches fold in that order, which fixes the CT log's leaf order.
     pub fn generate(config: &WorldConfig) -> World {
-        let threads = stream::worldgen_threads();
+        let threads = govscan_exec::resolve_threads("GOVSCAN_THREADS");
         let (plan, mut rankings_rng, ranked_pool) = StreamPlan::for_world(config);
         let shards: Vec<usize> = (0..plan.shard_count()).collect();
-        let blocks = stream::par_map(threads, shards, |_, i| plan.country_records(i));
+        let blocks = govscan_exec::par_map(threads, shards, |_, i| plan.country_records(i));
         let gov: Vec<&HostRecord> = blocks.iter().flatten().collect();
         let gov_hosts: Vec<String> = gov.iter().map(|r| r.hostname.clone()).collect();
         let [majestic, cisco] = build_discovery_lists(&plan, &mut rankings_rng, ranked_pool);
@@ -113,7 +113,7 @@ impl World {
 
         let mut fold = Fold::default();
         let jobs: Vec<(usize, Vec<HostRecord>)> = blocks.into_iter().enumerate().collect();
-        for batch in stream::par_map(threads, jobs, |_, (i, records)| {
+        for batch in govscan_exec::par_map(threads, jobs, |_, (i, records)| {
             plan.realize_country(i, records, Some(&webgraph))
         }) {
             fold.apply(batch);
@@ -358,7 +358,7 @@ fn build_webgraph(plan: &StreamPlan, gov: &[&HostRecord], seed: &[String]) -> We
 /// USA GSA case-study populations (§6.1, Tables A.1/A.2): one shard per
 /// dataset.
 fn gsa_batches(plan: &StreamPlan, threads: usize) -> Vec<RealizeBatch> {
-    stream::par_map(threads, USA_DATASETS.to_vec(), |_, spec| {
+    govscan_exec::par_map(threads, USA_DATASETS.to_vec(), |_, spec| {
         let mut r = plan.realizer("gsa", spec.tag());
         let n = plan.config().scaled(spec.total as u64);
         let rates = spec.rates();
@@ -393,7 +393,7 @@ fn gsa_batches(plan: &StreamPlan, threads: usize) -> Vec<RealizeBatch> {
 fn rok_batches(plan: &StreamPlan, threads: usize) -> Vec<RealizeBatch> {
     let n = plan.config().scaled(ROK.total as u64);
     let starts: Vec<u64> = (0..n).step_by(CHUNK).collect();
-    stream::par_map(threads, starts, |ci, start| {
+    govscan_exec::par_map(threads, starts, |ci, start| {
         let mut r = plan.realizer("rok", &ci.to_string());
         let rates = ROK.rates();
         for i in start..(start + CHUNK as u64).min(n) {
@@ -433,7 +433,7 @@ fn nongov_batches(plan: &StreamPlan, threads: usize) -> Vec<RealizeBatch> {
     let size = plan.tranco().size as f64;
     let entries: Vec<&RankingEntry> = plan.tranco().nongov_entries().collect();
     let chunks: Vec<&[&RankingEntry]> = entries.chunks(CHUNK).collect();
-    stream::par_map(threads, chunks, |ci, chunk| {
+    govscan_exec::par_map(threads, chunks, |ci, chunk| {
         let mut r = plan.realizer("nongov", &ci.to_string());
         for e in chunk {
             let frac = e.rank as f64 / size;
@@ -1420,11 +1420,11 @@ mod tests {
         // (The env var is process-global; a concurrent test generating a
         // world merely changes its pool size, never its output — that is
         // exactly the property under test.)
-        std::env::set_var("GOVSCAN_WORLDGEN_THREADS", "1");
+        std::env::set_var("GOVSCAN_THREADS", "1");
         let serial = World::generate(&WorldConfig::small(0x5EED));
-        std::env::set_var("GOVSCAN_WORLDGEN_THREADS", "4");
+        std::env::set_var("GOVSCAN_THREADS", "4");
         let parallel = World::generate(&WorldConfig::small(0x5EED));
-        std::env::remove_var("GOVSCAN_WORLDGEN_THREADS");
+        std::env::remove_var("GOVSCAN_THREADS");
         assert_eq!(serial.gov_hosts, parallel.gov_hosts);
         assert_eq!(serial.seed_list, parallel.seed_list);
         assert_eq!(serial.net.len(), parallel.net.len());
