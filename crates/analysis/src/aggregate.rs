@@ -14,14 +14,6 @@
 //! [`AggregateIndex::build`] calls [`ScanDataset::records`] exactly
 //! once, which the dataset's walk counter ([`ScanDataset::walks`])
 //! asserts in tests here and in `tests/equivalence.rs`.
-//!
-//! At paper scale the build itself is parallel: the record range is cut
-//! into fixed-size contiguous shards, workers on the shared executor
-//! ([`govscan_exec`]) build one partial index per shard, and the
-//! partials are merged *in shard order* — issuer ids remapped to global
-//! first-seen order, certificate slots rebased, grouped positions
-//! concatenated ascending — so the final index is bit-identical to a
-//! serial build at any worker count (DESIGN.md §11).
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::BuildHasherDefault;
@@ -29,7 +21,7 @@ use std::hash::BuildHasherDefault;
 use govscan_crypto::{Fingerprint, KeyAlgorithm, SignatureAlgorithm};
 use govscan_pki::Time;
 use govscan_scanner::dataset::HostingKind;
-use govscan_scanner::{ErrorCategory, ScanDataset, ScanRecord};
+use govscan_scanner::{ErrorCategory, ScanDataset};
 
 /// A multiply-rotate hasher for [`Fingerprint`] keys. Fingerprints are
 /// SHA-256 outputs — already uniformly distributed — so the default
@@ -211,108 +203,86 @@ pub struct AggregateIndex {
     pub by_issuer: Vec<Vec<u32>>,
 }
 
-/// Fixed shard width for the parallel build. Deliberately *not* derived
-/// from the worker count: the merge already makes the output independent
-/// of the shard layout (proven by the invariance test comparing a
-/// one-shard build against a many-shard one), but a fixed width keeps
-/// the partials' memory footprint predictable and gives the executor
-/// enough shards to balance across its workers.
-const SHARD_SIZE: usize = 4096;
-
-/// One shard's partial index over records `[base, base + len)`.
-///
-/// Grouped positions are already **global** (the shard layout is
-/// contiguous, so `base + i` is known shard-locally); issuer ids and
-/// certificate slots are shard-**local** and rebased by the merge.
-#[derive(Debug, Default)]
-struct Shard {
-    hosts: Vec<HostSummary>,
-    certs: Vec<CertBits>,
-    issuers: Vec<String>,
-    totals: Totals,
-    by_country: HashMap<&'static str, Vec<u32>>,
-    by_error: HashMap<ErrorCategory, Vec<u32>>,
-    cert_hosts: Vec<u32>,
-    by_cert: FingerprintMap<Members>,
-    by_key: FingerprintMap<Members>,
-    by_issuer: Vec<Vec<u32>>,
-}
-
-impl Shard {
-    /// Index one contiguous run of records. This is the original
-    /// single-pass build body, emitting global positions relative to
-    /// `base` and shard-local issuer/certificate ids.
-    fn build(records: &[ScanRecord], base: usize) -> Shard {
+impl AggregateIndex {
+    /// Build the index in a single pass: exactly one
+    /// [`ScanDataset::records`] call, in record order.
+    pub fn build(scan: &ScanDataset) -> AggregateIndex {
+        let records = scan.records();
         // Roughly a third of scanned hosts present a certificate; sizing
         // the fingerprint tables to that (rather than a safe half) keeps
         // their fresh-page footprint down, and a rare growth rehash on an
         // unusually certificate-dense dataset is cheap.
         let cert_estimate = records.len() / 3;
-        let mut shard = Shard {
+        let mut index = AggregateIndex {
             hosts: Vec::with_capacity(records.len()),
             certs: Vec::with_capacity(cert_estimate),
             cert_hosts: Vec::with_capacity(cert_estimate),
             by_cert: FingerprintMap::with_capacity_and_hasher(cert_estimate, Default::default()),
             by_key: FingerprintMap::with_capacity_and_hasher(cert_estimate, Default::default()),
-            ..Shard::default()
+            ..AggregateIndex::default()
         };
         let mut issuer_ids: HashMap<String, u32> = HashMap::new();
+        // Build the two small keyed groupings through hash maps and sort
+        // them into their BTreeMap fields once at the end: a per-record
+        // ordered-map lookup is measurable at the 135k-host scale.
+        let mut by_country: HashMap<&'static str, Vec<u32>> = HashMap::new();
+        let mut by_error: HashMap<ErrorCategory, Vec<u32>> = HashMap::new();
         for r in records {
-            let pos = (base + shard.hosts.len()) as u32;
+            let pos = index.hosts.len() as u32;
             let attempts = r.https.attempts();
             let valid = r.https.is_valid();
-            shard.totals.records += 1;
+            index.totals.records += 1;
             if let Some(cc) = r.country {
-                shard.by_country.entry(cc).or_default().push(pos);
+                by_country.entry(cc).or_default().push(pos);
             }
             if r.available {
-                shard.totals.available += 1;
+                index.totals.available += 1;
                 if !attempts {
-                    shard.totals.http_only += 1;
+                    index.totals.http_only += 1;
                 } else {
-                    shard.totals.https += 1;
+                    index.totals.https += 1;
                     if valid {
-                        shard.totals.valid += 1;
+                        index.totals.valid += 1;
                         if r.serves_both() {
-                            shard.totals.valid_serving_both += 1;
+                            index.totals.valid_serving_both += 1;
                         }
                     } else {
-                        shard.totals.invalid += 1;
+                        index.totals.invalid += 1;
                     }
                 }
             }
             let error = r.https.error();
             if r.available && attempts && !valid {
                 let cat = error.expect("invalid https has a category");
-                shard.by_error.entry(cat).or_default().push(pos);
+                by_error.entry(cat).or_default().push(pos);
             }
             let cert = r.https.meta().map(|meta| {
-                let slot = shard.certs.len() as u32;
+                let slot = index.certs.len() as u32;
                 let id = match issuer_ids.get(meta.issuer.as_str()) {
                     Some(&id) => id,
                     None => {
                         let id = issuer_ids.len() as u32;
                         issuer_ids.insert(meta.issuer.clone(), id);
-                        shard.issuers.push(meta.issuer.clone());
-                        shard.by_issuer.push(Vec::new());
+                        index.issuers.push(meta.issuer.clone());
+                        index.by_issuer.push(Vec::new());
                         id
                     }
                 };
                 if r.available && attempts {
-                    shard.cert_hosts.push(pos);
-                    shard
+                    index.cert_hosts.push(pos);
+                    index
                         .by_cert
                         .entry(meta.fingerprint)
                         .and_modify(|m| m.push(pos))
                         .or_insert(Members::One(pos));
-                    shard
+                    index
                         .by_key
                         .entry(meta.key_fingerprint)
                         .and_modify(|m| m.push(pos))
                         .or_insert(Members::One(pos));
-                    shard.by_issuer[id as usize].push(pos);
+                    index.by_issuer[id as usize].push(pos);
                 }
-                shard.certs.push(CertBits {
+                index.certs.push(CertBits {
                     issuer: id,
                     fingerprint: meta.fingerprint,
                     key_fingerprint: meta.key_fingerprint,
@@ -327,7 +297,7 @@ impl Shard {
                 });
                 slot
             });
-            shard.hosts.push(HostSummary {
+            index.hosts.push(HostSummary {
                 hostname: r.hostname.clone(),
                 country: r.country,
                 available: r.available,
@@ -340,135 +310,6 @@ impl Shard {
                 hosting: r.hosting,
                 cert,
             });
-        }
-        shard
-    }
-}
-
-/// Append one shard's members for a fingerprint group onto the global
-/// group, preserving record order (shards merge ascending).
-fn merge_members(map: &mut FingerprintMap<Members>, fp: Fingerprint, members: Members) {
-    match map.entry(fp) {
-        std::collections::hash_map::Entry::Vacant(e) => {
-            e.insert(members);
-        }
-        std::collections::hash_map::Entry::Occupied(mut e) => {
-            for &pos in members.as_slice() {
-                e.get_mut().push(pos);
-            }
-        }
-    }
-}
-
-impl Totals {
-    fn accumulate(&mut self, o: Totals) {
-        self.records += o.records;
-        self.available += o.available;
-        self.http_only += o.http_only;
-        self.https += o.https;
-        self.valid += o.valid;
-        self.valid_serving_both += o.valid_serving_both;
-        self.invalid += o.invalid;
-    }
-}
-
-impl AggregateIndex {
-    /// Build the index in a single pass (exactly one
-    /// [`ScanDataset::records`] call), sharded across the worker count
-    /// resolved from `GOVSCAN_THREADS`.
-    pub fn build(scan: &ScanDataset) -> AggregateIndex {
-        Self::build_with_threads(scan, govscan_exec::resolve_threads("GOVSCAN_THREADS"))
-    }
-
-    /// [`Self::build`] with an explicit worker count. The output is
-    /// bit-identical for every `threads` value; tests pin it to prove
-    /// exactly that without racing the process environment.
-    pub fn build_with_threads(scan: &ScanDataset, threads: usize) -> AggregateIndex {
-        let records = scan.records();
-        if threads <= 1 || records.len() <= SHARD_SIZE {
-            // One shard covering everything: the serial path costs
-            // exactly the original single-pass build plus an O(1) merge.
-            return Self::merge(vec![Shard::build(records, 0)]);
-        }
-        let shards: Vec<(usize, &[ScanRecord])> = records
-            .chunks(SHARD_SIZE)
-            .enumerate()
-            .map(|(i, chunk)| (i * SHARD_SIZE, chunk))
-            .collect();
-        let partials = govscan_exec::par_map(threads, shards, |_, (base, chunk)| {
-            Shard::build(chunk, base)
-        });
-        Self::merge(partials)
-    }
-
-    /// Stitch shard partials into the final index, in shard order.
-    ///
-    /// Ordering argument (what makes this equal to a serial build):
-    /// hosts, certificates, and every grouped-position list concatenate
-    /// ascending because shards are contiguous and merged in order; an
-    /// issuer first seen globally in shard *k* cannot appear in any
-    /// earlier shard, so interning shard-local issuers in shard order
-    /// reproduces global first-seen order exactly.
-    fn merge(partials: Vec<Shard>) -> AggregateIndex {
-        let total: usize = partials.iter().map(|p| p.hosts.len()).sum();
-        let cert_estimate = total / 3;
-        let mut index = AggregateIndex {
-            hosts: Vec::with_capacity(total),
-            certs: Vec::with_capacity(cert_estimate),
-            cert_hosts: Vec::with_capacity(cert_estimate),
-            by_cert: FingerprintMap::with_capacity_and_hasher(cert_estimate, Default::default()),
-            by_key: FingerprintMap::with_capacity_and_hasher(cert_estimate, Default::default()),
-            ..AggregateIndex::default()
-        };
-        let mut issuer_ids: HashMap<String, u32> = HashMap::new();
-        // Build the two small keyed groupings through hash maps and sort
-        // them into their BTreeMap fields once at the end: a per-record
-        // ordered-map lookup is measurable at the 135k-host scale.
-        let mut by_country: HashMap<&'static str, Vec<u32>> = HashMap::new();
-        let mut by_error: HashMap<ErrorCategory, Vec<u32>> = HashMap::new();
-        for part in partials {
-            let cert_base = index.certs.len() as u32;
-            // Shard-local issuer id → global id, preserving first-seen
-            // order.
-            let remap: Vec<u32> = part
-                .issuers
-                .into_iter()
-                .map(|name| match issuer_ids.get(name.as_str()) {
-                    Some(&id) => id,
-                    None => {
-                        let id = issuer_ids.len() as u32;
-                        issuer_ids.insert(name.clone(), id);
-                        index.issuers.push(name);
-                        index.by_issuer.push(Vec::new());
-                        id
-                    }
-                })
-                .collect();
-            for mut cb in part.certs {
-                cb.issuer = remap[cb.issuer as usize];
-                index.certs.push(cb);
-            }
-            for mut h in part.hosts {
-                h.cert = h.cert.map(|slot| slot + cert_base);
-                index.hosts.push(h);
-            }
-            index.cert_hosts.extend(part.cert_hosts);
-            for (local, members) in part.by_issuer.into_iter().enumerate() {
-                index.by_issuer[remap[local] as usize].extend(members);
-            }
-            for (fp, members) in part.by_cert {
-                merge_members(&mut index.by_cert, fp, members);
-            }
-            for (fp, members) in part.by_key {
-                merge_members(&mut index.by_key, fp, members);
-            }
-            for (cc, mut positions) in part.by_country {
-                by_country.entry(cc).or_default().append(&mut positions);
-            }
-            for (cat, mut positions) in part.by_error {
-                by_error.entry(cat).or_default().append(&mut positions);
-            }
-            index.totals.accumulate(part.totals);
         }
         index.by_country = by_country.into_iter().collect();
         index.by_error = by_error.into_iter().collect();
@@ -499,6 +340,7 @@ impl AggregateIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use govscan_crypto::Digest;
     use govscan_scanner::classify::{CertMeta, HttpsStatus};
     use govscan_scanner::ScanRecord;
 
@@ -605,19 +447,17 @@ mod tests {
         assert_eq!(index.by_error[&ErrorCategory::TimedOut], vec![2]);
     }
 
-    /// A dataset big enough to span several `SHARD_SIZE` shards, with
-    /// issuers and certificate/key fingerprints deliberately recurring
-    /// across shard boundaries so the merge's interning, rebasing, and
-    /// group concatenation all carry real weight.
-    fn multi_shard_dataset() -> ScanDataset {
-        let n = SHARD_SIZE * 3 + 777;
+    /// A 13,065-record dataset whose issuers and certificate/key
+    /// fingerprints recur across the whole record range, so issuer
+    /// interning and every fingerprint group carry real weight.
+    fn large_dataset() -> ScanDataset {
+        let n = 13_065;
         let issuers = ["R3", "DigiCert", "Sectigo", "GovCA", "Self"];
         let mut records = Vec::with_capacity(n);
         for i in 0..n {
             let cc = ["bd", "fr", "za", "us", "kr"][i % 5];
             let https = match i % 7 {
-                // Shared fingerprints recur every 97 records, straddling
-                // shard boundaries (97 does not divide SHARD_SIZE).
+                // Shared fingerprints recur every 97 records.
                 0 | 1 => HttpsStatus::Valid(meta(
                     issuers[(i / 97) % issuers.len()],
                     (i % 97) as u8,
@@ -640,29 +480,49 @@ mod tests {
         ScanDataset::new(records, Time::from_ymd(2020, 4, 22))
     }
 
+    /// Every field of the index as text: the `Vec` and `BTreeMap` fields
+    /// in their own order, the two fingerprint maps sorted by key. The
+    /// fixture's fingerprints are `[b; 32]`, so their abbreviated `Debug`
+    /// form still tells them apart.
+    fn canonical(index: &AggregateIndex) -> String {
+        let sorted = |m: &FingerprintMap<Members>| {
+            let mut groups: Vec<_> = m.iter().collect();
+            groups.sort_unstable_by_key(|&(fp, _)| *fp);
+            format!("{groups:?}")
+        };
+        format!(
+            "{:?}\n{:?}\n{:?}\n{:?}\n{:?}\n{:?}\n{:?}\n{}\n{}\n{:?}",
+            index.hosts,
+            index.certs,
+            index.issuers,
+            index.totals,
+            index.by_country,
+            index.by_error,
+            index.cert_hosts,
+            sorted(&index.by_cert),
+            sorted(&index.by_key),
+            index.by_issuer,
+        )
+    }
+
     #[test]
-    fn build_is_thread_count_invariant() {
-        // The tentpole invariant for the parallel build: fixed-size
-        // shards merged in order must reproduce the serial single-shard
-        // build bit for bit, at any worker count.
-        let ds = multi_shard_dataset();
-        let serial = AggregateIndex::build_with_threads(&ds, 1);
-        for threads in [2, 4, 8] {
-            let parallel = AggregateIndex::build_with_threads(&ds, threads);
-            assert_eq!(
-                serial, parallel,
-                "index must be identical at {threads} workers"
-            );
-        }
-        // The parallel build still walks the dataset exactly once per
-        // build (records() sliced, never re-fetched).
-        assert_eq!(ds.walks(), 4);
-        // Sanity: the dataset actually exercised the cross-shard paths.
-        assert!(serial.hosts.len() > 3 * SHARD_SIZE);
-        assert!(serial.issuers.len() >= 5);
+    fn build_output_is_pinned() {
+        let ds = large_dataset();
+        let index = AggregateIndex::build(&ds);
+        assert_eq!(ds.walks(), 1, "one records() call");
+        assert_eq!(index.hosts.len(), 13_065);
+        assert_eq!(index.issuers.len(), 5);
         assert!(
-            serial.by_cert.values().any(|m| m.len() > 1),
+            index.by_cert.values().any(|m| m.len() > 1),
             "some fingerprint groups span records"
+        );
+        // Pinned across commits: the SHA-256 of the canonical rendering,
+        // which the build produced at one and at several workers before
+        // it became a single serial pass.
+        let digest = govscan_crypto::Sha256::digest(canonical(&index).as_bytes());
+        assert_eq!(
+            govscan_crypto::hex::encode(&digest),
+            "10ba61c5433e76b12f02f9989f2a1a5048d56d6d8dc2379fb16bc5eb03a8057f"
         );
     }
 

@@ -63,15 +63,6 @@ impl EpochPoint {
             self.valid as f64 / self.attempting as f64
         }
     }
-
-    /// Valid share of available hosts.
-    pub fn valid_of_available(&self) -> f64 {
-        if self.available == 0 {
-            0.0
-        } else {
-            self.valid as f64 / self.available as f64
-        }
-    }
 }
 
 /// Summarize one epoch's dataset. Exactly one full walk.

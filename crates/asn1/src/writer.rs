@@ -192,11 +192,6 @@ impl DerWriter {
         self.tlv(Tag::UTF8_STRING, s.as_bytes());
     }
 
-    /// PrintableString (caller is responsible for the restricted alphabet).
-    pub fn printable(&mut self, s: &str) {
-        self.tlv(Tag::PRINTABLE_STRING, s.as_bytes());
-    }
-
     /// IA5String (ASCII; used for dNSNames in SAN extensions).
     pub fn ia5(&mut self, s: &str) {
         self.tlv(Tag::IA5_STRING, s.as_bytes());

@@ -2,7 +2,7 @@
 //!
 //! The workspace's shared parallel executor: [`par_map`] and
 //! [`par_map_indexed`] for batch work (world generation, the scan
-//! engine, aggregation, the monitor's shards), [`pipeline::run`] for the
+//! engine, the monitor's shards), [`pipeline::run`] for the
 //! streamed producer/consumer pipeline, and [`WorkerPool`] for the
 //! daemon.
 //!

@@ -16,24 +16,32 @@
 //!    persisted as a `GOVDLT1` delta against its predecessor, and the
 //!    chain resolves back to full archives bit-for-bit.
 //!
+//! [`Monitor::run`] is one epoch step, repeated for epochs `0..=N`:
+//! scan against the previous epoch (none at the baseline), encode the
+//! archive and, past the baseline, the delta against the previous
+//! archive, write `epoch-0.snap` or `epoch-<k>.dlt`, then record the
+//! trend point and the receipt.
+//!
 //! The correctness story is *digest equality*: snapshot encoding is
 //! canonical, so "incremental scan ≡ full rescan" and "resolved delta
 //! chain ≡ full archive" are both one `Fingerprint` comparison. One
 //! scan, [`incremental_epoch_scan`], serves both arms: given no previous
-//! epoch it probes every host, and that is the full rescan. With
-//! `self_check` enabled, [`Monitor::run`] proves every epoch four ways
-//! — full and incremental, each at 1 and at N worker threads — and
-//! re-resolves the delta chain at the end. CI runs exactly that.
+//! epoch it probes every host, and that is the full rescan, so the
+//! baseline is that scan. With `self_check` enabled, [`Monitor::run`]
+//! proves each epoch against full rescans at 1 and at `max(2, N)` worker
+//! threads (at the baseline, the one at N is the scan under test) and,
+//! past the baseline, against incremental rescans at the same counts
+//! and the applied delta; it re-resolves the delta chain at the end.
+//! CI runs exactly that.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::HashSet;
 use std::path::PathBuf;
-use std::time::Instant;
 
 use govscan_analysis::trend::{epoch_point, TrendSeries};
-use govscan_pki::Time;
+use govscan_pki::Fingerprint;
 use govscan_scanner::{
     plan_rescan, Decision, IncrementalPolicy, IncrementalStats, ScanDataset, ScanRecord,
     ShardScanner,
@@ -82,9 +90,11 @@ pub struct MonitorConfig {
     /// When set, write `epoch-0.snap` plus `epoch-<k>.dlt` per epoch
     /// here, and re-resolve the chain at the end of the run.
     pub out_dir: Option<PathBuf>,
-    /// Prove every epoch's incremental scan against full rescans at 1
-    /// and at `threads` workers (digest equality), and the delta chain
-    /// against the final archive.
+    /// Prove every epoch's archive against full rescans at 1 and at
+    /// `max(2, threads)` workers and, past the baseline, against
+    /// incremental rescans at the same counts and the applied delta
+    /// (digest equality); prove the delta chain against the final
+    /// archive.
     pub self_check: bool,
 }
 
@@ -93,34 +103,23 @@ pub struct MonitorConfig {
 pub struct EpochReceipt {
     /// Epoch index (0 = baseline).
     pub epoch: u32,
-    /// The epoch's scan time.
-    pub scan_time: Time,
     /// Hosts in the epoch.
     pub hosts: u64,
-    /// Hosts probed live (all of them at epoch 0).
-    pub probed: u64,
-    /// Hosts spliced from the previous epoch.
-    pub spliced: u64,
     /// Full-archive bytes for this epoch.
     pub archive_bytes: u64,
     /// Delta bytes against the previous epoch (0 at the baseline).
     pub delta_bytes: u64,
-    /// Wall-clock seconds for the (incremental) scan.
-    pub scan_seconds: f64,
     /// The epoch archive's content digest (hex).
     pub digest: String,
-    /// Selection breakdown (None at the baseline).
-    pub stats: Option<IncrementalStats>,
+    /// Hosts probed live, by reason, and hosts spliced from the previous
+    /// epoch. At the baseline every host is new.
+    pub stats: IncrementalStats,
 }
 
 impl EpochReceipt {
     /// Fraction of hosts probed live.
     pub fn probe_fraction(&self) -> f64 {
-        if self.hosts == 0 {
-            0.0
-        } else {
-            self.probed as f64 / self.hosts as f64
-        }
+        self.stats.probe_fraction()
     }
 }
 
@@ -186,8 +185,8 @@ impl MonitorReport {
                 "{:<8} {:>8} {:>8} {:>8} {:>7.1}% {:>12} {:>12}  {}",
                 e.epoch,
                 e.hosts,
-                e.probed,
-                e.spliced,
+                e.stats.probed,
+                e.stats.spliced,
                 100.0 * e.probe_fraction(),
                 e.archive_bytes,
                 e.delta_bytes,
@@ -316,26 +315,37 @@ impl Monitor {
         })
     }
 
-    /// `epoch` rescanned in full (the scan with no previous epoch), as
-    /// the snapshot the self-check compares against.
-    fn full_rescan(&self, epoch: u32, threads: usize) -> Result<Snapshot, MonitorError> {
-        let (full, _) = incremental_epoch_scan(&self.plan, epoch, None, &HashSet::new(), threads);
-        Ok(Snapshot::from_bytes(Snapshot::encode(&full)?)?)
-    }
-
-    fn check(
+    /// Prove `snap`, epoch `epoch`'s archive, against the self-check
+    /// arms (see [`MonitorConfig::self_check`]). `prev` is the previous
+    /// epoch and `delta` this epoch's delta against it; both are `None`
+    /// at the baseline, where the full rescan at `threads` workers is
+    /// the scan under test and is not repeated.
+    fn verify(
         &self,
         epoch: u32,
-        arm: &str,
-        got: &Snapshot,
-        want: &Snapshot,
+        prev: Option<&(ScanDataset, Snapshot)>,
+        window: &HashSet<String>,
+        delta: Option<&Vec<u8>>,
+        snap: &Snapshot,
     ) -> Result<(), MonitorError> {
-        if got.digest() != want.digest() {
-            return Err(MonitorError::SelfCheck(format!(
-                "epoch {epoch}: {arm} digest {} != reference {}",
-                got.digest(),
-                want.digest()
-            )));
+        let threads = self.config.threads;
+        for n in [1, threads.max(2)] {
+            if prev.is_some() || n != threads {
+                let (full, _) = incremental_epoch_scan(&self.plan, epoch, None, &HashSet::new(), n);
+                let arm = format!("full rescan at {n} threads");
+                check(epoch, &arm, Snapshot::digest_of(&full)?, snap)?;
+            }
+            if let Some((prev_scan, _)) = prev {
+                let (inc, _) =
+                    incremental_epoch_scan(&self.plan, epoch, Some(prev_scan), window, n);
+                let arm = format!("incremental rescan at {n} threads");
+                check(epoch, &arm, Snapshot::digest_of(&inc)?, snap)?;
+            }
+        }
+        if let (Some((_, prev_snap)), Some(delta)) = (prev, delta) {
+            // The delta round-trips through its own apply path.
+            let resolved = Delta::from_bytes(delta.clone())?.apply(prev_snap)?;
+            check(epoch, "applied delta", resolved.digest(), snap)?;
         }
         Ok(())
     }
@@ -344,120 +354,63 @@ impl Monitor {
     /// module docs for what `self_check` proves.
     pub fn run(&self) -> Result<MonitorReport, MonitorError> {
         let cfg = &self.config;
-        let evolve = self.plan.evolve().clone();
+        let evolve = self.plan.evolve();
         if let Some(dir) = &cfg.out_dir {
             std::fs::create_dir_all(dir).map_err(StoreError::from)?;
         }
-
-        let start = Instant::now();
-        let (base, _) = incremental_epoch_scan(&self.plan, 0, None, &HashSet::new(), cfg.threads);
-        let base_seconds = start.elapsed().as_secs_f64();
-        let base_bytes = Snapshot::encode(&base)?;
-        let base_len = base_bytes.len() as u64;
-        if let Some(path) = self.out_path(0) {
-            std::fs::write(&path, &base_bytes).map_err(StoreError::from)?;
-        }
-        let mut prev_snap = Snapshot::from_bytes(base_bytes)?;
-        if cfg.self_check && cfg.threads != 1 {
-            let serial = self.full_rescan(0, 1)?;
-            self.check(0, "single-thread full scan", &serial, &prev_snap)?;
-        }
-
         let mut trends = TrendSeries::new();
-        trends.push(epoch_point("epoch 0", &base));
-        let mut receipts = vec![EpochReceipt {
-            epoch: 0,
-            scan_time: self.plan.epoch_time(0),
-            hosts: base.len() as u64,
-            probed: base.len() as u64,
-            spliced: 0,
-            archive_bytes: base_len,
-            delta_bytes: 0,
-            scan_seconds: base_seconds,
-            digest: prev_snap.digest().to_hex(),
-            stats: None,
-        }];
-
+        let mut receipts = Vec::new();
         let mut disclosed = HashSet::new();
-        if evolve.disclosure_epoch == 0 {
-            disclosed = disclosure_set(&base);
-        }
-        let mut prev = base;
-
-        for epoch in 1..=cfg.epochs {
+        let none = HashSet::new();
+        let mut prev: Option<(ScanDataset, Snapshot)> = None;
+        for epoch in 0..=cfg.epochs {
             let in_window = epoch > evolve.disclosure_epoch
                 && epoch <= evolve.disclosure_epoch + evolve.response_window;
-            let window = if in_window {
-                &disclosed
-            } else {
-                &HashSet::new()
-            };
-
-            let t0 = Instant::now();
+            let window = if in_window { &disclosed } else { &none };
+            let prev_scan = prev.as_ref().map(|(scan, _)| scan);
             let (scan, stats) =
-                incremental_epoch_scan(&self.plan, epoch, Some(&prev), window, cfg.threads);
-            let scan_seconds = t0.elapsed().as_secs_f64();
+                incremental_epoch_scan(&self.plan, epoch, prev_scan, window, cfg.threads);
 
             let full_bytes = Snapshot::encode(&scan)?;
-            let full_len = full_bytes.len() as u64;
-            let delta_bytes = Delta::encode(&prev_snap, &scan)?;
+            let archive_bytes = full_bytes.len() as u64;
+            let delta = match &prev {
+                Some((_, prev_snap)) => Some(Delta::encode(prev_snap, &scan)?),
+                None => None,
+            };
             if let Some(path) = self.out_path(epoch) {
-                std::fs::write(&path, &delta_bytes).map_err(StoreError::from)?;
+                let bytes = delta.as_ref().unwrap_or(&full_bytes);
+                std::fs::write(&path, bytes).map_err(StoreError::from)?;
             }
             let snap = Snapshot::from_bytes(full_bytes)?;
-
             if cfg.self_check {
-                for threads in [1, cfg.threads.max(2)] {
-                    let full = self.full_rescan(epoch, threads)?;
-                    self.check(
-                        epoch,
-                        &format!("full rescan at {threads} threads"),
-                        &full,
-                        &snap,
-                    )?;
-                    let (inc, _) =
-                        incremental_epoch_scan(&self.plan, epoch, Some(&prev), window, threads);
-                    let inc = Snapshot::from_bytes(Snapshot::encode(&inc)?)?;
-                    self.check(
-                        epoch,
-                        &format!("incremental rescan at {threads} threads"),
-                        &inc,
-                        &snap,
-                    )?;
-                }
-                // The delta round-trips through its own apply path.
-                let resolved = Delta::from_bytes(delta_bytes.clone())?.apply(&prev_snap)?;
-                self.check(epoch, "applied delta", &resolved, &snap)?;
+                self.verify(epoch, prev.as_ref(), window, delta.as_ref(), &snap)?;
             }
 
             trends.push(epoch_point(format!("epoch {epoch}"), &scan));
             receipts.push(EpochReceipt {
                 epoch,
-                scan_time: self.plan.epoch_time(epoch),
                 hosts: scan.len() as u64,
-                probed: stats.probed as u64,
-                spliced: stats.spliced as u64,
-                archive_bytes: full_len,
-                delta_bytes: delta_bytes.len() as u64,
-                scan_seconds,
+                archive_bytes,
+                delta_bytes: delta.map_or(0, |d| d.len() as u64),
                 digest: snap.digest().to_hex(),
-                stats: Some(stats),
+                stats,
             });
-
             if epoch == evolve.disclosure_epoch {
                 disclosed = disclosure_set(&scan);
             }
-            prev = scan;
-            prev_snap = snap;
+            prev = Some((scan, snap));
         }
 
         // The persisted chain must resolve back to the final epoch.
-        if let Some(dir) = &cfg.out_dir {
-            let deltas: Vec<PathBuf> = (1..=cfg.epochs)
-                .map(|e| dir.join(format!("epoch-{e}.dlt")))
-                .collect();
-            let resolved = Snapshot::open_chain(dir.join("epoch-0.snap"), &deltas)?;
-            self.check(cfg.epochs, "resolved on-disk chain", &resolved, &prev_snap)?;
+        if let (Some(base), Some((_, last))) = (self.out_path(0), &prev) {
+            let deltas: Vec<PathBuf> = (1..=cfg.epochs).filter_map(|e| self.out_path(e)).collect();
+            let resolved = Snapshot::open_chain(base, &deltas)?;
+            check(
+                cfg.epochs,
+                "resolved on-disk chain",
+                resolved.digest(),
+                last,
+            )?;
         }
 
         Ok(MonitorReport {
@@ -467,9 +420,15 @@ impl Monitor {
     }
 }
 
-/// Convenience: run a monitor end to end.
-pub fn run_monitor(config: MonitorConfig) -> Result<MonitorReport, MonitorError> {
-    Monitor::new(config).run()
+/// Fail the self-check unless an arm's digest equals the epoch archive's.
+fn check(epoch: u32, arm: &str, got: Fingerprint, want: &Snapshot) -> Result<(), MonitorError> {
+    if got != want.digest() {
+        return Err(MonitorError::SelfCheck(format!(
+            "epoch {epoch}: {arm} digest {got} != reference {}",
+            want.digest()
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -500,12 +459,14 @@ mod tests {
         // chain resolves to the final archive — all enforced inside
         // run() when self_check is on.
         let dir = std::env::temp_dir().join(format!("govscan-monitor-test-{}", std::process::id()));
-        let report = run_monitor(config(5, Some(&dir))).expect("self-checked run");
+        let report = Monitor::new(config(5, Some(&dir)))
+            .run()
+            .expect("self-checked run");
         assert_eq!(report.epochs.len(), 6);
         assert_eq!(report.trends.points.len(), 6);
         for e in &report.epochs[1..] {
-            assert!(e.probed > 0, "every epoch probes someone");
-            assert!(e.spliced > 0, "every epoch splices most hosts");
+            assert!(e.stats.probed > 0, "every epoch probes someone");
+            assert!(e.stats.spliced > 0, "every epoch splices most hosts");
             assert!(
                 e.delta_bytes < e.archive_bytes / 2,
                 "epoch {}: delta ({}) must be much smaller than the archive ({})",
@@ -525,8 +486,10 @@ mod tests {
         // Disclosure fires after epoch 1; the window epochs probe the
         // disclosed set (including http-only hosts that might adopt) on
         // top of the steady terms, so they are the expensive ones.
-        let stats2 = report.epochs[2].stats.expect("incremental epoch");
-        assert!(stats2.disclosed > 0, "disclosure window must add probes");
+        assert!(
+            report.epochs[2].stats.disclosed > 0,
+            "disclosure window must add probes"
+        );
         // Past the window the probe set shrinks back to the always-on
         // terms: broken, near-expiry, churned — a small minority.
         let steady = report
@@ -542,6 +505,26 @@ mod tests {
             "the disclosure window must cost more than steady state"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn baseline_receipt_probes_every_host_as_new() {
+        // One worker: the baseline's self-check then runs its full
+        // rescan at 2 workers, the scan under test being the 1-worker one.
+        let mut cfg = config(0, None);
+        cfg.threads = 1;
+        let report = Monitor::new(cfg).run().expect("self-checked baseline");
+        let [base] = report.epochs.as_slice() else {
+            panic!("a zero-epoch run has only the baseline");
+        };
+        assert!(base.hosts > 400, "small world is non-trivial");
+        assert_eq!(base.stats.total as u64, base.hosts);
+        assert_eq!(base.stats.probed as u64, base.hosts);
+        assert_eq!(base.stats.new as u64, base.hosts);
+        assert_eq!(base.stats.spliced, 0);
+        assert_eq!(base.delta_bytes, 0);
+        assert_eq!(base.probe_fraction(), 1.0);
+        assert_eq!(report.chain_bytes(), base.archive_bytes);
     }
 
     #[test]

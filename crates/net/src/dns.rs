@@ -133,11 +133,6 @@ impl DnsZone {
         }
     }
 
-    /// Whether `name` has any records at all.
-    pub fn has_name(&self, name: &str) -> bool {
-        self.records.contains_key(&*lowercase(name))
-    }
-
     /// Number of published names.
     pub fn len(&self) -> usize {
         self.records.len()

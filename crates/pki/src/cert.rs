@@ -109,17 +109,6 @@ fn curve_oid(bits: u16) -> Option<&'static str> {
     }
 }
 
-/// Nominal key size for a named-curve OID (used as a cross-check when
-/// parsing EC SPKIs whose inner size field disagrees with the curve).
-pub fn bits_from_curve(oid: &str) -> Option<u16> {
-    match oid {
-        "1.2.840.10045.3.1.7" => Some(256),
-        "1.3.132.0.34" => Some(384),
-        "1.3.132.0.35" => Some(521),
-        _ => None,
-    }
-}
-
 impl TbsCertificate {
     /// DER-encode the TBSCertificate. The validator verifies signatures
     /// over exactly these bytes.

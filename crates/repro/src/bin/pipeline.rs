@@ -1,15 +1,17 @@
 //! Streamed generate→scan→archive pipeline CLI (DESIGN.md §14).
 //!
 //! ```text
-//! pipeline --scale 10 --shard-window 4 --out big.snap   streamed run
-//! pipeline --scale 1 --out a.snap --self-check          then the materialized
-//!                                                       arm; assert equal digests
+//! GOVSCAN_SCALE=10 pipeline --shard-window 4 --out big.snap   streamed run
+//! GOVSCAN_SCALE=1 pipeline --out a.snap --self-check          then the materialized
+//!                                                             arm; assert equal digests
 //! ```
 //!
 //! The receipt line carries hosts/s, the writer's peak pooled bytes and
 //! the process's peak RSS; the start-up line names the SHA-256 kernel
 //! the CPU selected, so a throughput figure records what produced it.
-//! Honours `GOVSCAN_SEED` and, for the producer pool, `GOVSCAN_THREADS`.
+//! Honours `GOVSCAN_SCALE`, `GOVSCAN_SEED` and, for the producer pool,
+//! `GOVSCAN_THREADS`; any other argument, `--scale` included, is a usage
+//! error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -19,35 +21,32 @@ use govscan_repro::pipeline::{materialize_scan_archive, stream_scan_archive};
 use govscan_worldgen::WorldConfig;
 
 fn usage() -> ExitCode {
-    eprintln!("usage: pipeline --scale <N> --out <path> [--shard-window <K>] [--self-check]");
+    eprintln!("usage: pipeline --out <path> [--shard-window <K>] [--self-check]");
     ExitCode::from(2)
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(out) = flag_value(&args, "--out").map(PathBuf::from) else {
+    let mut out = None;
+    let mut window = 4;
+    let mut self_check = false;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--out" => out = args.next().map(PathBuf::from),
+            "--shard-window" => match args.next().map(|s| s.parse()) {
+                Some(Ok(w)) => window = w,
+                _ => return usage(),
+            },
+            "--self-check" => self_check = true,
+            // `--scale` included: the scale is `GOVSCAN_SCALE`'s.
+            _ => return usage(),
+        }
+    }
+    let Some(out) = out else {
         return usage();
     };
-    let scale: f64 = match flag_value(&args, "--scale").map(|s| s.parse()) {
-        Some(Ok(s)) if s > 0.0 => s,
-        Some(_) => return usage(),
-        None => 1.0,
-    };
-    let window: usize = match flag_value(&args, "--shard-window").map(|s| s.parse()) {
-        Some(Ok(w)) => w,
-        Some(Err(_)) => return usage(),
-        None => 4,
-    };
-    let self_check = args.iter().any(|a| a == "--self-check");
 
-    let (seed, _) = env_params();
+    let (seed, scale) = env_params();
     let mut config = WorldConfig::paper_scale(seed);
     config.scale = scale;
 

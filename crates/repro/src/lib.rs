@@ -9,7 +9,8 @@
 //!
 //! Every binary that generates a world accepts two environment variables:
 //!
-//! - `GOVSCAN_SCALE` — world scale (default 0.2; `1.0` = paper scale).
+//! - `GOVSCAN_SCALE` — world scale, a finite positive number (default
+//!   0.2; `1.0` = paper scale). Any other value falls back to the default.
 //! - `GOVSCAN_SEED` — world seed (default `0x60765CA9`).
 //!
 //! Reported numbers are `paper=<value> measured=<value>` rows; absolute
@@ -40,7 +41,6 @@ pub mod pipeline;
 pub mod snapshot;
 
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
 
 use govscan_analysis::aggregate::AggregateIndex;
 use govscan_scanner::{ScanDataset, StudyOutput, StudyPipeline};
@@ -53,9 +53,9 @@ pub struct Env {
     pub world: World,
     /// The worldwide study output.
     pub study: StudyOutput,
-    /// Single-pass aggregation over the worldwide scan, built on first
-    /// use and shared by every experiment via [`Env::index`].
-    aggregate: OnceLock<AggregateIndex>,
+    /// Single-pass aggregation over the worldwide scan, built once by
+    /// [`Env::with`] and shared by every experiment via [`Env::index`].
+    aggregate: AggregateIndex,
     usa_scan: Option<ScanDataset>,
     rok_scan: Option<ScanDataset>,
 }
@@ -91,18 +91,17 @@ impl Env {
         Env {
             world,
             study,
-            aggregate: OnceLock::from(index),
+            aggregate: index,
             usa_scan: None,
             rok_scan: None,
         }
     }
 
-    /// The shared aggregation index over the worldwide scan. The first
-    /// caller pays the one dataset walk; every later experiment reads
-    /// the same index, so the full report costs exactly one walk.
+    /// The shared aggregation index over the worldwide scan. Every
+    /// experiment reads the same index, so the full report costs exactly
+    /// one dataset walk.
     pub fn index(&self) -> &AggregateIndex {
-        self.aggregate
-            .get_or_init(|| AggregateIndex::build(&self.study.scan))
+        &self.aggregate
     }
 
     /// The USA GSA case-study scan (computed once).
@@ -138,11 +137,14 @@ impl Env {
 }
 
 /// `(seed, scale)` from `GOVSCAN_SEED` / `GOVSCAN_SCALE`, with the
-/// documented defaults.
+/// documented defaults. A scale that is not finite and positive counts
+/// as unparsable: an infinite one would size every population at
+/// `u64::MAX`.
 pub fn env_params() -> (u64, f64) {
     let scale: f64 = std::env::var("GOVSCAN_SCALE")
         .ok()
         .and_then(|s| s.parse().ok())
+        .filter(|s: &f64| s.is_finite() && *s > 0.0)
         .unwrap_or(0.2);
     let seed: u64 = std::env::var("GOVSCAN_SEED")
         .ok()

@@ -2,6 +2,10 @@
 
 use govscan_asn1::Time;
 
+/// The scan snapshot date (paper: 2020-04-22 → 2020-04-26):
+/// 2020-04-22T00:00:00Z.
+pub(crate) const SCAN_TIME: Time = Time(1_587_513_600);
+
 /// Configuration for [`crate::World::generate`].
 #[derive(Debug, Clone)]
 pub struct WorldConfig {
@@ -11,61 +15,18 @@ pub struct WorldConfig {
     /// hostnames (plus the 47k unreachable pool and ranking lists);
     /// `0.01` is a convenient test size.
     pub scale: f64,
-    /// The scan snapshot date (paper: 2020-04-22 → 2020-04-26).
-    pub scan_time: Time,
-    /// Size of the simulated "top million" ranking lists at scale 1.0.
-    pub ranking_size: u32,
-    /// Fraction of non-government ranking entries that are materialized
-    /// as dialable hosts (the rest exist only as list rows). Keeps memory
-    /// sane at paper scale while giving the §5.5 samplers a full
-    /// rank-distributed pool; see DESIGN.md §4.
-    pub nongov_materialize_rate: f64,
-    /// Fraction of ordinary valid-TLS government hosts that are served
-    /// from a shared wildcard or SAN-packed chain (one certificate
-    /// covering many hosts of the same country) instead of a dedicated
-    /// per-host chain. Models the consolidated-hosting reality that makes
-    /// the scanner's chain-verdict cache effective even on a cold scan;
-    /// see DESIGN.md §9.
-    pub shared_chain_rate: f64,
 }
 
 impl WorldConfig {
     /// Paper-scale world (~135k government hosts). Heavy: use from the
     /// reproduction binaries, not unit tests.
     pub fn paper_scale(seed: u64) -> Self {
-        WorldConfig {
-            seed,
-            scale: 1.0,
-            scan_time: Time::from_ymd(2020, 4, 22),
-            ranking_size: 1_000_000,
-            nongov_materialize_rate: 0.04,
-            shared_chain_rate: 0.3,
-        }
+        WorldConfig { seed, scale: 1.0 }
     }
 
     /// A ~1.5% world for tests and examples (≈2k government hosts).
     pub fn small(seed: u64) -> Self {
-        WorldConfig {
-            seed,
-            scale: 0.015,
-            scan_time: Time::from_ymd(2020, 4, 22),
-            ranking_size: 1_000_000,
-            nongov_materialize_rate: 0.04,
-            shared_chain_rate: 0.3,
-        }
-    }
-
-    /// A mid-size world (~10% ≈ 13.5k hosts) for benches and integration
-    /// tests that need tighter statistics.
-    pub fn medium(seed: u64) -> Self {
-        WorldConfig {
-            seed,
-            scale: 0.1,
-            scan_time: Time::from_ymd(2020, 4, 22),
-            ranking_size: 1_000_000,
-            nongov_materialize_rate: 0.04,
-            shared_chain_rate: 0.3,
-        }
+        WorldConfig { seed, scale: 0.015 }
     }
 
     /// Scale an absolute paper count to this configuration, with a floor
@@ -98,12 +59,6 @@ impl WorldConfig {
         } else {
             scaled
         }
-    }
-}
-
-impl Default for WorldConfig {
-    fn default() -> Self {
-        WorldConfig::small(0x60765CA9)
     }
 }
 
@@ -143,8 +98,6 @@ mod tests {
 
     #[test]
     fn scan_time_matches_paper_window() {
-        let cfg = WorldConfig::default();
-        assert_eq!(cfg.scan_time.to_datetime().year, 2020);
-        assert_eq!(cfg.scan_time.to_datetime().month, 4);
+        assert_eq!(SCAN_TIME, Time::from_ymd(2020, 4, 22));
     }
 }

@@ -33,7 +33,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::cadb::CaDb;
-use crate::config::WorldConfig;
+use crate::config::{WorldConfig, SCAN_TIME};
 use crate::countries::{self, Country};
 use crate::host::{HostRecord, Posture};
 use crate::rankings::RankingList;
@@ -259,9 +259,9 @@ impl StreamPlan {
         &self.config
     }
 
-    /// The configured scan snapshot time.
+    /// The scan snapshot time.
     pub fn scan_time(&self) -> Time {
-        self.config.scan_time
+        SCAN_TIME
     }
 
     /// The stream seeder every phase derives its RNG streams from.

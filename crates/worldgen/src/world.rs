@@ -26,7 +26,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::cadb::CaDb;
-use crate::config::WorldConfig;
+use crate::config::{WorldConfig, SCAN_TIME};
 use crate::countries::{self, Country};
 use crate::host::{HostRecord, HostingClass, InjectedError, Posture};
 use crate::hostgen::{self, HostnameGen};
@@ -53,6 +53,19 @@ const WHITELIST_EXTRA: u64 = 596;
 /// never derived from the thread count — so shard boundaries, and with
 /// them every RNG stream, are identical at any parallelism.
 const CHUNK: usize = 4096;
+/// Size of the simulated "top million" ranking lists at scale 1.0.
+const RANKING_SIZE: u32 = 1_000_000;
+/// Fraction of non-government ranking entries that are materialized as
+/// dialable hosts (the rest exist only as list rows). Keeps memory sane
+/// at paper scale while giving the §5.5 samplers a full rank-distributed
+/// pool; see DESIGN.md §4.
+const NONGOV_MATERIALIZE_RATE: f64 = 0.04;
+/// Fraction of ordinary valid-TLS government hosts that are served from
+/// a shared wildcard or SAN-packed chain (one certificate covering many
+/// hosts of the same country) instead of a dedicated per-host chain.
+/// Models the consolidated-hosting reality that makes the scanner's
+/// chain-verdict cache effective even on a cold scan; see DESIGN.md §9.
+const SHARED_CHAIN_RATE: f64 = 0.3;
 
 /// The generated world.
 pub struct World {
@@ -168,7 +181,7 @@ impl World {
 
     /// The scan snapshot time.
     pub fn scan_time(&self) -> Time {
-        self.config.scan_time
+        SCAN_TIME
     }
 
     /// Country ground truth of a hostname.
@@ -696,7 +709,7 @@ pub(crate) fn plan_reuse_clusters(
     cadb: &mut CaDb,
     candidates: &HashMap<&'static str, Vec<String>>,
 ) -> ClusterPlan {
-    let scan = config.scan_time;
+    let scan = SCAN_TIME;
     let mut plan = ClusterPlan {
         clusters: Vec::new(),
         shared_chain_of: HashMap::new(),
@@ -798,9 +811,8 @@ pub(crate) fn build_tranco(
 
     // Discovery saturates at paper scale: a 10× world has 10× hosts,
     // but the top-million lists do not grow past a million rows.
-    let size = ((config.ranking_size as f64) * config.discovery_scale()).round() as u32;
+    let size = ((RANKING_SIZE as f64) * config.discovery_scale()).round() as u32;
     let size = size.max(2_000);
-    let mat_rate = config.nongov_materialize_rate;
     let mut counter = 0u64;
     let seed_for_names = config.seed;
     let mut nongov_namer = move |_: &mut dyn rand::RngCore| {
@@ -815,7 +827,7 @@ pub(crate) fn build_tranco(
         rankings::TRANCO_OVERLAP,
         config.discovery_scale(),
         &ranked_pool,
-        mat_rate,
+        NONGOV_MATERIALIZE_RATE,
         &mut nongov_namer,
     );
     (ranked_pool, tranco)
@@ -931,17 +943,13 @@ impl Realizer<'_> {
         chain
     }
 
-    /// Consolidated hosting (DESIGN.md §9): route a configurable slice of
+    /// Consolidated hosting (DESIGN.md §9): route a fixed slice of
     /// this shard's ordinary valid-TLS hosts through shared chains — one
     /// `*.{suffix}` wildcard per government suffix with ≥2 single-label
     /// members, and SAN-packed certificates (≤50 names) for the rest —
     /// so distinct chains grow slower than TLS hosts, like real shared
     /// platforms. One key per (country, group): never cross-country.
     pub(crate) fn plan_shared_chains(&mut self, cc: &str, records: &[HostRecord]) {
-        let rate = self.plan.config().shared_chain_rate;
-        if rate <= 0.0 {
-            return;
-        }
         let suffixes: Vec<&str> = Country::by_code(cc)
             .map(|c| c.gov_suffixes.to_vec())
             .unwrap_or_default();
@@ -954,7 +962,7 @@ impl Realizer<'_> {
             {
                 continue;
             }
-            if self.rng.gen::<f64>() >= rate {
+            if self.rng.gen::<f64>() >= SHARED_CHAIN_RATE {
                 continue;
             }
             // A single label directly under a multi-label government

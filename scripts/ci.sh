@@ -38,10 +38,14 @@ rm -rf "$snapdir"
 # Streamed-pipeline smoke: generate→scan→archive one shard window at a
 # time, then re-run the materialized reference arm and require the two
 # archives' digests to be byte-identical (--self-check exits non-zero
-# otherwise).
+# otherwise). The receipt must also carry the pinned digest at this
+# scale and the default seed (the distributed smoke's), which holds
+# only if the scale really comes from GOVSCAN_SCALE.
 pipedir="$(mktemp -d)"
-run cargo run --offline -q -p govscan-repro --bin pipeline -- \
-  --scale 0.02 --shard-window 2 --out "$pipedir/smoke.snap" --self-check
+run env GOVSCAN_SCALE=0.02 cargo run --offline -q -p govscan-repro --bin pipeline -- \
+  --shard-window 2 --out "$pipedir/smoke.snap" --self-check | tee "$pipedir/receipt.txt"
+run grep -qF "digest 545fc28398d622ea032c0affbd536e4c3de34a9805643f9cb4ac847ce6e350a4" \
+  "$pipedir/receipt.txt"
 rm -rf "$pipedir"
 # Distributed-scan smoke: the streamed pipeline across 2 socket workers,
 # with whichever worker draws shard 0's first lease killed holding it;
@@ -51,9 +55,10 @@ rm -rf "$pipedir"
 run env GOVSCAN_SCALE=0.02 cargo run --offline -q -p govscan-repro --bin distributed -- \
   --workers 2 --inject-death
 # Longitudinal-monitor smoke: baseline + 4 weekly epochs of the
-# evolving world; --self-check digest-proves every epoch's incremental
-# scan against full rescans at one and at N threads, round-trips each
-# delta, and re-resolves the on-disk chain against the final archive
+# evolving world; --self-check digest-proves every epoch against full
+# rescans at one and at max(2, N) threads and, past the baseline,
+# against incremental rescans at the same counts and each applied
+# delta, then re-resolves the on-disk chain against the final archive
 # (exits non-zero on any mismatch). Scale 0.05 is the smallest world
 # where the default seed exercises the CAA ancestor-coupling rule
 # (www.* probed because its apex changed) — keep it there.
