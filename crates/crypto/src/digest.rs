@@ -19,6 +19,8 @@ pub trait Digest: Default {
     const OUT: usize;
     /// Internal block length in bytes (used by HMAC).
     const BLOCK: usize;
+    /// The digest as a fixed-size array, `[u8; OUT]`.
+    type Output: AsRef<[u8]>;
 
     /// Create a fresh hasher in its initial state.
     fn new() -> Self {
@@ -28,11 +30,21 @@ pub trait Digest: Default {
     /// Absorb `data` into the hash state.
     fn update(&mut self, data: &[u8]);
 
+    /// Consume the hasher and produce the digest as a fixed-size array:
+    /// no allocation, for digests whose bytes are hashed on, compared or
+    /// truncated rather than kept.
+    fn finalize_fixed(self) -> Self::Output;
+
     /// Consume the hasher and produce the digest.
     ///
     /// Returned as a `Vec<u8>` of length [`Digest::OUT`] so that the trait
     /// stays object-friendly for callers that select a hash at runtime.
-    fn finalize(self) -> Vec<u8>;
+    fn finalize(self) -> Vec<u8>
+    where
+        Self: Sized,
+    {
+        self.finalize_fixed().as_ref().to_vec()
+    }
 
     /// One-shot convenience: hash `data` in a single call.
     fn digest(data: &[u8]) -> Vec<u8>
@@ -42,6 +54,16 @@ pub trait Digest: Default {
         let mut h = Self::new();
         h.update(data);
         h.finalize()
+    }
+
+    /// [`Self::digest`] into a fixed-size array.
+    fn digest_fixed(data: &[u8]) -> Self::Output
+    where
+        Self: Sized,
+    {
+        let mut h = Self::new();
+        h.update(data);
+        h.finalize_fixed()
     }
 }
 

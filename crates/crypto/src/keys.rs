@@ -85,7 +85,7 @@ impl PublicKey {
         let mut h = Sha256::new();
         h.update(&self.bytes);
         h.update(self.algorithm.label_into(&mut [0; 9]));
-        Fingerprint::from_digest(&h.finalize())
+        Fingerprint(h.finalize_fixed())
     }
 }
 
@@ -106,30 +106,40 @@ impl KeyPair {
     /// relies on this both for reproducibility and for injecting the
     /// *intentional* key-reuse pathologies the paper measures.
     pub fn from_seed(algorithm: KeyAlgorithm, seed: &[u8]) -> Self {
+        Self::from_seed_parts(algorithm, &[seed])
+    }
+
+    /// [`Self::from_seed`] with the seed given as the concatenation of
+    /// `parts`, hashed one after another: `from_seed_parts(alg,
+    /// &[b"hostkey-", host])` is `from_seed(alg, format!("hostkey-{host}"))`
+    /// without building the string.
+    pub fn from_seed_parts(algorithm: KeyAlgorithm, parts: &[&[u8]]) -> Self {
         let mut h = Sha256::new();
         h.update(b"govscan-keyseed-v1");
         h.update(algorithm.label_into(&mut [0; 9]));
-        h.update(seed);
-        let digest = h.finalize();
-        let mut secret = [0u8; 32];
-        secret.copy_from_slice(&digest);
-        KeyPair { algorithm, secret }
+        for part in parts {
+            h.update(part);
+        }
+        KeyPair {
+            algorithm,
+            secret: h.finalize_fixed(),
+        }
     }
 
     /// The public half of the pair.
     pub fn public(&self) -> PublicKey {
-        let mut h = Sha256::new();
-        h.update(PUBKEY_DOMAIN);
-        h.update(&self.secret);
         PublicKey {
             algorithm: self.algorithm,
-            bytes: h.finalize(),
+            bytes: self.public_bytes().to_vec(),
         }
     }
 
-    /// Internal: the secret bytes, for the signing operation.
-    pub(crate) fn secret(&self) -> &[u8; 32] {
-        &self.secret
+    /// The public key bytes of [`Self::public`], without allocating.
+    pub(crate) fn public_bytes(&self) -> [u8; 32] {
+        let mut h = Sha256::new();
+        h.update(PUBKEY_DOMAIN);
+        h.update(&self.secret);
+        h.finalize_fixed()
     }
 }
 
@@ -142,6 +152,20 @@ mod tests {
         let a = KeyPair::from_seed(KeyAlgorithm::Rsa(2048), b"seed");
         let b = KeyPair::from_seed(KeyAlgorithm::Rsa(2048), b"seed");
         assert_eq!(a.public(), b.public());
+    }
+
+    #[test]
+    fn seed_parts_hash_as_their_concatenation() {
+        for alg in [KeyAlgorithm::Rsa(2048), KeyAlgorithm::Ec(256)] {
+            let whole = KeyPair::from_seed(alg, b"hostkey-www.nih.gov").public();
+            for parts in [
+                &[&b"hostkey-"[..], b"www.nih.gov"][..],
+                &[b"host", b"key-www", b"", b".nih.gov"],
+                &[b"hostkey-www.nih.gov"],
+            ] {
+                assert_eq!(KeyPair::from_seed_parts(alg, parts).public(), whole);
+            }
+        }
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //!    key identifiers, archive digests and the signature binding below.
 //!    (MD5 and SHA-1 are of course broken for collision resistance; they
 //!    exist here because the paper *measures* certificates signed with
-//!    them.) All five share one fixed-size block buffer, so a hasher's
-//!    only heap allocation is its output. SHA-256 and SHA-224 compress on
+//!    them.) All five share one fixed-size block buffer, so a hasher
+//!    allocates nothing: [`Digest::finalize_fixed`] returns the digest as
+//!    a fixed-size array, and [`Digest::finalize`]'s `Vec` is the only
+//!    heap allocation, for digests that are kept. SHA-256 and SHA-224 compress on
 //!    the x86 SHA extensions when the CPU has them, chosen at run time
 //!    ([`sha256::kernel`] names the choice), and on the portable
 //!    implementation everywhere else; both give the same bytes.

@@ -81,19 +81,20 @@ impl Md5 {
 impl Digest for Md5 {
     const OUT: usize = 16;
     const BLOCK: usize = 64;
+    type Output = [u8; 16];
 
     fn update(&mut self, data: &[u8]) {
         self.buf
             .update(data, |blocks| Self::compress(&mut self.state, blocks));
     }
 
-    fn finalize(mut self) -> Vec<u8> {
+    fn finalize_fixed(mut self) -> [u8; 16] {
         let length = (self.buf.bit_len() as u64).to_le_bytes();
         self.buf
             .finish(&length, |blocks| Self::compress(&mut self.state, blocks));
-        let mut out = Vec::with_capacity(16);
-        for w in self.state {
-            out.extend_from_slice(&w.to_le_bytes());
+        let mut out = [0; 16];
+        for (bytes, w) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&w.to_le_bytes());
         }
         out
     }

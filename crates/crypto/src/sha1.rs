@@ -65,19 +65,20 @@ impl Sha1 {
 impl Digest for Sha1 {
     const OUT: usize = 20;
     const BLOCK: usize = 64;
+    type Output = [u8; 20];
 
     fn update(&mut self, data: &[u8]) {
         self.buf
             .update(data, |blocks| Self::compress(&mut self.state, blocks));
     }
 
-    fn finalize(mut self) -> Vec<u8> {
+    fn finalize_fixed(mut self) -> [u8; 20] {
         let length = (self.buf.bit_len() as u64).to_be_bytes();
         self.buf
             .finish(&length, |blocks| Self::compress(&mut self.state, blocks));
-        let mut out = Vec::with_capacity(20);
-        for w in self.state {
-            out.extend_from_slice(&w.to_be_bytes());
+        let mut out = [0; 20];
+        for (bytes, w) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&w.to_be_bytes());
         }
         out
     }

@@ -104,22 +104,22 @@ macro_rules! sha2_32 {
         impl Digest for $name {
             const OUT: usize = $out;
             const BLOCK: usize = 64;
+            type Output = [u8; $out];
 
             fn update(&mut self, data: &[u8]) {
                 self.buf
                     .update(data, |blocks| compress_blocks(&mut self.state, blocks));
             }
 
-            fn finalize(mut self) -> Vec<u8> {
+            fn finalize_fixed(mut self) -> [u8; $out] {
                 let length = (self.buf.bit_len() as u64).to_be_bytes();
                 self.buf
                     .finish(&length, |blocks| compress_blocks(&mut self.state, blocks));
-                let mut out = Vec::with_capacity(32);
-                for w in self.state {
-                    out.extend_from_slice(&w.to_be_bytes());
+                let mut full = [0; 32];
+                for (bytes, w) in full.chunks_exact_mut(4).zip(self.state) {
+                    bytes.copy_from_slice(&w.to_be_bytes());
                 }
-                out.truncate($out);
-                out
+                full[..$out].try_into().expect("a prefix of the state")
             }
         }
     };

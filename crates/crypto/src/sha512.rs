@@ -152,22 +152,22 @@ macro_rules! sha2_64 {
         impl Digest for $name {
             const OUT: usize = $out;
             const BLOCK: usize = 128;
+            type Output = [u8; $out];
 
             fn update(&mut self, data: &[u8]) {
                 self.buf
                     .update(data, |blocks| compress(&mut self.state, blocks));
             }
 
-            fn finalize(mut self) -> Vec<u8> {
+            fn finalize_fixed(mut self) -> [u8; $out] {
                 let length = self.buf.bit_len().to_be_bytes();
                 self.buf
                     .finish(&length, |blocks| compress(&mut self.state, blocks));
-                let mut out = Vec::with_capacity(64);
-                for w in self.state {
-                    out.extend_from_slice(&w.to_be_bytes());
+                let mut full = [0; 64];
+                for (bytes, w) in full.chunks_exact_mut(8).zip(self.state) {
+                    bytes.copy_from_slice(&w.to_be_bytes());
                 }
-                out.truncate($out);
-                out
+                full[..$out].try_into().expect("a prefix of the state")
             }
         }
     };

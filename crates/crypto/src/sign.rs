@@ -30,13 +30,14 @@ pub enum HashAlgorithm {
 }
 
 impl HashAlgorithm {
-    /// Hash `data` with this algorithm.
-    pub fn hash(self, data: &[u8]) -> Vec<u8> {
+    /// Hash `data` with this algorithm and hand the digest to `sink`,
+    /// from a fixed-size array: no allocation.
+    pub fn hash<R>(self, data: &[u8], sink: impl FnOnce(&[u8]) -> R) -> R {
         match self {
-            HashAlgorithm::Md5 => Md5::digest(data),
-            HashAlgorithm::Sha1 => Sha1::digest(data),
-            HashAlgorithm::Sha256 => Sha256::digest(data),
-            HashAlgorithm::Sha384 => Sha384::digest(data),
+            HashAlgorithm::Md5 => sink(&Md5::digest_fixed(data)),
+            HashAlgorithm::Sha1 => sink(&Sha1::digest_fixed(data)),
+            HashAlgorithm::Sha256 => sink(&Sha256::digest_fixed(data)),
+            HashAlgorithm::Sha384 => sink(&Sha384::digest_fixed(data)),
         }
     }
 
@@ -147,14 +148,16 @@ pub struct Signature {
 
 const SIG_DOMAIN: &[u8] = b"govscan-sig-v1";
 
-fn binding(algorithm: SignatureAlgorithm, signer_pub: &PublicKey, tbs: &[u8]) -> Vec<u8> {
-    let inner = algorithm.hash().hash(tbs);
+/// The signature value over `tbs` by the key whose public bytes are
+/// `signer_pub`. The inner hash and the binding finalize into arrays:
+/// only a kept signature allocates.
+fn binding(algorithm: SignatureAlgorithm, signer_pub: &[u8], tbs: &[u8]) -> [u8; 32] {
     let mut h = Sha256::new();
     h.update(SIG_DOMAIN);
     h.update(algorithm.oid().as_bytes());
-    h.update(&signer_pub.bytes);
-    h.update(&inner);
-    h.finalize()
+    h.update(signer_pub);
+    algorithm.hash().hash(tbs, |inner| h.update(inner));
+    h.finalize_fixed()
 }
 
 /// Errors from [`sign`].
@@ -183,12 +186,11 @@ pub fn sign(
     if !algorithm.compatible_with(key.algorithm) {
         return Err(SignError::IncompatibleKey);
     }
-    // The secret participates only to keep the API shape of real signing;
-    // the binding itself is public-key-recomputable (closed-world model).
-    let _ = key.secret();
+    // The key enters only through its public half: the binding is
+    // public-key-recomputable (closed-world model).
     Ok(Signature {
         algorithm,
-        bytes: binding(algorithm, &key.public(), tbs),
+        bytes: binding(algorithm, &key.public_bytes(), tbs).to_vec(),
     })
 }
 
@@ -197,7 +199,7 @@ pub fn verify(signer_pub: &PublicKey, signature: &Signature, tbs: &[u8]) -> bool
     if !signature.algorithm.compatible_with(signer_pub.algorithm) {
         return false;
     }
-    signature.bytes == binding(signature.algorithm, signer_pub, tbs)
+    signature.bytes[..] == binding(signature.algorithm, &signer_pub.bytes, tbs)
 }
 
 #[cfg(test)]

@@ -1,19 +1,14 @@
-//! The DNS simulation: A and CAA records with failure behaviours.
+//! The DNS side of the simulation: resolution outcomes, per-name
+//! failure behaviours and the RFC 8659 CAA climb.
+//!
+//! The zone data itself — a name's A answer, CAA set and behaviour —
+//! lives in the name's one [`SimNet`](crate::SimNet) entry, beside the
+//! host it points at.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use govscan_pki::caa::CaaRecord;
-
-/// The records a single name publishes.
-#[derive(Debug, Clone, Default)]
-pub struct DnsRecords {
-    /// A records, in answer order (the scanner uses the first, §5.4).
-    pub a: Vec<Ipv4Addr>,
-    /// CAA records on this exact name.
-    pub caa: Vec<CaaRecord>,
-}
 
 /// Outcome of resolving a name.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,9 +32,10 @@ impl DnsOutcome {
 }
 
 /// Per-name resolution behaviour override.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DnsBehavior {
     /// Answer normally from the zone data.
+    #[default]
     Answer,
     /// Pretend the name does not exist even if records are loaded.
     NxDomain,
@@ -47,100 +43,25 @@ pub enum DnsBehavior {
     Timeout,
 }
 
-/// The authoritative zone database for the simulated Internet.
-#[derive(Debug, Clone, Default)]
-pub struct DnsZone {
-    records: HashMap<String, DnsRecords>,
-    behavior: HashMap<String, DnsBehavior>,
-}
-
-impl DnsZone {
-    /// An empty zone.
-    pub fn new() -> Self {
-        DnsZone::default()
-    }
-
-    /// Publish records for `name` (lowercased).
-    pub fn publish(&mut self, name: &str, records: DnsRecords) {
-        self.records.insert(name.to_ascii_lowercase(), records);
-    }
-
-    /// Publish a single A record.
-    pub fn publish_a(&mut self, name: &str, addr: Ipv4Addr) {
-        self.records
-            .entry(name.to_ascii_lowercase())
-            .or_default()
-            .a
-            .push(addr);
-    }
-
-    /// Attach CAA records to `name`.
-    pub fn publish_caa(&mut self, name: &str, caa: Vec<CaaRecord>) {
-        self.records
-            .entry(name.to_ascii_lowercase())
-            .or_default()
-            .caa = caa;
-    }
-
-    /// Override resolution behaviour for `name`.
-    pub fn set_behavior(&mut self, name: &str, behavior: DnsBehavior) {
-        self.behavior.insert(name.to_ascii_lowercase(), behavior);
-    }
-
-    /// Resolve A records for `name`.
-    pub fn resolve(&self, name: &str) -> DnsOutcome {
-        match self.answer(name) {
-            Ok(addrs) => DnsOutcome::Ok(addrs.to_vec()),
-            Err(failure) => failure,
+/// The RFC 8659 *relevant record set* for CAA: the records on the
+/// closest ancestor of `name` (including `name` itself) that publishes
+/// any, read through `records_of`, which looks up one lowercase name.
+/// Empty when no ancestor publishes CAA. `name` is lowercased first; the
+/// climb stops at the last label and never visits an empty one.
+pub(crate) fn caa_relevant_set<'a>(
+    name: &str,
+    records_of: impl Fn(&str) -> Option<&'a [CaaRecord]>,
+) -> &'a [CaaRecord] {
+    let name = lowercase(name);
+    let mut current: &str = &name;
+    loop {
+        if let Some(set) = records_of(current).filter(|set| !set.is_empty()) {
+            return set;
         }
-    }
-
-    /// [`Self::resolve`] without copying the answer: the A records, or
-    /// the failed outcome.
-    pub(crate) fn answer(&self, name: &str) -> Result<&[Ipv4Addr], DnsOutcome> {
-        let name = lowercase(name);
-        match self
-            .behavior
-            .get(&*name)
-            .copied()
-            .unwrap_or(DnsBehavior::Answer)
-        {
-            DnsBehavior::NxDomain => Err(DnsOutcome::NxDomain),
-            DnsBehavior::Timeout => Err(DnsOutcome::Timeout),
-            DnsBehavior::Answer => match self.records.get(&*name) {
-                Some(r) if !r.a.is_empty() => Ok(&r.a),
-                _ => Err(DnsOutcome::NxDomain),
-            },
+        match current.split_once('.') {
+            Some((_, parent)) if !parent.is_empty() => current = parent,
+            _ => return &[],
         }
-    }
-
-    /// The RFC 8659 *relevant record set* for CAA: the records on the
-    /// closest ancestor (including `name` itself) that publishes any CAA
-    /// records. Returns an empty slice when no ancestor publishes CAA.
-    pub fn caa_relevant_set(&self, name: &str) -> &[CaaRecord] {
-        let name = lowercase(name);
-        let mut current: &str = &name;
-        loop {
-            if let Some(r) = self.records.get(current) {
-                if !r.caa.is_empty() {
-                    return &r.caa;
-                }
-            }
-            match current.split_once('.') {
-                Some((_, parent)) if !parent.is_empty() => current = parent,
-                _ => return &[],
-            }
-        }
-    }
-
-    /// Number of published names.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True if no names are published.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
     }
 }
 
@@ -157,93 +78,93 @@ pub(crate) fn lowercase(name: &str) -> Cow<'_, str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::HttpResponse;
+    use crate::simnet::{HostConfig, SimNet};
 
     fn ip(s: &str) -> Ipv4Addr {
         s.parse().unwrap()
     }
 
+    /// A network with one plain-http host per `(name, address)`.
+    fn net(hosts: &[(&str, &str)]) -> SimNet {
+        let mut net = SimNet::new();
+        for &(name, addr) in hosts {
+            net.add_host(HostConfig::http_only(
+                name,
+                ip(addr),
+                HttpResponse::page(name, &[]),
+            ));
+        }
+        net
+    }
+
     #[test]
     fn resolve_published_name() {
-        let mut zone = DnsZone::new();
-        zone.publish_a("www.nih.gov", ip("156.40.1.1"));
+        let net = net(&[("www.nih.gov", "156.40.1.1")]);
         assert_eq!(
-            zone.resolve("www.nih.gov"),
+            net.resolve("www.nih.gov"),
             DnsOutcome::Ok(vec![ip("156.40.1.1")])
         );
-        assert_eq!(zone.resolve("WWW.NIH.GOV").first(), Some(ip("156.40.1.1")));
+        assert_eq!(net.resolve("WWW.NIH.GOV").first(), Some(ip("156.40.1.1")));
     }
 
     #[test]
     fn unknown_name_is_nxdomain() {
-        let zone = DnsZone::new();
-        assert_eq!(zone.resolve("missing.gov"), DnsOutcome::NxDomain);
-        assert_eq!(zone.resolve("missing.gov").first(), None);
+        let net = SimNet::new();
+        assert_eq!(net.resolve("missing.gov"), DnsOutcome::NxDomain);
+        assert_eq!(net.resolve("missing.gov").first(), None);
     }
 
     #[test]
     fn behavior_overrides() {
-        let mut zone = DnsZone::new();
-        zone.publish_a("flaky.gov.cd", ip("10.0.0.1"));
-        zone.set_behavior("flaky.gov.cd", DnsBehavior::Timeout);
-        assert_eq!(zone.resolve("flaky.gov.cd"), DnsOutcome::Timeout);
-        zone.set_behavior("flaky.gov.cd", DnsBehavior::NxDomain);
-        assert_eq!(zone.resolve("flaky.gov.cd"), DnsOutcome::NxDomain);
-        zone.set_behavior("flaky.gov.cd", DnsBehavior::Answer);
-        assert!(matches!(zone.resolve("flaky.gov.cd"), DnsOutcome::Ok(_)));
-    }
-
-    #[test]
-    fn multiple_a_records_preserve_order() {
-        let mut zone = DnsZone::new();
-        zone.publish_a("lb.example.gov", ip("192.0.2.1"));
-        zone.publish_a("lb.example.gov", ip("192.0.2.2"));
-        assert_eq!(
-            zone.resolve("lb.example.gov").first(),
-            Some(ip("192.0.2.1"))
-        );
+        let mut net = net(&[("flaky.gov.cd", "10.0.0.1")]);
+        net.set_dns_behavior("flaky.gov.cd", DnsBehavior::Timeout);
+        assert_eq!(net.resolve("flaky.gov.cd"), DnsOutcome::Timeout);
+        net.set_dns_behavior("flaky.gov.cd", DnsBehavior::NxDomain);
+        assert_eq!(net.resolve("flaky.gov.cd"), DnsOutcome::NxDomain);
+        net.set_dns_behavior("flaky.gov.cd", DnsBehavior::Answer);
+        assert!(matches!(net.resolve("flaky.gov.cd"), DnsOutcome::Ok(_)));
     }
 
     #[test]
     fn caa_climb_finds_parent_records() {
-        let mut zone = DnsZone::new();
-        zone.publish_a("www.agency.gov.uk", ip("192.0.2.1"));
-        zone.publish_caa("agency.gov.uk", vec![CaaRecord::issue("letsencrypt.org")]);
-        let set = zone.caa_relevant_set("www.agency.gov.uk");
+        let mut net = net(&[("www.agency.gov.uk", "192.0.2.1")]);
+        net.publish_caa("agency.gov.uk", vec![CaaRecord::issue("letsencrypt.org")]);
+        let set = net.caa_lookup("www.agency.gov.uk");
         assert_eq!(set.len(), 1);
         assert_eq!(set[0].value, "letsencrypt.org");
     }
 
     #[test]
     fn caa_own_records_take_precedence() {
-        let mut zone = DnsZone::new();
-        zone.publish_caa("agency.gov.uk", vec![CaaRecord::issue("letsencrypt.org")]);
-        zone.publish_caa("www.agency.gov.uk", vec![CaaRecord::issue("digicert.com")]);
-        let set = zone.caa_relevant_set("www.agency.gov.uk");
+        let mut net = SimNet::new();
+        net.publish_caa("agency.gov.uk", vec![CaaRecord::issue("letsencrypt.org")]);
+        net.publish_caa("www.agency.gov.uk", vec![CaaRecord::issue("digicert.com")]);
+        let set = net.caa_lookup("www.agency.gov.uk");
         assert_eq!(set[0].value, "digicert.com");
     }
 
     #[test]
     fn caa_climb_ignores_case_and_stops_at_the_last_label() {
-        let mut zone = DnsZone::new();
-        zone.publish_caa("Agency.GOV.uk", vec![CaaRecord::issue("letsencrypt.org")]);
-        zone.publish_caa("uk", vec![CaaRecord::issue("tld.example")]);
+        let mut net = SimNet::new();
+        net.publish_caa("Agency.GOV.uk", vec![CaaRecord::issue("letsencrypt.org")]);
+        net.publish_caa("uk", vec![CaaRecord::issue("tld.example")]);
         assert_eq!(
-            zone.caa_relevant_set("WWW.agency.gov.UK")[0].value,
+            net.caa_lookup("WWW.agency.gov.UK")[0].value,
             "letsencrypt.org"
         );
-        assert_eq!(zone.caa_relevant_set("x.gov.uk")[0].value, "tld.example");
-        assert_eq!(zone.caa_relevant_set("UK")[0].value, "tld.example");
+        assert_eq!(net.caa_lookup("x.gov.uk")[0].value, "tld.example");
+        assert_eq!(net.caa_lookup("UK")[0].value, "tld.example");
         // A trailing dot leaves an empty last label, which is never
         // climbed to.
-        assert!(zone.caa_relevant_set("x.gov.uk.").is_empty());
-        assert!(zone.caa_relevant_set("").is_empty());
+        assert!(net.caa_lookup("x.gov.uk.").is_empty());
+        assert!(net.caa_lookup("").is_empty());
     }
 
     #[test]
     fn caa_empty_when_no_ancestor_publishes() {
-        let mut zone = DnsZone::new();
-        zone.publish_a("x.gov.fr", ip("192.0.2.9"));
-        assert!(zone.caa_relevant_set("x.gov.fr").is_empty());
-        assert!(zone.caa_relevant_set("unrelated.example").is_empty());
+        let net = net(&[("x.gov.fr", "192.0.2.9")]);
+        assert!(net.caa_lookup("x.gov.fr").is_empty());
+        assert!(net.caa_lookup("unrelated.example").is_empty());
     }
 }

@@ -17,8 +17,9 @@ pub struct HttpResponse {
     pub status: u16,
     /// `Location` header for redirects.
     pub location: Option<String>,
-    /// `Strict-Transport-Security` header value, if sent.
-    pub hsts: Option<String>,
+    /// `Strict-Transport-Security` header value, if sent: the one
+    /// policy [`Self::with_hsts`] sets, shared rather than copied.
+    pub hsts: Option<&'static str>,
     body: Body,
 }
 
@@ -90,7 +91,7 @@ impl HttpResponse {
 
     /// Attach an HSTS header (max-age one year, includeSubDomains).
     pub fn with_hsts(mut self) -> Self {
-        self.hsts = Some("max-age=31536000; includeSubDomains".into());
+        self.hsts = Some("max-age=31536000; includeSubDomains");
         self
     }
 

@@ -9,8 +9,8 @@
 //!
 //! - [`ip`] — IPv4 CIDR blocks and longest-prefix tables (hosting-provider
 //!   attribution uses published CIDR lists, §5.4).
-//! - [`dns`] — zones with A and CAA records, NXDOMAIN/timeout behaviours,
-//!   and the RFC 8659 relevant-record-set climb.
+//! - [`dns`] — resolution outcomes, NXDOMAIN/timeout behaviours, and the
+//!   RFC 8659 relevant-record-set climb for CAA.
 //! - [`tcp`] — per-port connect outcomes (accept, refused, timeout,
 //!   reset), matching the paper's exception taxonomy.
 //! - [`tls`] — protocol-version negotiation (SSLv2 → TLS 1.3), cipher
@@ -20,8 +20,11 @@
 //!   HTML bodies with real anchor tags for the crawler, rendered when
 //!   read.
 //! - [`html`] — page rendering and link extraction.
-//! - [`simnet`] — the host registry tying it all together; every scanner
-//!   operation dials a [`SimNet`].
+//! - [`simnet`] — the table tying it all together: one entry per name,
+//!   holding its host (whose address is the name's A answer), its CAA
+//!   records and its resolution behaviour under the host's one copy of
+//!   the name. Every scanner operation dials a [`SimNet`] and looks the
+//!   name up once.
 //!
 //! Nothing here opens real sockets: determinism is a feature — the same
 //! seed reproduces the same Internet, byte for byte.
@@ -37,7 +40,7 @@ pub mod simnet;
 pub mod tcp;
 pub mod tls;
 
-pub use dns::{DnsOutcome, DnsRecords};
+pub use dns::DnsOutcome;
 pub use http::{HttpOutcome, HttpResponse};
 pub use ip::{Cidr, CidrTable};
 pub use simnet::{HostConfig, SimNet};

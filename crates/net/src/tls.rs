@@ -125,8 +125,9 @@ pub struct TlsServerConfig {
     pub min_version: TlsVersion,
     /// Highest protocol version accepted.
     pub max_version: TlsVersion,
-    /// Cipher suites in server preference order.
-    pub suites: Vec<CipherSuite>,
+    /// Cipher suites in server preference order: one of the static
+    /// lists below, shared by every server with that personality.
+    pub suites: &'static [CipherSuite],
     /// The certificate chain sent in Certificate messages (leaf first —
     /// possibly incomplete or over-complete, exactly as misconfigured
     /// real servers send). Shared: every handshake hands the same
@@ -139,22 +140,22 @@ pub struct TlsServerConfig {
 
 impl TlsServerConfig {
     /// A well-configured modern server for `chain`.
-    pub fn modern(chain: Vec<Certificate>) -> Self {
+    pub fn modern(chain: impl Into<Arc<[Certificate]>>) -> Self {
         TlsServerConfig {
             min_version: TlsVersion::Tls12,
             max_version: TlsVersion::Tls13,
-            suites: CipherSuite::MODERN.to_vec(),
+            suites: &CipherSuite::MODERN,
             chain: chain.into(),
             quirk: None,
         }
     }
 
     /// A legacy server stuck on SSLv3-or-older (POODLE-era software).
-    pub fn legacy_ssl(chain: Vec<Certificate>) -> Self {
+    pub fn legacy_ssl(chain: impl Into<Arc<[Certificate]>>) -> Self {
         TlsServerConfig {
             min_version: TlsVersion::Ssl2,
             max_version: TlsVersion::Ssl3,
-            suites: vec![CipherSuite::Rc4Md5, CipherSuite::ExportDes40Sha],
+            suites: &[CipherSuite::Rc4Md5, CipherSuite::ExportDes40Sha],
             chain: chain.into(),
             quirk: None,
         }
@@ -346,7 +347,7 @@ mod tests {
     #[test]
     fn weak_only_server_has_no_shared_cipher() {
         let mut server = TlsServerConfig::modern(vec![]);
-        server.suites = vec![CipherSuite::Rc4Md5, CipherSuite::ExportDes40Sha];
+        server.suites = &[CipherSuite::Rc4Md5, CipherSuite::ExportDes40Sha];
         assert_eq!(
             handshake(&client(), &server).unwrap_err(),
             TlsError::NoSharedCipher
@@ -356,7 +357,7 @@ mod tests {
     #[test]
     fn server_preference_order_wins() {
         let mut server = TlsServerConfig::modern(vec![]);
-        server.suites = vec![CipherSuite::ChaCha20Poly1305, CipherSuite::Aes256GcmSha384];
+        server.suites = &[CipherSuite::ChaCha20Poly1305, CipherSuite::Aes256GcmSha384];
         let s = handshake(&client(), &server).unwrap();
         assert_eq!(s.suite, CipherSuite::ChaCha20Poly1305);
     }

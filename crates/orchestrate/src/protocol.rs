@@ -64,7 +64,8 @@ pub enum Message {
         shard: u64,
         /// Attempt from the Grant.
         attempt: u32,
-        /// `govscan_store::Snapshot::encode` of the shard's dataset.
+        /// `govscan_store::Snapshot::encode_records` of the shard's
+        /// records.
         snapshot: Vec<u8>,
     },
     /// Coordinator: no more work, disconnect cleanly.

@@ -4,7 +4,7 @@
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use govscan_scanner::ScanDataset;
+use govscan_scanner::ScanRecord;
 use govscan_store::Snapshot;
 
 use crate::protocol::{read_message, write_message, Message};
@@ -38,10 +38,12 @@ pub struct WorkerSummary {
 }
 
 /// Run a worker against the coordinator at `addr`. `scan` maps a
-/// granted shard index to that shard's dataset; in the `distributed`
+/// granted shard index to that shard's records; in the `distributed`
 /// binary it is the streamed pipeline's producer,
-/// `ShardScanner::scan_shard`. An injected death returns `Ok` with
-/// [`WorkerSummary::died`] set — the "failure" is the point.
+/// `ShardScanner::scan_shard`. The records go back as a snapshot with
+/// no scan time: the coordinator's archive carries it. An injected
+/// death returns `Ok` with [`WorkerSummary::died`] set — the "failure"
+/// is the point.
 pub fn run_worker<A, F>(
     addr: A,
     worker_id: u64,
@@ -50,7 +52,7 @@ pub fn run_worker<A, F>(
 ) -> Result<WorkerSummary>
 where
     A: ToSocketAddrs,
-    F: FnMut(usize) -> ScanDataset,
+    F: FnMut(usize) -> Vec<ScanRecord>,
 {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
@@ -77,10 +79,10 @@ where
         if let Some((_, _, pause)) = faults.stall.filter(|&(s, a, _)| (s, a) == lease) {
             std::thread::sleep(pause);
         }
-        let dataset = scan(lease.0);
-        let snapshot = Snapshot::encode(&dataset)?;
+        let records = scan(lease.0);
+        let snapshot = Snapshot::encode_records(None, &records)?;
         summary.shards += 1;
-        summary.hosts += dataset.len() as u64;
+        summary.hosts += records.len() as u64;
         write_message(
             &mut stream,
             &Message::Result {

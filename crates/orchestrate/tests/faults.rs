@@ -38,8 +38,7 @@ fn serial(plan: &StreamPlan) -> Vec<u8> {
     let scanner = ShardScanner::new(plan, plan.scan_time());
     let mut w = writer(plan);
     for i in 0..plan.shard_count() {
-        w.append_records(scanner.scan_shard(i).records())
-            .expect("append");
+        w.append_records(&scanner.scan_shard(i)).expect("append");
     }
     finish(w)
 }
@@ -265,8 +264,9 @@ fn coordinator_completes_when_last_worker_dies_after_committing() {
                 else {
                     panic!("expected a grant");
                 };
-                let dataset = scanner.scan_shard(shard as usize);
-                let snapshot = govscan_store::Snapshot::encode(&dataset).expect("encode");
+                let records = scanner.scan_shard(shard as usize);
+                let snapshot =
+                    govscan_store::Snapshot::encode_records(None, &records).expect("encode");
                 write_message(
                     &mut stream,
                     &Message::Result {

@@ -61,6 +61,28 @@ impl LeafProfile {
             policies: vec![crate::oids::oid(crate::oids::POLICY_DV)],
         }
     }
+
+    /// A profile for `names`, all of them in the subjectAltName and the
+    /// first (there must be one) also the subject CN, valid for
+    /// `validity_days` from `not_before` and asserting `policy`: built
+    /// once, with nothing to overwrite.
+    pub fn for_names(
+        names: Vec<String>,
+        public_key: PublicKey,
+        not_before: Time,
+        validity_days: i64,
+        policy: Oid,
+    ) -> Self {
+        LeafProfile {
+            subject_cn: names[0].clone(),
+            san: names,
+            public_key,
+            not_before,
+            validity_days: Some(validity_days),
+            serial: None,
+            policies: vec![policy],
+        }
+    }
 }
 
 /// A certificate authority (root or intermediate) able to issue
@@ -179,7 +201,8 @@ impl CertificateAuthority {
 
     /// Issue a leaf certificate for `profile`.
     pub fn issue(&mut self, profile: &LeafProfile) -> Certificate {
-        let serial = profile.serial.clone().unwrap_or_else(|| self.draw_serial());
+        let mut profile = profile.clone();
+        let serial = profile.serial.take().unwrap_or_else(|| self.draw_serial());
         self.issue_with_serial(serial, profile)
     }
 
@@ -193,10 +216,17 @@ impl CertificateAuthority {
     /// bit-identical certificates. The profile's `serial` override still
     /// wins (the §5.3.3 serial-reuse pathology).
     pub fn issue_deterministic(&self, profile: &LeafProfile) -> Certificate {
-        let serial = profile
-            .serial
-            .clone()
-            .unwrap_or_else(|| self.content_serial(profile));
+        self.issue_deterministic_owned(profile.clone())
+    }
+
+    /// [`Self::issue_deterministic`] taking the profile by value: its
+    /// names, key and policies move into the certificate instead of
+    /// being copied.
+    pub fn issue_deterministic_owned(&self, mut profile: LeafProfile) -> Certificate {
+        let serial = match profile.serial.take() {
+            Some(serial) => serial,
+            None => self.content_serial(&profile),
+        };
         self.issue_with_serial(serial, profile)
     }
 
@@ -221,18 +251,18 @@ impl CertificateAuthority {
                 .unwrap_or(self.policy.default_validity_days)
                 .to_le_bytes(),
         );
-        let digest = h.finalize();
-        let mut serial = digest[..8].to_vec();
+        let mut serial = h.finalize_fixed()[..8].to_vec();
         if serial[0] == 0 {
             serial[0] = 0x01;
         }
         serial
     }
 
-    fn issue_with_serial(&self, serial: Vec<u8>, profile: &LeafProfile) -> Certificate {
+    fn issue_with_serial(&self, serial: Vec<u8>, profile: LeafProfile) -> Certificate {
         let days = profile
             .validity_days
             .unwrap_or(self.policy.default_validity_days);
+        let subject_key_id = Some(ski(&profile.public_key));
         let tbs = TbsCertificate {
             serial,
             signature_alg: self.policy.signature_alg,
@@ -241,18 +271,18 @@ impl CertificateAuthority {
                 not_before: profile.not_before,
                 not_after: profile.not_before.plus_days(days),
             },
-            subject: DistinguishedName::cn(profile.subject_cn.clone()),
-            public_key: profile.public_key.clone(),
+            subject: DistinguishedName::cn(profile.subject_cn),
+            public_key: profile.public_key,
             extensions: Extensions {
-                subject_alt_names: profile.san.clone(),
+                subject_alt_names: profile.san,
                 basic_constraints: Some(BasicConstraints::default()),
                 key_usage: Some(KeyUsage {
                     digital_signature: true,
                     key_encipherment: true,
                     ..Default::default()
                 }),
-                policies: profile.policies.clone(),
-                subject_key_id: Some(ski(&profile.public_key)),
+                policies: profile.policies,
+                subject_key_id,
                 authority_key_id: self.cert.tbs().extensions.subject_key_id.clone(),
             },
         };

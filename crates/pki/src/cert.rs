@@ -364,7 +364,7 @@ impl Certificate {
         *self
             .0
             .fingerprint
-            .get_or_init(|| Fingerprint::from_digest(&Sha256::digest(self.to_der())))
+            .get_or_init(|| Fingerprint(Sha256::digest_fixed(self.to_der())))
     }
 
     /// Serial number as lowercase hex.

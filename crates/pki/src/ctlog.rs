@@ -33,7 +33,7 @@ fn leaf_hash(entry: &[u8]) -> Hash {
     let mut h = Sha256::new();
     h.update(&[0x00]);
     h.update(entry);
-    h.finalize().try_into().expect("sha256 is 32 bytes")
+    h.finalize_fixed()
 }
 
 fn node_hash(left: &Hash, right: &Hash) -> Hash {
@@ -41,7 +41,7 @@ fn node_hash(left: &Hash, right: &Hash) -> Hash {
     h.update(&[0x01]);
     h.update(left);
     h.update(right);
-    h.finalize().try_into().expect("sha256 is 32 bytes")
+    h.finalize_fixed()
 }
 
 /// Largest power of two strictly less than `n` (n ≥ 2): the RFC 6962
@@ -201,7 +201,7 @@ impl CtLog {
         let n = hi - lo;
         if n == 0 {
             // MTH of the empty tree is the hash of the empty string.
-            return Sha256::digest(b"").try_into().expect("32 bytes");
+            return Sha256::digest_fixed(b"");
         }
         if n.is_power_of_two() && lo.is_multiple_of(n) {
             return self.levels[n.trailing_zeros() as usize][(lo / n) as usize];
@@ -256,7 +256,7 @@ mod tests {
         /// Merkle tree hash over `leaves` (RFC 6962 §2.1).
         pub(super) fn subtree_hash(leaves: &[Hash]) -> Hash {
             match leaves.len() {
-                0 => Sha256::digest(b"").try_into().expect("32 bytes"),
+                0 => Sha256::digest_fixed(b""),
                 1 => leaves[0],
                 n => {
                     let k = split(n);

@@ -10,8 +10,8 @@
 //! leaving only the cheap per-host [`check_hostname`] step on the hot
 //! path.
 //!
-//! The cache is keyed by the chain's certificate fingerprints, which
-//! identify the DER bytes exactly. It is sharded: each shard holds an
+//! A chain is identified by its certificate fingerprints, which
+//! identify the DER bytes exactly. The cache is sharded: each shard holds an
 //! independent map behind its own mutex, so scanner workers contend only
 //! when they hash to the same shard. Verdicts are stored as
 //! `Result<Arc<ValidatedChain>, CertError>` — hits clone an `Arc` and a
@@ -27,10 +27,12 @@
 //! measurably *slower* than the uncached baseline (0.97×, then 1.00×
 //! with lazy insertion; CHANGES.md, "streamed generate→scan→archive
 //! pipeline"). Chains that do repeat pay one extra structural validation
-//! (on their second sighting) and then hit forever. A hash collision
-//! between two distinct chains is harmless: the verdict map is still
-//! keyed by the full fingerprint sequence, so a collision only promotes
-//! a chain into the map one sighting early.
+//! (on their second sighting) and then hit forever. The memo map is
+//! keyed by the same hash, and each memo keeps its chain's
+//! fingerprints: a lookup compares them with the chain's, so a hit
+//! allocates nothing. A hash collision between two distinct chains is
+//! harmless: both memos share the hash's bucket, and the collision only
+//! promotes a chain into the map one sighting early.
 //!
 //! The second sighting inserts the chain's memo cell under the shard
 //! lock and computes the verdict outside it. A sighting that races it
@@ -67,14 +69,34 @@ type Verdict = Result<Arc<ValidatedChain>, CertError>;
 #[derive(Default)]
 struct Shard {
     /// FNV-1a-64 hashes of every chain sighted so far. Membership
-    /// without a map entry means "seen exactly once" — the next
-    /// sighting promotes the chain into `map`.
+    /// without a memo means "seen exactly once" — the next sighting
+    /// promotes the chain into `memos`.
     seen: HashSet<u64>,
-    /// Memo cells for chains sighted at least twice, keyed by the exact
-    /// fingerprint sequence (collisions in `seen` can promote early but
-    /// can never replay the wrong verdict). A cell is inserted empty and
-    /// filled once, outside the lock, by the sighting that promoted it.
-    map: HashMap<Box<[Fingerprint]>, Arc<OnceLock<Verdict>>>,
+    /// Memos of chains sighted at least twice, under their sighting
+    /// hash; distinct chains whose hashes collide share a bucket.
+    memos: HashMap<u64, Vec<Memo>>,
+}
+
+/// One memoized chain: its exact fingerprint sequence (so a collision
+/// can promote early but never replay the wrong verdict) and its memo
+/// cell, inserted empty and filled once, outside the lock, by the
+/// sighting that promoted the chain.
+struct Memo {
+    chain: Box<[Fingerprint]>,
+    cell: Arc<OnceLock<Verdict>>,
+}
+
+impl Memo {
+    /// Whether this memo is `chain`'s: compared certificate by
+    /// certificate, with no key built.
+    fn is(&self, chain: &[Certificate]) -> bool {
+        self.chain.len() == chain.len()
+            && self
+                .chain
+                .iter()
+                .zip(chain)
+                .all(|(fp, cert)| *fp == cert.fingerprint())
+    }
 }
 
 /// Lock a shard, ignoring poisoning: every write under the lock is a
@@ -165,14 +187,17 @@ impl ChainVerdictCache {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 return validate_chain_structure(peer_chain, &self.trust, self.now).map(Arc::new);
             }
-            // Sighted before: the full-key map holds the memo cell, or
+            // Sighted before: the hash's bucket holds the memo cell, or
             // this is the second sighting, which inserts it.
-            let key: Vec<Fingerprint> = peer_chain.iter().map(|c| c.fingerprint()).collect();
-            match s.map.get(key.as_slice()) {
-                Some(cell) => Arc::clone(cell),
+            let bucket = s.memos.entry(hash).or_default();
+            match bucket.iter().find(|memo| memo.is(peer_chain)) {
+                Some(memo) => Arc::clone(&memo.cell),
                 None => {
                     let cell = Arc::new(OnceLock::new());
-                    s.map.insert(key.into_boxed_slice(), Arc::clone(&cell));
+                    bucket.push(Memo {
+                        chain: peer_chain.iter().map(|c| c.fingerprint()).collect(),
+                        cell: Arc::clone(&cell),
+                    });
                     cell
                 }
             }
@@ -207,7 +232,10 @@ impl ChainVerdictCache {
     /// Number of distinct chains memoized. Lazy insertion means chains
     /// sighted exactly once are not counted — they were never stored.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).map.len()).sum()
+        self.shards
+            .iter()
+            .map(|s| lock(s).memos.values().map(Vec::len).sum::<usize>())
+            .sum()
     }
 
     /// True when no verdict has been cached yet.

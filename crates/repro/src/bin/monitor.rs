@@ -16,7 +16,9 @@
 //! chain identical to the final archive.
 //!
 //! The start-up line names the SHA-256 kernel the CPU selected. Honours
-//! `GOVSCAN_SCALE`, `GOVSCAN_SEED` and `GOVSCAN_THREADS`.
+//! `GOVSCAN_SCALE`, `GOVSCAN_SEED` and `GOVSCAN_THREADS`. Any other
+//! argument, or a flag left without its value, is a usage error (exit
+//! status 2) before any world is built.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -30,25 +32,27 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let epochs: u32 = match flag_value(&args, "--epochs").map(|s| s.parse()) {
-        Some(Ok(n)) if n > 0 => n,
-        Some(_) => return usage(),
-        None => 12,
-    };
-    let out_dir = flag_value(&args, "--out-dir").map(PathBuf::from);
-    let self_check = args.iter().any(|a| a == "--self-check");
-    let json = args.iter().any(|a| a == "--json");
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        return usage();
+    let mut epochs: u32 = 12;
+    let mut out_dir = None;
+    let mut self_check = false;
+    let mut json = false;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--epochs" => match args.next().map(|s| s.parse()) {
+                Some(Ok(n)) if n > 0 => epochs = n,
+                _ => return usage(),
+            },
+            "--out-dir" => match args.next() {
+                Some(dir) => out_dir = Some(PathBuf::from(dir)),
+                None => return usage(),
+            },
+            "--self-check" => self_check = true,
+            "--json" => json = true,
+            // `--help` included.
+            _ => return usage(),
+        }
     }
 
     let (seed, scale) = env_params();

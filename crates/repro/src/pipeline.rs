@@ -98,10 +98,10 @@ pub fn stream_scan_archive(
             plan.shard_count(),
             shard_window,
             |i| scanner.scan_shard(i),
-            // Consume (in shard order): append to the archive. The shard
-            // and its net are dropped here — only the writer's pools
+            // Consume (in shard order): append to the archive. The
+            // shard's records are dropped here — only the writer's pools
             // persist across shards.
-            |_, dataset| writer.append_records(dataset.records()),
+            |_, records| writer.append_records(&records),
         )
     })?;
     Ok(report)

@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::crawler::{self, CrawlReport};
-use crate::dataset::ScanDataset;
+use crate::dataset::{ScanDataset, ScanRecord};
 use crate::filter::GovFilter;
 use crate::mturk::{self, MturkReport};
 use crate::probe::{scan_hosts, ScanContext};
@@ -88,12 +88,22 @@ impl ListScanner {
     /// annotations depend only on the hostname, which is what makes a
     /// sharded scan merge byte-identical to a whole-list one.
     pub fn scan_list_with(&self, ctx: &ScanContext<'_>, hostnames: &[String]) -> ScanDataset {
+        ScanDataset::new(self.scan_records(ctx, hostnames), self.scan_time)
+    }
+
+    /// [`Self::scan_list_with`]'s annotated records, in input order,
+    /// without the dataset's hostname index.
+    pub(crate) fn scan_records(
+        &self,
+        ctx: &ScanContext<'_>,
+        hostnames: &[String],
+    ) -> Vec<ScanRecord> {
         let mut records = scan_hosts(ctx, hostnames);
         for r in &mut records {
             r.country = self.filter.classify(&r.hostname);
             r.tranco_rank = self.ranks.get(&r.hostname).copied();
         }
-        ScanDataset::new(records, self.scan_time)
+        records
     }
 }
 
@@ -131,6 +141,20 @@ impl<'p> ShardScanner<'p> {
     /// Scan `hostnames` against `net`, a realized shard or a realized
     /// subset of one.
     pub fn scan(&self, net: &SimNet, hostnames: &[String]) -> ScanDataset {
+        ScanDataset::new(self.scan_records(net, hostnames), self.scan_time)
+    }
+
+    /// Realize shard `i` of the plan's base world and scan it: the
+    /// streamed pipeline's producer, which a distributed worker also runs
+    /// on every shard it is leased. Both only read the records, in shard
+    /// order, so they get them without a dataset's hostname index.
+    pub fn scan_shard(&self, i: usize) -> Vec<ScanRecord> {
+        let shard = self.plan.realize_shard(i);
+        self.scan_records(&shard.net, &shard.hostnames)
+    }
+
+    /// [`Self::scan`]'s records, in input order.
+    fn scan_records(&self, net: &SimNet, hostnames: &[String]) -> Vec<ScanRecord> {
         let cadb = self.plan.cadb();
         let ctx = ScanContext::new(
             net,
@@ -140,15 +164,7 @@ impl<'p> ShardScanner<'p> {
             self.scan_time,
             TlsClientConfig::default(),
         );
-        self.annotate.scan_list_with(&ctx, hostnames)
-    }
-
-    /// Realize shard `i` of the plan's base world and scan it: the
-    /// streamed pipeline's producer, which a distributed worker also runs
-    /// on every shard it is leased.
-    pub fn scan_shard(&self, i: usize) -> ScanDataset {
-        let shard = self.plan.realize_shard(i);
-        self.scan(&shard.net, &shard.hostnames)
+        self.annotate.scan_records(&ctx, hostnames)
     }
 }
 

@@ -101,10 +101,13 @@ impl Snapshot {
 
     /// Encode a whole dataset into an in-memory snapshot.
     pub fn encode(dataset: &ScanDataset) -> Result<Vec<u8>> {
-        let mut w = SnapshotWriter::new(Cursor::new(Vec::new()), dataset.scan_time)?;
-        for record in dataset.records() {
-            w.add(record)?;
-        }
+        Snapshot::encode_records(dataset.scan_time, dataset.records())
+    }
+
+    /// [`Self::encode`] for bare records, stamped with `scan_time`.
+    pub fn encode_records(scan_time: Option<Time>, records: &[ScanRecord]) -> Result<Vec<u8>> {
+        let mut w = SnapshotWriter::new(Cursor::new(Vec::new()), scan_time)?;
+        w.append_records(records)?;
         Ok(w.finish()?.into_inner())
     }
 

@@ -2,6 +2,8 @@
 //! shaped like the paper's Figure 2 (worldwide), Figure 8 (USA) and
 //! Figure 11 (South Korea, including the now-untrusted NPKI sub-CAs).
 
+use std::sync::Arc;
+
 use govscan_asn1::{Oid, Time};
 use govscan_crypto::{KeyAlgorithm, KeyPair, SignatureAlgorithm};
 use govscan_pki::ca::{CertificateAuthority, IssuancePolicy, LeafProfile};
@@ -784,7 +786,7 @@ impl CaDb {
     /// practice: Let's Encrypt publishes everything automatically; other
     /// CAs log ~88% (CT "misses around 10% in the .com/.net/.org zones",
     /// §2.2) — deciding deterministically from the certificate bytes.
-    pub fn issue_chain(&mut self, idx: usize, leaf: &LeafProfile) -> Vec<Certificate> {
+    pub fn issue_chain(&mut self, idx: usize, leaf: &LeafProfile) -> Arc<[Certificate]> {
         let (chain, log_it) = self.issue_chain_pure(idx, leaf);
         if log_it {
             self.ct.append(&chain[0]);
@@ -802,15 +804,24 @@ impl CaDb {
     /// (nothing downstream of a streamed shard consults the log), so a
     /// shard's chains are identical no matter when — or how often — it
     /// is realized.
-    pub fn issue_chain_pure(&self, idx: usize, leaf: &LeafProfile) -> (Vec<Certificate>, bool) {
-        let ca = &self.cas[idx];
-        let cert = ca.issuing.issue_deterministic(leaf);
+    pub fn issue_chain_pure(&self, idx: usize, leaf: &LeafProfile) -> (Arc<[Certificate]>, bool) {
+        let (cert, log_it) = self.issue_leaf_pure(idx, leaf.clone());
+        (
+            Arc::from([cert, self.cas[idx].issuing.cert.clone()]),
+            log_it,
+        )
+    }
+
+    /// The leaf [`Self::issue_chain_pure`] heads its chain with, and
+    /// whether it should be logged, for a caller that sends a chain of
+    /// its own making. The profile moves into the certificate.
+    pub(crate) fn issue_leaf_pure(&self, idx: usize, leaf: LeafProfile) -> (Certificate, bool) {
+        let cert = self.cas[idx].issuing.issue_deterministic_owned(leaf);
         let log_it = idx == LETS_ENCRYPT || {
             // First fingerprint byte as a deterministic 0..256 draw.
             cert.fingerprint().as_bytes()[0] >= 30 // ≈ 88%
         };
-        let chain = vec![cert, ca.issuing.cert.clone()];
-        (chain, log_it)
+        (cert, log_it)
     }
 
     /// Append a certificate to the shared CT log (the apply half of

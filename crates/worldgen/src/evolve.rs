@@ -324,7 +324,7 @@ impl MonitorPlan {
             let assigner = HostingAssigner::new();
             let cloud = cloud_share(country);
             for i in 0..count {
-                let mut hostname = namer.next_gov(&mut rng);
+                let mut hostname = namer.next_gov(&mut rng).to_owned();
                 let mut attempts = 0;
                 while used.contains(&hostname) {
                     attempts += 1;
@@ -337,7 +337,7 @@ impl MonitorPlan {
                         hostname = format!("{first}-e{epoch}n{i}.{rest}");
                         break;
                     }
-                    hostname = namer.next_gov(&mut rng);
+                    hostname = namer.next_gov(&mut rng).to_owned();
                 }
                 used.insert(hostname.clone());
                 let p = rates.sample(&mut rng);

@@ -1,6 +1,11 @@
 //! Hostname generation: plausible government (and non-government)
 //! hostnames per country, following each country's domain convention.
 
+use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, HashSet};
+use std::fmt::Write;
+use std::hash::BuildHasher;
+
 use rand::Rng;
 
 use crate::countries::Country;
@@ -137,9 +142,24 @@ const NONGOV_WORDS: &[&str] = &[
 ];
 
 /// Deterministic hostname generator for one country.
+///
+/// The generator keeps the one copy of every name it has accepted, in
+/// generation order ([`Self::into_names`] hands them over). Candidates
+/// are written into a reused buffer and checked against a hash index of
+/// the accepted names, so a name costs one allocation, its kept copy,
+/// and a rejected candidate none.
 pub struct HostnameGen {
     suffixes: Vec<String>,
-    used: std::collections::HashSet<String>,
+    /// Every accepted name, in generation order.
+    names: Vec<String>,
+    /// Name hash → position in `names` of the first name with that hash.
+    index: HashMap<u64, u32>,
+    /// Accepted names whose hash was already taken by a different name.
+    collided: HashSet<String>,
+    hasher: RandomState,
+    /// The candidate being built, and room to renumber it.
+    candidate: String,
+    renumbered: String,
     counter: u64,
 }
 
@@ -154,39 +174,47 @@ impl HostnameGen {
         };
         HostnameGen {
             suffixes,
-            used: std::collections::HashSet::new(),
+            names: Vec::new(),
+            index: HashMap::new(),
+            collided: HashSet::new(),
+            hasher: RandomState::new(),
+            candidate: String::new(),
+            renumbered: String::new(),
             counter: 0,
         }
     }
 
     /// Generate the next unique government hostname.
-    pub fn next_gov(&mut self, rng: &mut impl Rng) -> String {
+    pub fn next_gov(&mut self, rng: &mut impl Rng) -> &str {
         loop {
             let suffix = &self.suffixes[rng.gen_range(0..self.suffixes.len())];
             let dept = DEPARTMENTS[rng.gen_range(0..DEPARTMENTS.len())];
-            let name = match rng.gen_range(0..6) {
+            let name = &mut self.candidate;
+            name.clear();
+            let written = match rng.gen_range(0..6) {
                 // www.health.gov.xx
-                0 | 1 => format!("www.{dept}.{suffix}"),
+                0 | 1 => write!(name, "www.{dept}.{suffix}"),
                 // health.gov.xx
-                2 => format!("{dept}.{suffix}"),
+                2 => write!(name, "{dept}.{suffix}"),
                 // portal.health.gov.xx
                 3 => {
                     let p = PREFIXES[rng.gen_range(0..PREFIXES.len())];
-                    format!("{p}.{dept}.{suffix}")
+                    write!(name, "{p}.{dept}.{suffix}")
                 }
                 // capital-health.gov.xx (sub-national)
                 4 => {
                     let loc = LOCALITIES[rng.gen_range(0..LOCALITIES.len())];
-                    format!("{loc}-{dept}.{suffix}")
+                    write!(name, "{loc}-{dept}.{suffix}")
                 }
                 // riverside.gov.xx
                 _ => {
                     let loc = LOCALITIES[rng.gen_range(0..LOCALITIES.len())];
-                    format!("{loc}.{suffix}")
+                    write!(name, "{loc}.{suffix}")
                 }
             };
-            if self.used.insert(name.clone()) {
-                return name;
+            written.expect("writing to a String cannot fail");
+            if self.accept_candidate() {
+                return self.last();
             }
             // Collision: disambiguate deterministically by numbering the
             // leftmost label (keeps the government suffix intact). The
@@ -200,40 +228,72 @@ impl HostnameGen {
             // names stay phase-unique by construction.
             self.counter += 1;
             let c = self.counter;
-            let (first, rest) = name.split_once('.').expect("hostnames have dots");
-            let name = format!("{first}-{c}.{rest}");
-            if self.used.insert(name.clone()) {
-                return name;
+            let (first, rest) = self.candidate.split_once('.').expect("hostnames have dots");
+            self.renumbered.clear();
+            write!(self.renumbered, "{first}-{c}.{rest}").expect("writing to a String cannot fail");
+            std::mem::swap(&mut self.candidate, &mut self.renumbered);
+            if self.accept_candidate() {
+                return self.last();
             }
         }
     }
 
     /// Generate a unique non-government hostname under this ccTLD (or a
     /// gTLD one-third of the time).
-    pub fn next_nongov(&mut self, rng: &mut impl Rng) -> String {
+    pub fn next_nongov(&mut self, rng: &mut impl Rng) -> &str {
         loop {
             let word = NONGOV_WORDS[rng.gen_range(0..NONGOV_WORDS.len())];
             let word2 = NONGOV_WORDS[rng.gen_range(0..NONGOV_WORDS.len())];
             let tld = match rng.gen_range(0..3) {
-                0 => "com".to_string(),
-                1 => self.suffixes[0]
-                    .split('.')
-                    .next_back()
-                    .unwrap_or("com")
-                    .to_string(),
-                _ => ["net", "org", "info"][rng.gen_range(0..3)].to_string(),
+                0 => "com",
+                1 => self.suffixes[0].split('.').next_back().unwrap_or("com"),
+                _ => ["net", "org", "info"][rng.gen_range(0..3)],
             };
             self.counter += 1;
             let c = self.counter;
-            let name = match rng.gen_range(0..3) {
-                0 => format!("www.{word}{word2}{c}.{tld}"),
-                1 => format!("{word}-{word2}{c}.{tld}"),
-                _ => format!("{word}{c}.{tld}"),
+            let name = &mut self.candidate;
+            name.clear();
+            let written = match rng.gen_range(0..3) {
+                0 => write!(name, "www.{word}{word2}{c}.{tld}"),
+                1 => write!(name, "{word}-{word2}{c}.{tld}"),
+                _ => write!(name, "{word}{c}.{tld}"),
             };
-            if self.used.insert(name.clone()) {
-                return name;
+            written.expect("writing to a String cannot fail");
+            if self.accept_candidate() {
+                return self.last();
             }
         }
+    }
+
+    /// Every name generated so far, in generation order.
+    pub fn into_names(self) -> Vec<String> {
+        self.names
+    }
+
+    /// The name accepted last.
+    fn last(&self) -> &str {
+        self.names.last().expect("a name was just accepted")
+    }
+
+    /// Keep the candidate if no earlier name equals it; true if kept.
+    fn accept_candidate(&mut self) -> bool {
+        let name = self.candidate.as_str();
+        let hash = self.hasher.hash_one(name);
+        let position = u32::try_from(self.names.len()).expect("under 2^32 names per country");
+        match self.index.get(&hash) {
+            None => {
+                self.index.insert(hash, position);
+            }
+            Some(&first) => {
+                if self.names[first as usize] == name || self.collided.contains(name) {
+                    return false;
+                }
+                // A different name with the same hash.
+                self.collided.insert(name.to_owned());
+            }
+        }
+        self.names.push(name.to_owned());
+        true
     }
 }
 
@@ -272,7 +332,10 @@ mod tests {
         let us = Country::by_code("us").unwrap();
         let mut g = HostnameGen::new(us);
         let mut rng = StdRng::seed_from_u64(2);
-        let names: Vec<String> = (0..400).map(|_| g.next_gov(&mut rng)).collect();
+        for _ in 0..400 {
+            g.next_gov(&mut rng);
+        }
+        let names = g.into_names();
         assert!(names.iter().any(|n| n.ends_with(".gov")));
         assert!(names.iter().any(|n| n.ends_with(".mil")));
         assert!(names.iter().any(|n| n.ends_with(".fed.us")));
@@ -285,7 +348,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..3000 {
-            assert!(seen.insert(g.next_gov(&mut rng)), "duplicate hostname");
+            assert!(
+                seen.insert(g.next_gov(&mut rng).to_owned()),
+                "duplicate hostname"
+            );
         }
     }
 

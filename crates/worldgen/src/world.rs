@@ -11,6 +11,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use govscan_asn1::Time;
 use govscan_crypto::{KeyAlgorithm, KeyPair, SignatureAlgorithm};
@@ -21,6 +22,7 @@ use govscan_net::{CidrTable, HostConfig, SimNet};
 use govscan_pki::ca::{self, LeafProfile};
 use govscan_pki::caa::CaaRecord;
 use govscan_pki::cert::{Certificate, Validity};
+use govscan_pki::oids::{self, POLICY_DV};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -192,7 +194,7 @@ impl World {
 
 /// A shared-certificate cluster (§5.3.3 key/cert reuse).
 pub(crate) struct SharedCluster {
-    pub(crate) chain: Vec<Certificate>,
+    pub(crate) chain: Arc<[Certificate]>,
     /// The posture error every member is flipped to.
     pub(crate) error: InjectedError,
 }
@@ -574,7 +576,7 @@ pub(crate) fn worldwide_country_records(
     let cloud = cloud_share(country);
     let mut records = Vec::with_capacity(n as usize);
     for _ in 0..n {
-        let hostname = namer.next_gov(&mut rng);
+        namer.next_gov(&mut rng);
         let posture = rates.sample(&mut rng);
         let hosting = assigner.sample_class(&mut rng, cloud);
         // §7.1.2: the Great-Firewall vantage breaks Chinese TLS
@@ -586,7 +588,8 @@ pub(crate) fn worldwide_country_records(
             hosting != HostingClass::Private && country.code != "cn",
         );
         records.push(HostRecord {
-            hostname,
+            // The namer keeps the name until every record is drawn.
+            hostname: String::new(),
             country: country.code,
             is_gov: true,
             posture,
@@ -599,6 +602,9 @@ pub(crate) fn worldwide_country_records(
             has_caa: rng.gen::<f64>() < 0.0136,
             is_ev: false,
         });
+    }
+    for (rec, hostname) in records.iter_mut().zip(namer.into_names()) {
+        rec.hostname = hostname;
     }
     records
 }
@@ -686,7 +692,7 @@ impl ClusterPlan {
         out
     }
 
-    fn register(&mut self, chain: Vec<Certificate>, members: Vec<String>, error: InjectedError) {
+    fn register(&mut self, chain: Arc<[Certificate]>, members: Vec<String>, error: InjectedError) {
         let idx = self.clusters.len();
         for m in members {
             self.shared_chain_of.insert(m, idx);
@@ -738,10 +744,11 @@ pub(crate) fn plan_reuse_clusters(
                 KeyAlgorithm::Rsa(2048),
                 format!("cluster-{cc}-{ci}").as_bytes(),
             );
-            let mut profile = LeafProfile::dv(wildcard.clone(), key.public(), scan.plus_days(-200));
-            profile.san = vec![wildcard];
-            profile.validity_days = Some(730);
-            profile.serial = Some(vec![0xc1, cc.as_bytes()[0], ci as u8]);
+            let names = vec![wildcard];
+            let profile = LeafProfile {
+                serial: Some(vec![0xc1, cc.as_bytes()[0], ci as u8]),
+                ..LeafProfile::for_names(names, key.public(), scan.plus_days(-200), 730, dv())
+            };
             let chain = cadb.issue_chain(crate::cadb::LETS_ENCRYPT, &profile);
             plan.register(chain, chunk.to_vec(), InjectedError::HostnameMismatch);
         }
@@ -788,7 +795,7 @@ pub(crate) fn plan_reuse_clusters(
             if members.is_empty() {
                 continue;
             }
-            plan.register(vec![cert], members, InjectedError::SelfSigned);
+            plan.register(Arc::from([cert]), members, InjectedError::SelfSigned);
         }
     }
     plan
@@ -859,7 +866,7 @@ impl RealizeBatch {
             net.set_dns_behavior(&name, DnsBehavior::Timeout);
         }
         for (name, set) in self.caa {
-            net.dns.publish_caa(&name, set);
+            net.publish_caa(&name, set);
         }
         (self.records, self.ct)
     }
@@ -882,7 +889,7 @@ pub(crate) struct Realizer<'a> {
     /// sets this, so their draw sequences are untouched.
     validity_override: Option<(Time, i64)>,
     /// (chain, issuing-CA label) per shared group.
-    shared_chains: Vec<(Vec<Certificate>, String)>,
+    shared_chains: Vec<(Arc<[Certificate]>, &'static str)>,
     batch: RealizeBatch,
 }
 
@@ -933,14 +940,27 @@ impl Realizer<'_> {
         }
     }
 
-    /// Issue a chain without touching shared state; the leaf's CT-log
-    /// append (when the CA logs) is deferred into the batch.
-    fn issue(&mut self, ca_idx: usize, profile: &LeafProfile) -> Vec<Certificate> {
-        let (chain, log_it) = self.plan.cadb().issue_chain_pure(ca_idx, profile);
+    /// Issue a leaf from CA `ca_idx` without touching shared state, and
+    /// build the chain its server sends straight into one shared slice:
+    /// the leaf, then the CA's first `ca_certs` certificates (its issuing
+    /// intermediate, then its root). The leaf's CT-log append (when the
+    /// CA logs) is deferred into the batch.
+    fn issue(
+        &mut self,
+        ca_idx: usize,
+        profile: LeafProfile,
+        ca_certs: usize,
+    ) -> Arc<[Certificate]> {
+        let cadb = self.plan.cadb();
+        let (leaf, log_it) = cadb.issue_leaf_pure(ca_idx, profile);
         if log_it {
-            self.batch.ct.push(chain[0].clone());
+            self.batch.ct.push(leaf.clone());
         }
-        chain
+        let ca = cadb.get(ca_idx);
+        let sent = [&ca.issuing.cert, &ca.root.cert];
+        std::iter::once(leaf)
+            .chain(sent[..ca_certs].iter().map(|&cert| cert.clone()))
+            .collect()
     }
 
     /// Consolidated hosting (DESIGN.md §9): route a fixed slice of
@@ -1009,11 +1029,9 @@ impl Realizer<'_> {
             let (not_before, days) =
                 posture::sample_validity_window(&mut self.rng, true, scan, false);
             let ca_idx = self.plan.cadb().pick(&mut self.rng, cc, true);
-            let mut profile = LeafProfile::dv(names[0].clone(), key.public(), not_before);
-            profile.san = names;
-            profile.validity_days = Some(days);
-            let chain = self.issue(ca_idx, &profile);
-            let label = self.plan.cadb().get(ca_idx).profile.label.to_string();
+            let profile = LeafProfile::for_names(names, key.public(), not_before, days, dv());
+            let chain = self.issue(ca_idx, profile, 1);
+            let label = self.plan.cadb().get(ca_idx).profile.label;
             let idx = self.shared_chains.len();
             self.shared_chains.push((chain, label));
             for m in members {
@@ -1033,7 +1051,7 @@ impl Realizer<'_> {
             return;
         }
         let ip = self.assigner.allocate_ip(&mut self.rng, &rec.hosting);
-        let page = HttpResponse::page(format!("Official portal — {}", rec.hostname), links);
+        let page = HttpResponse::page(["Official portal — ", &rec.hostname].concat(), links);
 
         match rec.posture.clone() {
             Posture::Unreachable => unreachable!("handled above"),
@@ -1048,8 +1066,8 @@ impl Realizer<'_> {
             } => {
                 let chain = if let Some(&gi) = self.shared_group_of.get(&rec.hostname) {
                     let (chain, label) = &self.shared_chains[gi];
-                    rec.issuer = Some(label.clone());
-                    chain.clone()
+                    rec.issuer = Some(label.to_string());
+                    Arc::clone(chain)
                 } else {
                     self.issue_for(&mut rec, None)
                 };
@@ -1057,7 +1075,7 @@ impl Realizer<'_> {
                 let http = if serves_http_too {
                     page.clone()
                 } else {
-                    HttpResponse::redirect(format!("https://{}/", rec.hostname))
+                    HttpResponse::redirect(["https://", &rec.hostname, "/"].concat())
                 };
                 let https = if hsts { page.with_hsts() } else { page };
                 self.batch
@@ -1096,42 +1114,47 @@ impl Realizer<'_> {
         page: HttpResponse,
     ) {
         // Shared-cluster members use the cluster chain verbatim.
-        let (chain, quirk, legacy) = if let Some(&ci) =
-            self.plan.shared_chain_of().get(&rec.hostname)
-        {
-            let chain = self.plan.clusters()[ci].chain.clone();
-            rec.issuer = Some(chain[0].issuer_label());
-            (chain, None, false)
-        } else {
-            match error {
-                InjectedError::HostnameMismatch => {
-                    let kind = MismatchKind::pick(&mut self.rng);
-                    (self.issue_for(rec, Some(kind)), None, false)
+        let (chain, quirk, legacy) =
+            if let Some(&ci) = self.plan.shared_chain_of().get(&rec.hostname) {
+                let chain = Arc::clone(&self.plan.clusters()[ci].chain);
+                rec.issuer = Some(chain[0].issuer_label());
+                (chain, None, false)
+            } else {
+                match error {
+                    InjectedError::HostnameMismatch => {
+                        let kind = MismatchKind::pick(&mut self.rng);
+                        (self.issue_for(rec, Some(kind)), None, false)
+                    }
+                    InjectedError::Expired => (self.issue_expired(rec), None, false),
+                    InjectedError::UnableLocalIssuer => {
+                        (self.issue_local_issuer_broken(rec), None, false)
+                    }
+                    InjectedError::SelfSigned => {
+                        (Arc::from([self.issue_self_signed(rec)]), None, false)
+                    }
+                    InjectedError::SelfSignedInChain => {
+                        (self.issue_untrusted_full_chain(rec), None, false)
+                    }
+                    InjectedError::UnsupportedProtocol => {
+                        (Arc::from([self.issue_self_signed(rec)]), None, true)
+                    }
+                    InjectedError::Timeout => (no_chain(), Some(TlsQuirk::HandshakeTimeout), false),
+                    InjectedError::Refused => (no_chain(), Some(TlsQuirk::HandshakeRefused), false),
+                    InjectedError::Reset => (no_chain(), Some(TlsQuirk::HandshakeReset), false),
+                    InjectedError::WrongVersion => {
+                        (no_chain(), Some(TlsQuirk::WrongVersionNumber), false)
+                    }
+                    InjectedError::AlertInternal => {
+                        (no_chain(), Some(TlsQuirk::AlertInternalError), false)
+                    }
+                    InjectedError::AlertHandshake => {
+                        (no_chain(), Some(TlsQuirk::AlertHandshakeFailure), false)
+                    }
+                    InjectedError::AlertProtoVersion => {
+                        (no_chain(), Some(TlsQuirk::AlertProtocolVersion), false)
+                    }
                 }
-                InjectedError::Expired => (self.issue_expired(rec), None, false),
-                InjectedError::UnableLocalIssuer => {
-                    (self.issue_local_issuer_broken(rec), None, false)
-                }
-                InjectedError::SelfSigned => (vec![self.issue_self_signed(rec)], None, false),
-                InjectedError::SelfSignedInChain => {
-                    (self.issue_untrusted_full_chain(rec), None, false)
-                }
-                InjectedError::UnsupportedProtocol => {
-                    (vec![self.issue_self_signed(rec)], None, true)
-                }
-                InjectedError::Timeout => (vec![], Some(TlsQuirk::HandshakeTimeout), false),
-                InjectedError::Refused => (vec![], Some(TlsQuirk::HandshakeRefused), false),
-                InjectedError::Reset => (vec![], Some(TlsQuirk::HandshakeReset), false),
-                InjectedError::WrongVersion => (vec![], Some(TlsQuirk::WrongVersionNumber), false),
-                InjectedError::AlertInternal => (vec![], Some(TlsQuirk::AlertInternalError), false),
-                InjectedError::AlertHandshake => {
-                    (vec![], Some(TlsQuirk::AlertHandshakeFailure), false)
-                }
-                InjectedError::AlertProtoVersion => {
-                    (vec![], Some(TlsQuirk::AlertProtocolVersion), false)
-                }
-            }
-        };
+            };
         let mut tls = if legacy {
             TlsServerConfig::legacy_ssl(chain)
         } else {
@@ -1151,18 +1174,18 @@ impl Realizer<'_> {
         &mut self,
         rec: &mut HostRecord,
         mismatch: Option<MismatchKind>,
-    ) -> Vec<Certificate> {
+    ) -> Arc<[Certificate]> {
         let valid = mismatch.is_none();
-        let hostname = rec.hostname.clone();
         let key_alg = posture::sample_key_algorithm(&mut self.rng, valid);
-        let key = KeyPair::from_seed(key_alg, format!("hostkey-{hostname}").as_bytes());
+        let key = host_key(key_alg, &rec.hostname);
         let (not_before, days) = self.validity_window(valid, false);
+        let hostname = &rec.hostname;
         let covered = match mismatch {
             None => {
                 // 39% of hosts deploy wildcard certificates (§5.3).
                 let parent = hostname.split_once('.').map(|(_, p)| p).unwrap_or("");
                 if parent.contains('.') && self.rng.gen::<f64>() < 0.39 {
-                    vec![format!("*.{parent}"), parent.to_string()]
+                    vec![["*.", parent].concat(), parent.to_string()]
                 } else {
                     vec![hostname.clone()]
                 }
@@ -1170,46 +1193,50 @@ impl Realizer<'_> {
             Some(MismatchKind::WrongWildcardScope) => {
                 // The Bangladesh pattern: *.portal.<zone> deployed on <zone>.
                 let parent = hostname.split_once('.').map(|(_, p)| p).unwrap_or("gov.xx");
-                vec![format!("*.portal.{parent}")]
+                vec![["*.portal.", parent].concat()]
             }
             Some(MismatchKind::OtherHost) => {
-                vec![format!("www.intranet-{}.example", rec.country)]
+                vec![["www.intranet-", rec.country, ".example"].concat()]
             }
         };
         let ca_idx = self.plan.cadb().pick(&mut self.rng, rec.country, true);
-        let mut profile = LeafProfile::dv(covered[0].clone(), key.public(), not_before);
-        profile.san = covered;
-        profile.validity_days = Some(days);
         // EV issuance (§5.3: ~4% of hosts carry EV policy OIDs).
         let ca_profile = self.plan.cadb().get(ca_idx).profile;
+        let mut policy = None;
         if let Some(ev_oid) = ca_profile.ev_oid {
             if self.rng.gen::<f64>() < 0.18 {
-                profile.policies = vec![govscan_asn1::Oid::parse(ev_oid).expect("static")];
+                policy = Some(govscan_asn1::Oid::parse(ev_oid).expect("static"));
                 rec.is_ev = true;
             }
         }
+        let policy = policy.unwrap_or_else(dv);
         rec.issuer = Some(ca_profile.label.to_string());
-        self.issue(ca_idx, &profile)
+        let profile = LeafProfile::for_names(covered, key.public(), not_before, days, policy);
+        self.issue(ca_idx, profile, 1)
     }
 
-    fn issue_expired(&mut self, rec: &mut HostRecord) -> Vec<Certificate> {
+    /// The DV profile for the record's own hostname, under a fresh host
+    /// key: the shape every certificate-error issuance starts from.
+    fn own_name_profile(&mut self, rec: &HostRecord, expired: bool) -> LeafProfile {
         let key_alg = posture::sample_key_algorithm(&mut self.rng, false);
-        let key = KeyPair::from_seed(key_alg, format!("hostkey-{}", rec.hostname).as_bytes());
-        let (not_before, days) = self.validity_window(false, true);
+        let key = host_key(key_alg, &rec.hostname);
+        let (not_before, days) = self.validity_window(false, expired);
+        let names = vec![rec.hostname.clone()];
+        LeafProfile::for_names(names, key.public(), not_before, days, dv())
+    }
+
+    fn issue_expired(&mut self, rec: &mut HostRecord) -> Arc<[Certificate]> {
+        let profile = self.own_name_profile(rec, true);
         let ca_idx = self.plan.cadb().pick(&mut self.rng, rec.country, true);
-        let mut profile = LeafProfile::dv(rec.hostname.clone(), key.public(), not_before);
-        profile.validity_days = Some(days);
         rec.issuer = Some(self.plan.cadb().get(ca_idx).profile.label.to_string());
-        self.issue(ca_idx, &profile)
+        self.issue(ca_idx, profile, 1)
     }
 
     /// "Unable to get local issuer": half the time a trusted CA whose
     /// intermediate the server forgets to send; half the time a complete
     /// chain from an untrusted CA (always NPKI-style for South Korea).
-    fn issue_local_issuer_broken(&mut self, rec: &mut HostRecord) -> Vec<Certificate> {
-        let key_alg = posture::sample_key_algorithm(&mut self.rng, false);
-        let key = KeyPair::from_seed(key_alg, format!("hostkey-{}", rec.hostname).as_bytes());
-        let (not_before, days) = self.validity_window(false, false);
+    fn issue_local_issuer_broken(&mut self, rec: &mut HostRecord) -> Arc<[Certificate]> {
+        let profile = self.own_name_profile(rec, false);
         let untrusted = self.plan.cadb().untrusted_indices();
         let use_untrusted = rec.country == "kr" || self.rng.gen::<f64>() < 0.5;
         let ca_idx = if use_untrusted && !untrusted.is_empty() {
@@ -1225,19 +1252,14 @@ impl Realizer<'_> {
         } else {
             self.plan.cadb().pick(&mut self.rng, rec.country, true)
         };
-        let mut profile = LeafProfile::dv(rec.hostname.clone(), key.public(), not_before);
-        profile.validity_days = Some(days);
         rec.issuer = Some(self.plan.cadb().get(ca_idx).profile.label.to_string());
-        let mut chain = self.issue(ca_idx, &profile);
-        if !use_untrusted {
-            chain.truncate(1); // drop the intermediate: incomplete chain
-        }
-        chain
+        // A trusted CA's intermediate is dropped: an incomplete chain.
+        self.issue(ca_idx, profile, usize::from(use_untrusted))
     }
 
     fn issue_self_signed(&mut self, rec: &mut HostRecord) -> Certificate {
         let key_alg = posture::sample_key_algorithm(&mut self.rng, false);
-        let key = KeyPair::from_seed(key_alg, format!("hostkey-{}", rec.hostname).as_bytes());
+        let key = host_key(key_alg, &rec.hostname);
         let sig = posture::legacy_signature_override(
             &mut self.rng,
             Some(InjectedError::SelfSigned),
@@ -1256,8 +1278,7 @@ impl Realizer<'_> {
         } else {
             "localhost".to_string()
         };
-        rec.issuer = Some(cn.clone());
-        ca::self_signed(
+        let cert = ca::self_signed(
             &cn,
             vec![cn.clone()],
             &key,
@@ -1266,15 +1287,15 @@ impl Realizer<'_> {
                 not_before,
                 not_after: not_before.plus_days(days),
             },
-        )
+        );
+        rec.issuer = Some(cn);
+        cert
     }
 
     /// Full chain from an untrusted CA with the self-signed root included
     /// in the peer stack → "self-signed certificate in chain".
-    fn issue_untrusted_full_chain(&mut self, rec: &mut HostRecord) -> Vec<Certificate> {
-        let key_alg = posture::sample_key_algorithm(&mut self.rng, false);
-        let key = KeyPair::from_seed(key_alg, format!("hostkey-{}", rec.hostname).as_bytes());
-        let (not_before, days) = self.validity_window(false, false);
+    fn issue_untrusted_full_chain(&mut self, rec: &mut HostRecord) -> Arc<[Certificate]> {
+        let profile = self.own_name_profile(rec, false);
         let untrusted = self.plan.cadb().untrusted_indices();
         let ca_idx = if rec.country == "kr" {
             *untrusted
@@ -1284,13 +1305,25 @@ impl Realizer<'_> {
         } else {
             untrusted[self.rng.gen_range(0..untrusted.len())]
         };
-        let mut profile = LeafProfile::dv(rec.hostname.clone(), key.public(), not_before);
-        profile.validity_days = Some(days);
         rec.issuer = Some(self.plan.cadb().get(ca_idx).profile.label.to_string());
-        let mut chain = self.issue(ca_idx, &profile);
-        chain.push(self.plan.cadb().get(ca_idx).root.cert.clone());
-        chain
+        self.issue(ca_idx, profile, 2)
     }
+}
+
+/// A host's key pair, seeded by `hostkey-{hostname}` hashed from its
+/// parts.
+fn host_key(algorithm: KeyAlgorithm, hostname: &str) -> KeyPair {
+    KeyPair::from_seed_parts(algorithm, &[b"hostkey-", hostname.as_bytes()])
+}
+
+/// The DV policy OID a certificate asserts unless it is EV.
+fn dv() -> govscan_asn1::Oid {
+    oids::oid(POLICY_DV)
+}
+
+/// The chain a server with a broken TLS stack never gets to send.
+fn no_chain() -> Arc<[Certificate]> {
+    Arc::from([])
 }
 
 /// How a hostname-mismatch certificate is wrong.

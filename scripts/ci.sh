@@ -54,6 +54,16 @@ rm -rf "$pipedir"
 # seed, the pipeline smoke's).
 run env GOVSCAN_SCALE=0.02 cargo run --offline -q -p govscan-repro --bin distributed -- \
   --workers 2 --inject-death
+# The monitor's argument parsing: `--epoch` (a typo for `--epochs`) is
+# an unknown argument, a usage error that must exit with status 2
+# before any world is built, not run the default twelve epochs.
+echo "==> monitor --epoch 1 exits 2"
+status=0
+cargo run --offline -q -p govscan-repro --bin monitor -- --epoch 1 2> /dev/null || status=$?
+if [ "$status" -ne 2 ]; then
+  echo "monitor --epoch 1 exited $status, want 2"
+  exit 1
+fi
 # Longitudinal-monitor smoke: baseline + 4 weekly epochs of the
 # evolving world; --self-check digest-proves every epoch against full
 # rescans at one and at max(2, N) threads and, past the baseline,
