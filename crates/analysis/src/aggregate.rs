@@ -6,14 +6,14 @@
 //! per-host summaries (availability/https/validity flags, error
 //! category, certificate bits) plus pre-grouped indices (by country, by
 //! error category, by certificate fingerprint, by key fingerprint, by
-//! issuer). The analysis modules consume the index through their
-//! `build_from_index` entry points, their only builders: a caller
-//! builds one index and passes it to each.
+//! issuer). Each figure over scanned hosts has one builder, and it reads
+//! the index: a caller builds one index per scan (or per comparison
+//! group, [`AggregateIndex::from_records`]) and passes it to each.
 //!
 //! The one-pass invariant is load-bearing and instrumented:
 //! [`AggregateIndex::build`] calls [`ScanDataset::records`] exactly
 //! once, which the dataset's walk counter ([`ScanDataset::walks`])
-//! asserts in tests here and in `tests/equivalence.rs`.
+//! asserts in tests here, in `tests/equivalence.rs` and in `repro`'s.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::BuildHasherDefault;
@@ -21,7 +21,7 @@ use std::hash::BuildHasherDefault;
 use govscan_crypto::{Fingerprint, KeyAlgorithm, SignatureAlgorithm};
 use govscan_pki::Time;
 use govscan_scanner::dataset::HostingKind;
-use govscan_scanner::{ErrorCategory, ScanDataset};
+use govscan_scanner::{ErrorCategory, ScanDataset, ScanRecord};
 
 /// A multiply-rotate hasher for [`Fingerprint`] keys. Fingerprints are
 /// SHA-256 outputs — already uniformly distributed — so the default
@@ -207,7 +207,14 @@ impl AggregateIndex {
     /// Build the index in a single pass: exactly one
     /// [`ScanDataset::records`] call, in record order.
     pub fn build(scan: &ScanDataset) -> AggregateIndex {
-        let records = scan.records();
+        Self::from_records(scan.records().iter())
+    }
+
+    /// [`Self::build`] over records that are not a whole dataset, such
+    /// as a scanned comparison group.
+    pub fn from_records<'a>(
+        records: impl ExactSizeIterator<Item = &'a ScanRecord>,
+    ) -> AggregateIndex {
         // Roughly a third of scanned hosts present a certificate; sizing
         // the fingerprint tables to that (rather than a safe half) keeps
         // their fresh-page footprint down, and a rare growth rehash on an
@@ -342,7 +349,6 @@ mod tests {
     use super::*;
     use govscan_crypto::Digest;
     use govscan_scanner::classify::{CertMeta, HttpsStatus};
-    use govscan_scanner::ScanRecord;
 
     fn meta(issuer: &str, fp: u8, key: u8) -> CertMeta {
         CertMeta {

@@ -1,12 +1,14 @@
 //! §6: the USA (GSA) and South Korea (Government24) case studies —
 //! headline rates, per-dataset breakdowns (Tables A.1/A.2/A.3/A.4), and
-//! the §6.3 error-profile contrast.
+//! the §6.3 error-profile contrast. Each reads the aggregation index of
+//! its case study's scan, as every other figure reads its scan's.
 
 use std::collections::BTreeMap;
 
-use govscan_scanner::{ErrorCategory, ScanDataset};
+use govscan_scanner::ErrorCategory;
 use govscan_worldgen::usa::UsaDataset;
 
+use crate::aggregate::{AggregateIndex, HostSummary};
 use crate::stats::Share;
 use crate::table::{pct, TextTable};
 
@@ -32,26 +34,26 @@ pub struct CaseAggregate {
 }
 
 impl CaseAggregate {
-    /// Accumulate one record.
-    fn add(&mut self, r: &govscan_scanner::ScanRecord) {
+    /// Accumulate one host.
+    fn add(&mut self, h: &HostSummary) {
         self.total += 1;
-        if !r.available {
+        if !h.available {
             self.unavailable += 1;
             return;
         }
-        if !r.https.attempts() {
+        if !h.attempts {
             self.http_only += 1;
             return;
         }
         self.https += 1;
-        if r.serves_both() {
+        if h.serves_both {
             self.both += 1;
         }
-        if r.https.is_valid() {
+        if h.valid {
             self.valid += 1;
         } else {
             self.invalid += 1;
-            if let Some(e) = r.https.error() {
+            if let Some(e) = h.error {
                 *self.errors.entry(e).or_default() += 1;
             }
         }
@@ -104,26 +106,26 @@ pub struct UsaCase {
     pub per_dataset: BTreeMap<UsaDataset, CaseAggregate>,
 }
 
-/// Build the USA case from a scan of the GSA lists plus the hostname →
-/// dataset tags that come with the GSA's published files.
-pub fn build_usa(scan: &ScanDataset, tags: &BTreeMap<String, Vec<UsaDataset>>) -> UsaCase {
+/// Build the USA case from the index of a scan of the GSA lists plus
+/// the hostname → dataset tags that come with the GSA's published files.
+pub fn build_usa(index: &AggregateIndex, tags: &BTreeMap<String, Vec<UsaDataset>>) -> UsaCase {
     let mut case = UsaCase::default();
-    for r in scan.records() {
-        case.overall.add(r);
-        if let Some(datasets) = tags.get(&r.hostname) {
+    for h in &index.hosts {
+        case.overall.add(h);
+        if let Some(datasets) = tags.get(&h.hostname) {
             for d in datasets {
-                case.per_dataset.entry(*d).or_default().add(r);
+                case.per_dataset.entry(*d).or_default().add(h);
             }
         }
     }
     case
 }
 
-/// Build the ROK case from a scan of the Government24 list.
-pub fn build_rok(scan: &ScanDataset) -> CaseAggregate {
+/// Build the ROK case from the index of a scan of the Government24 list.
+pub fn build_rok(index: &AggregateIndex) -> CaseAggregate {
     let mut agg = CaseAggregate::default();
-    for r in scan.records() {
-        agg.add(r);
+    for h in &index.hosts {
+        agg.add(h);
     }
     agg
 }
@@ -221,8 +223,8 @@ mod tests {
                 .filter_map(|h| world.record(h).map(|r| (h.clone(), r.gsa_datasets.clone())))
                 .collect();
             Cases {
-                usa: build_usa(&usa_scan, &tags),
-                rok: build_rok(&rok_scan),
+                usa: build_usa(&AggregateIndex::build(&usa_scan), &tags),
+                rok: build_rok(&AggregateIndex::build(&rok_scan)),
             }
         })
     }

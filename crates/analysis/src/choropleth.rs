@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::aggregate::AggregateIndex;
+use crate::aggregate::{AggregateIndex, HostSummary};
 use crate::stats::Share;
 use crate::table::{pct, TextTable};
 
@@ -21,6 +21,20 @@ pub struct CountryRow {
 }
 
 impl CountryRow {
+    /// Count one host of the country into its three layers.
+    pub fn add(&mut self, h: &HostSummary) {
+        self.total += 1;
+        if h.available {
+            self.available += 1;
+            if h.attempts {
+                self.https += 1;
+                if h.valid {
+                    self.valid += 1;
+                }
+            }
+        }
+    }
+
     /// Availability share (top map).
     pub fn availability(&self) -> Share {
         Share::new(self.available, self.total)
@@ -51,17 +65,7 @@ pub fn build_from_index(index: &AggregateIndex) -> Choropleth {
     for (cc, members) in &index.by_country {
         let row = rows.entry(cc).or_default();
         for &pos in members {
-            let h = index.host(pos);
-            row.total += 1;
-            if h.available {
-                row.available += 1;
-                if h.attempts {
-                    row.https += 1;
-                    if h.valid {
-                        row.valid += 1;
-                    }
-                }
-            }
+            row.add(index.host(pos));
         }
     }
     Choropleth { rows }

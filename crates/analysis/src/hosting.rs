@@ -3,8 +3,6 @@
 
 use std::collections::BTreeMap;
 
-use govscan_scanner::ScanRecord;
-
 use crate::aggregate::AggregateIndex;
 use crate::table::{pct, TextTable};
 
@@ -39,37 +37,8 @@ pub struct HostingFigure {
     pub providers: BTreeMap<&'static str, HostingRow>,
 }
 
-/// Build over an iterator of records (callers slice by dataset: world,
-/// USA, ROK, gov-in-top-million, …).
-pub fn build<'a>(records: impl Iterator<Item = &'a ScanRecord>) -> HostingFigure {
-    let mut fig = HostingFigure::default();
-    for r in records {
-        if !r.available {
-            continue;
-        }
-        let coarse = fig.coarse.entry(r.hosting.coarse()).or_default();
-        coarse.total += 1;
-        if r.https.attempts() {
-            coarse.https += 1;
-        }
-        if r.https.is_valid() {
-            coarse.valid += 1;
-        }
-        if let Some(p) = r.hosting.provider() {
-            let row = fig.providers.entry(p).or_default();
-            row.total += 1;
-            if r.https.attempts() {
-                row.https += 1;
-            }
-            if r.https.is_valid() {
-                row.valid += 1;
-            }
-        }
-    }
-    fig
-}
-
-/// Build over a pre-built aggregation index.
+/// Build over a pre-built aggregation index: the one builder, whatever
+/// the population (world, USA, ROK, a Figure 6 comparison group).
 pub fn build_all_from_index(index: &AggregateIndex) -> HostingFigure {
     // Both groupings have a handful of static-string keys, so accumulate
     // through linear-scan tables (two ordered-map lookups per host are

@@ -211,8 +211,9 @@ impl TrendSeries {
         out
     }
 
-    /// The series as a JSON array (one object per epoch), for the
-    /// `govscan-serve` `/trends` endpoint and `monitor --json`.
+    /// The series as a JSON array (one object per epoch), for `monitor
+    /// --json`. (`govscan-serve`'s `/trends` encodes each point through
+    /// its own `api::epoch_point_json`.)
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::from("[");

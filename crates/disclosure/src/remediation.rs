@@ -217,13 +217,7 @@ mod tests {
     fn setup() -> (World, ScanDataset, Vec<String>, Campaign) {
         let world = World::generate(&WorldConfig::small(0xF1F1));
         let out = StudyPipeline::new(&world).run();
-        let unreachable: Vec<String> = out
-            .scan
-            .records()
-            .iter()
-            .filter(|r| !r.available)
-            .map(|r| r.hostname.clone())
-            .collect();
+        let unreachable = crate::unreachable_pool(&out.scan);
         let mut rng = StdRng::seed_from_u64(3);
         let campaign = crate::campaign::run(&out.scan, &mut rng, world.config.seed);
         (world, out.scan, unreachable, campaign)

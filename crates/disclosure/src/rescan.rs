@@ -46,8 +46,8 @@ pub struct RescanReport {
 /// the previously-invalid hosts plus the previously-unreachable pool,
 /// two months after the original snapshot, merged into one dataset.
 ///
-/// The result is exactly what [`run_rescan`] compares against — archive
-/// it with `govscan_store` and the comparison can be replayed later by
+/// [`crate::run_arc`] runs it as the arc's last step. Archive the result
+/// with `govscan_store` and the comparison can be replayed later by
 /// [`rescan_from_snapshots`] with no `World` at all.
 pub fn followup_scan(world: &World, original: &ScanDataset, unreachable: &[String]) -> ScanDataset {
     let pipeline = StudyPipeline::new(world).with_scan_time(world.scan_time().plus_days(60));
@@ -62,8 +62,8 @@ pub fn followup_scan(world: &World, original: &ScanDataset, unreachable: &[Strin
 
 /// Compute the §7.2.2 report from the original scan and a follow-up
 /// scan of the invalid + unreachable pools. Pure data comparison — this
-/// is the single code path behind both the live [`run_rescan`] and the
-/// snapshot-backed [`rescan_from_snapshots`].
+/// is the single code path behind both the live arc
+/// ([`crate::run_arc`]) and the snapshot-backed [`rescan_from_snapshots`].
 ///
 /// A previously-invalid host missing from `followup` is skipped
 /// entirely (it was never re-measured, so it belongs in no outcome
@@ -116,10 +116,16 @@ pub fn rescan_from_datasets(
     report
 }
 
-/// Run the follow-up scan against the (post-remediation) world.
-pub fn run_rescan(world: &World, original: &ScanDataset, unreachable: &[String]) -> RescanReport {
-    let followup = followup_scan(world, original, unreachable);
-    rescan_from_datasets(original, &followup, unreachable)
+/// The previously-unreachable pool: the original scan's unavailable
+/// hostnames, in record order. It is recovered from the scan itself, so
+/// an archived original is all the replay needs.
+pub fn unreachable_pool(original: &ScanDataset) -> Vec<String> {
+    original
+        .records()
+        .iter()
+        .filter(|r| !r.available)
+        .map(|r| r.hostname.clone())
+        .collect()
 }
 
 /// Produce the §7.2.2 report from two archived snapshot files: the
@@ -127,7 +133,7 @@ pub fn run_rescan(world: &World, original: &ScanDataset, unreachable: &[String])
 /// [`followup_scan`] → `govscan_store::Snapshot::write_file`).
 ///
 /// The previously-unreachable pool is recovered from the original
-/// snapshot itself (its unavailable records), so the two files are the
+/// snapshot itself ([`unreachable_pool`]), so the two files are the
 /// complete input — no live `World`, no regeneration.
 pub fn rescan_from_snapshots(
     original: impl AsRef<std::path::Path>,
@@ -135,13 +141,11 @@ pub fn rescan_from_snapshots(
 ) -> Result<RescanReport, govscan_store::StoreError> {
     let original = govscan_store::Snapshot::open(original)?.dataset()?;
     let followup = govscan_store::Snapshot::open(followup)?.dataset()?;
-    let unreachable: Vec<String> = original
-        .records()
-        .iter()
-        .filter(|r| !r.available)
-        .map(|r| r.hostname.clone())
-        .collect();
-    Ok(rescan_from_datasets(&original, &followup, &unreachable))
+    Ok(rescan_from_datasets(
+        &original,
+        &followup,
+        &unreachable_pool(&original),
+    ))
 }
 
 impl RescanReport {
@@ -207,17 +211,12 @@ mod tests {
         REPORT.get_or_init(|| {
             let mut world = World::generate(&WorldConfig::small(0xE5CA));
             let out = StudyPipeline::new(&world).run();
-            let unreachable: Vec<String> = out
-                .scan
-                .records()
-                .iter()
-                .filter(|r| !r.available)
-                .map(|r| r.hostname.clone())
-                .collect();
+            let unreachable = unreachable_pool(&out.scan);
             let mut rng = StdRng::seed_from_u64(21);
             let camp = campaign::run(&out.scan, &mut rng, world.config.seed);
             remediation::apply(&mut world, &out.scan, &unreachable, &camp, &mut rng);
-            run_rescan(&world, &out.scan, &unreachable)
+            let followup = followup_scan(&world, &out.scan, &unreachable);
+            rescan_from_datasets(&out.scan, &followup, &unreachable)
         })
     }
 

@@ -3,42 +3,29 @@
 //! from the in-memory world — same campaign, same remediation, same
 //! sixty-day follow-up, but replayed with no `World` in scope.
 
-use govscan_disclosure::{campaign, remediation, rescan};
+use govscan_disclosure::{rescan, rescan_from_datasets, run_arc};
 use govscan_scanner::StudyPipeline;
 use govscan_store::Snapshot;
 use govscan_worldgen::{World, WorldConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 #[test]
 fn figure13_from_snapshot_files_matches_live_rescan() {
-    // The live §7.2 arc, exactly as `repro`'s disclosure experiment
-    // runs it.
+    // The live §7.2 arc, through the one function `repro`'s disclosure
+    // experiment runs it through.
     let mut world = World::generate(&WorldConfig::small(0xE5CA));
     let out = StudyPipeline::new(&world).run();
-    let unreachable: Vec<String> = out
-        .scan
-        .records()
-        .iter()
-        .filter(|r| !r.available)
-        .map(|r| r.hostname.clone())
-        .collect();
-    let mut rng = StdRng::seed_from_u64(21);
-    let camp = campaign::run(&out.scan, &mut rng, world.config.seed);
-    remediation::apply(&mut world, &out.scan, &unreachable, &camp, &mut rng);
-
-    let live = rescan::run_rescan(&world, &out.scan, &unreachable);
+    let arc = run_arc(&mut world, &out.scan);
+    let live = rescan_from_datasets(&out.scan, &arc.followup, &arc.unreachable);
 
     // Archive both sides of the comparison.
-    let followup = rescan::followup_scan(&world, &out.scan, &unreachable);
     let dir = std::env::temp_dir().join(format!("govscan-rescan-equiv-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let before_path = dir.join("original.snap");
     let after_path = dir.join("followup.snap");
     Snapshot::write_file(&before_path, &out.scan).unwrap();
-    Snapshot::write_file(&after_path, &followup).unwrap();
+    Snapshot::write_file(&after_path, &arc.followup).unwrap();
 
-    // Replay from the files alone. Shadow the world to make "no live
+    // Replay from the files alone. Drop the world to make "no live
     // World" a compile-checked property of this block, not a comment.
     drop(world);
     let replayed = rescan::rescan_from_snapshots(&before_path, &after_path).unwrap();

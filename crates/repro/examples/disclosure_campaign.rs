@@ -6,11 +6,9 @@
 //! cargo run --release -p govscan-repro --example disclosure_campaign
 //! ```
 
-use govscan_disclosure::{campaign, remediation, run_rescan};
+use govscan_disclosure::{rescan_from_datasets, run_arc};
 use govscan_scanner::StudyPipeline;
 use govscan_worldgen::{World, WorldConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() {
     let mut world = World::generate(&WorldConfig::small(42));
@@ -21,20 +19,12 @@ fn main() {
         study.scan.invalid().count()
     );
 
-    // §7.2: email every country's registrar a vulnerability report.
-    let mut rng = StdRng::seed_from_u64(world.config.seed ^ 0xD15C);
-    let camp = campaign::run(&study.scan, &mut rng, world.config.seed);
-    println!("\n== campaign (Figure 13) ==\n{}", camp.render());
-
-    // Two months pass: webmasters fix, remove, and revive hosts.
-    let unreachable: Vec<String> = study
-        .scan
-        .records()
-        .iter()
-        .filter(|r| !r.available)
-        .map(|r| r.hostname.clone())
-        .collect();
-    let plan = remediation::apply(&mut world, &study.scan, &unreachable, &camp, &mut rng);
+    // §7.2: email every country's registrar a vulnerability report; two
+    // months pass (webmasters fix, remove and revive hosts); re-scan the
+    // previously invalid and unreachable pools.
+    let arc = run_arc(&mut world, &study.scan);
+    println!("\n== campaign (Figure 13) ==\n{}", arc.campaign.render());
+    let plan = &arc.plan;
     println!(
         "remediation: {} fixed, {} removed, {} revived, {} upgraded from http",
         plan.fixed.len(),
@@ -43,8 +33,8 @@ fn main() {
         plan.upgraded.len()
     );
 
-    // §7.2.2: the follow-up scan.
-    let report = run_rescan(&world, &study.scan, &unreachable);
+    // §7.2.2: the follow-up scan against the original.
+    let report = rescan_from_datasets(&study.scan, &arc.followup, &arc.unreachable);
     println!(
         "\n== effectiveness re-scan (§7.2.2) ==\n{}",
         report.render()

@@ -7,25 +7,22 @@
 //! GOVSCAN_SCALE=0.2 cargo run --release -p govscan-repro --example full_study
 //! ```
 
-use govscan_analysis::aggregate::AggregateIndex;
 use govscan_analysis::{casestudy, choropleth, hosting, issuers, table2};
-use govscan_disclosure::{campaign, remediation, run_rescan};
-use govscan_scanner::StudyPipeline;
-use govscan_worldgen::{World, WorldConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use govscan_disclosure::{rescan_from_datasets, run_arc};
+use govscan_repro::Env;
 
 fn main() {
     let scale: f64 = std::env::var("GOVSCAN_SCALE")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0.015);
-    let mut config = WorldConfig::paper_scale(42);
-    config.scale = scale;
-    let mut world = World::generate(&config);
+    // The world, the study pipeline and one aggregation index, which
+    // serves every worldwide figure below.
+    let mut env = Env::with(42, scale);
+    let study = &env.study;
+    let index = env.index();
 
     // §4: methodology.
-    let study = StudyPipeline::new(&world).run();
     println!("== §4 dataset ==");
     println!(
         "seeds {} → +MTurk {} → crawl {} gov hostnames → +whitelist = {} measured",
@@ -35,11 +32,8 @@ fn main() {
         study.final_list.len()
     );
 
-    // One aggregation index serves every worldwide figure below.
-    let index = AggregateIndex::build(&study.scan);
-
     // §5.1: worldwide adoption.
-    let t2 = table2::build_from_index(&index);
+    let t2 = table2::build_from_index(index);
     println!("\n== §5.1 worldwide (Table 2) ==");
     println!(
         "https {:.2}% | valid-of-https {:.2}% | not-valid {:.2}%",
@@ -49,7 +43,7 @@ fn main() {
     );
 
     // §5.2: certificate authorities.
-    let cas = issuers::build_from_index(&index, 5);
+    let cas = issuers::build_from_index(index, 5);
     println!("\n== §5.2 top CAs (Figure 2) ==");
     for row in &cas.rows {
         println!(
@@ -61,7 +55,7 @@ fn main() {
     }
 
     // §5.4: hosting.
-    let host_fig = hosting::build_all_from_index(&index);
+    let host_fig = hosting::build_all_from_index(index);
     println!("\n== §5.4 hosting (Figure 5) ==");
     println!(
         "cloud+cdn share {:.1}%; valid: cloud {:.0}% vs private {:.0}%",
@@ -71,16 +65,9 @@ fn main() {
     );
 
     // §6: case studies.
-    let pipeline = StudyPipeline::new(&world);
-    let usa_scan = pipeline.scan_list(&world.gsa_hosts);
-    let rok_scan = pipeline.scan_list(&world.rok_hosts);
-    let tags = world
-        .gsa_hosts
-        .iter()
-        .filter_map(|h| world.record(h).map(|r| (h.clone(), r.gsa_datasets.clone())))
-        .collect();
-    let usa = casestudy::build_usa(&usa_scan, &tags);
-    let rok = casestudy::build_rok(&rok_scan);
+    let (usa, rok) = (env.usa(), env.rok());
+    let usa = casestudy::build_usa(&usa.index, &usa.tags);
+    let rok = casestudy::build_rok(&rok.index);
     println!("\n== §6 case studies ==");
     println!(
         "USA (GSA): {:.2}% valid (paper 81.12%) | ROK (Government24): {:.2}% valid (paper 37.95%)",
@@ -89,7 +76,7 @@ fn main() {
     );
 
     // Figure 1 call-out.
-    let map = choropleth::build_from_index(&index);
+    let map = choropleth::build_from_index(index);
     if let Some(cn) = map.get("cn") {
         println!(
             "China: {:.0}% reachable, {:.0}% of https valid (paper: ~50%, 11%)",
@@ -99,22 +86,13 @@ fn main() {
     }
 
     // §7.2: disclosure.
-    let mut rng = StdRng::seed_from_u64(world.config.seed ^ 0xD15C);
-    let camp = campaign::run(&study.scan, &mut rng, world.config.seed);
-    let unreachable: Vec<String> = study
-        .scan
-        .records()
-        .iter()
-        .filter(|r| !r.available)
-        .map(|r| r.hostname.clone())
-        .collect();
-    remediation::apply(&mut world, &study.scan, &unreachable, &camp, &mut rng);
-    let rescan = run_rescan(&world, &study.scan, &unreachable);
+    let arc = run_arc(&mut env.world, &env.study.scan);
+    let rescan = rescan_from_datasets(&env.study.scan, &arc.followup, &arc.unreachable);
     println!("\n== §7.2 disclosure ==");
     println!(
         "notified {} countries ({:.0}% supportive); improvement {:.1}% strict / {:.1}% optimistic",
-        camp.notified(),
-        camp.supportive_share() * 100.0,
+        arc.campaign.notified(),
+        arc.campaign.supportive_share() * 100.0,
         rescan.strict_improvement() * 100.0,
         rescan.optimistic_improvement() * 100.0
     );

@@ -7,7 +7,8 @@
 //! ```
 //!
 //! Keys are the registry names of `experiments::all()` (DESIGN.md §3);
-//! a missing or unknown key prints them all and exits 2.
+//! a missing or unknown key, or any further argument, prints them all
+//! and exits 2 before any world is built.
 
 use std::process::ExitCode;
 
@@ -15,8 +16,12 @@ use govscan_repro::experiments::{self, Experiment};
 use govscan_repro::Env;
 
 fn main() -> ExitCode {
-    let name = std::env::args().nth(1).unwrap_or_default();
-    let chosen: Vec<Experiment> = match name.as_str() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let name = match args.as_slice() {
+        [name] => name.as_str(),
+        _ => "",
+    };
+    let chosen: Vec<Experiment> = match name {
         "all" => experiments::all(),
         key => experiments::find(key).into_iter().collect(),
     };

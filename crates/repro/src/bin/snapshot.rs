@@ -12,7 +12,9 @@
 //! ```
 //!
 //! `scan`/`rescan` honour `GOVSCAN_SCALE` / `GOVSCAN_SEED`; `report`,
-//! `diff`, and `info` never generate a world.
+//! `diff`, and `info` never generate a world. An argument a subcommand
+//! does not take, a repeated flag, a flag without its value or an extra
+//! operand is a usage error (exit status 2) before any world is built.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -30,44 +32,49 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Pull the value following a `--flag` out of the argument list.
-fn flag_value(args: &[String], flag: &str) -> Option<PathBuf> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
+/// An operand or flag value, as opposed to a flag.
+fn is_operand(arg: &str) -> bool {
+    !arg.starts_with("--")
+}
+
+/// The values of `names`, in that order, when `args` is each of those
+/// flags exactly once, each followed by its value, in any order.
+fn flags<const N: usize>(args: &[String], names: [&str; N]) -> Option<[PathBuf; N]> {
+    let mut values: [Option<PathBuf>; N] = std::array::from_fn(|_| None);
+    for pair in args.chunks(2) {
+        let [flag, value] = pair else { return None };
+        let slot = &mut values[names.iter().position(|n| n == flag)?];
+        if slot.is_some() || !is_operand(value) {
+            return None;
+        }
+        *slot = Some(PathBuf::from(value));
+    }
+    let values: Vec<PathBuf> = values.into_iter().collect::<Option<_>>()?;
+    values.try_into().ok()
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("scan") => match flag_value(&args, "--out") {
-            Some(out) => snapshot::scan_to(&out),
+    let Some((command, rest)) = args.split_first() else {
+        return usage();
+    };
+    let result = match (command.as_str(), rest) {
+        ("scan", _) => match flags(rest, ["--out"]) {
+            Some([out]) => snapshot::scan_to(&out),
             None => return usage(),
         },
-        Some("rescan") => {
-            match (
-                flag_value(&args, "--out-before"),
-                flag_value(&args, "--out-after"),
-            ) {
-                (Some(b), Some(a)) => snapshot::rescan_to(&b, &a),
-                _ => return usage(),
-            }
+        ("rescan", _) => match flags(rest, ["--out-before", "--out-after"]) {
+            Some([before, after]) => snapshot::rescan_to(&before, &after),
+            None => return usage(),
+        },
+        ("report", _) => match flags(rest, ["--from"]) {
+            Some([from]) => snapshot::report_from(&from),
+            None => return usage(),
+        },
+        ("info", [path]) if is_operand(path) => snapshot::info_file(path.as_ref()),
+        ("diff", [before, after]) if is_operand(before) && is_operand(after) => {
+            snapshot::diff_files(before.as_ref(), after.as_ref())
         }
-        Some("report") => match flag_value(&args, "--from") {
-            Some(from) => snapshot::report_from(&from),
-            None => return usage(),
-        },
-        Some("info") => match args.get(1) {
-            Some(path) if !path.starts_with("--") => snapshot::info_file(&PathBuf::from(path)),
-            _ => return usage(),
-        },
-        Some("diff") => match (args.get(1), args.get(2)) {
-            (Some(b), Some(a)) if !b.starts_with("--") => {
-                snapshot::diff_files(&PathBuf::from(b), &PathBuf::from(a))
-            }
-            _ => return usage(),
-        },
         _ => return usage(),
     };
     match result {

@@ -163,8 +163,8 @@ pub fn fig4(env: &mut Env) -> String {
 /// Figure 5: validity by hosting type (world / USA / ROK).
 pub fn fig5(env: &mut Env) -> String {
     let world_fig = analysis::hosting::build_all_from_index(env.index());
-    let usa_fig = analysis::hosting::build_all_from_index(&AggregateIndex::build(env.usa_scan()));
-    let rok_fig = analysis::hosting::build_all_from_index(&AggregateIndex::build(env.rok_scan()));
+    let usa_fig = analysis::hosting::build_all_from_index(&env.usa().index);
+    let rok_fig = analysis::hosting::build_all_from_index(&env.rok().index);
     let mut out = String::from("--- worldwide ---\n");
     out.push_str(&world_fig.render());
     out.push_str("--- USA (GSA) ---\n");
@@ -226,9 +226,10 @@ pub fn fig6_fig7(env: &mut Env) -> String {
         ">70%",
         &format!("{:.1}%", top.valid_share() * 100.0),
     ));
-    // Figure 6: hosting split per group.
+    // Figure 6: hosting split per group, each group indexed once.
     for g in [&gov, &matched, &top] {
-        let fig = analysis::hosting::build(g.members.iter().map(|(_, r)| r));
+        let index = AggregateIndex::from_records(g.members.iter().map(|(_, r)| r));
+        let fig = analysis::hosting::build_all_from_index(&index);
         out.push_str(&format!(
             "{}: cloud+cdn {:.1}%, private-valid {:.1}%, cloud-valid {:.1}%\n",
             g.label,
@@ -242,13 +243,11 @@ pub fn fig6_fig7(env: &mut Env) -> String {
 
 /// Figures 8–10 + Tables A.1/A.2: the USA case study.
 pub fn usa_case(env: &mut Env) -> String {
-    let tags = env.gsa_tags();
-    let scan = env.usa_scan();
-    let case = analysis::casestudy::build_usa(scan, &tags);
-    let index = AggregateIndex::build(scan);
-    let issuers = analysis::issuers::build_from_index(&index, 25);
-    let keys = analysis::keys::build_from_index(&index);
-    let durations = analysis::durations::build_from_index(&index);
+    let usa = env.usa();
+    let case = analysis::casestudy::build_usa(&usa.index, &usa.tags);
+    let issuers = analysis::issuers::build_from_index(&usa.index, 25);
+    let keys = analysis::keys::build_from_index(&usa.index);
+    let durations = analysis::durations::build_from_index(&usa.index);
     let mut out = String::from("--- Figure 8: USA issuers ---\n");
     out.push_str(&issuers.render());
     out.push_str("--- Figure 9: USA keys × algorithms ---\n");
@@ -270,11 +269,10 @@ pub fn usa_case(env: &mut Env) -> String {
 
 /// Figures 11–12 + Tables A.3/A.4: the South Korea case study.
 pub fn rok_case(env: &mut Env) -> String {
-    let scan = env.rok_scan();
-    let agg = analysis::casestudy::build_rok(scan);
-    let index = AggregateIndex::build(scan);
-    let issuers = analysis::issuers::build_from_index(&index, 25);
-    let keys = analysis::keys::build_from_index(&index);
+    let index = &env.rok().index;
+    let agg = analysis::casestudy::build_rok(index);
+    let issuers = analysis::issuers::build_from_index(index, 25);
+    let keys = analysis::keys::build_from_index(index);
     let mut out = String::from("--- Figure 11: ROK issuers ---\n");
     out.push_str(&issuers.render());
     out.push_str("--- Figure 12: ROK keys × algorithms ---\n");
@@ -300,11 +298,9 @@ pub fn rok_case(env: &mut Env) -> String {
 
 /// §6.3: the USA-vs-ROK contrast.
 pub fn case_contrast(env: &mut Env) -> String {
-    let tags = env.gsa_tags();
-    let usa_scan = env.usa_scan().clone();
-    let rok_scan = env.rok_scan().clone();
-    let usa = analysis::casestudy::build_usa(&usa_scan, &tags).overall;
-    let rok = analysis::casestudy::build_rok(&rok_scan);
+    let usa = env.usa();
+    let usa = analysis::casestudy::build_usa(&usa.index, &usa.tags).overall;
+    let rok = analysis::casestudy::build_rok(&env.rok().index);
     let mut out = String::new();
     out.push_str(&cmp_row(
         "headline valid (USA vs ROK)",
@@ -484,8 +480,8 @@ pub fn interlink(env: &mut Env) -> String {
 /// Figures A.2/A.3/A.6: EV certificate usage.
 pub fn ev(env: &mut Env) -> String {
     let world = analysis::ev::build_from_index(env.index());
-    let usa = analysis::ev::build_from_index(&AggregateIndex::build(env.usa_scan()));
-    let rok = analysis::ev::build_from_index(&AggregateIndex::build(env.rok_scan()));
+    let usa = analysis::ev::build_from_index(&env.usa().index);
+    let rok = analysis::ev::build_from_index(&env.rok().index);
     let mut out = String::from("--- worldwide (Fig A.6) ---\n");
     out.push_str(&world.render());
     out.push_str("--- USA (Fig A.2) ---\n");
@@ -543,32 +539,17 @@ pub fn phishing(env: &mut Env) -> String {
 /// Figure 13 + §7.2: the disclosure campaign and its effectiveness.
 /// Mutates the world (remediation) — run last.
 pub fn disclosure(env: &mut Env) -> String {
-    let mut rng = StdRng::seed_from_u64(env.world.config.seed ^ 0xD15C);
-    let campaign =
-        govscan_disclosure::campaign::run(&env.study.scan, &mut rng, env.world.config.seed);
-    let unreachable: Vec<String> = env
-        .index()
-        .hosts
-        .iter()
-        .filter(|h| !h.available)
-        .map(|h| h.hostname.clone())
-        .collect();
-    let plan = govscan_disclosure::remediation::apply(
-        &mut env.world,
-        &env.study.scan,
-        &unreachable,
-        &campaign,
-        &mut rng,
-    );
-    let report = govscan_disclosure::run_rescan(&env.world, &env.study.scan, &unreachable);
+    let arc = govscan_disclosure::run_arc(&mut env.world, &env.study.scan);
+    let report =
+        govscan_disclosure::rescan_from_datasets(&env.study.scan, &arc.followup, &arc.unreachable);
     let mut out = String::from("--- Figure 13: responses by population rank ---\n");
-    out.push_str(&campaign.render());
+    out.push_str(&arc.campaign.render());
     out.push_str("--- §7.2.2: effectiveness re-scan ---\n");
     out.push_str(&report.render());
     out.push_str(&cmp_row(
         "supportive registrar share",
         "~22%",
-        &format!("{:.1}%", campaign.supportive_share() * 100.0),
+        &format!("{:.1}%", arc.campaign.supportive_share() * 100.0),
     ));
     out.push_str(&cmp_row(
         "strict improvement",
@@ -587,8 +568,8 @@ pub fn disclosure(env: &mut Env) -> String {
     ));
     out.push_str(&format!(
         "hosts fixed: {}, removed: {}\n",
-        plan.fixed.len(),
-        plan.removed.len()
+        arc.plan.fixed.len(),
+        arc.plan.removed.len()
     ));
     out
 }
@@ -770,6 +751,24 @@ mod tests {
         for unknown in ["", "all", "table2", "fig7_rank_regression", "nope"] {
             assert!(find(unknown).is_none(), "{unknown:?} resolves");
         }
+    }
+
+    #[test]
+    fn case_studies_are_scanned_and_indexed_once() {
+        let mut env = Env::with(0xCA5E, 0.02);
+        for key in [
+            "fig5_hosting",
+            "usa_case",
+            "rok_case",
+            "case_contrast",
+            "ev_issuers",
+        ] {
+            let (_, run) = find(key).expect("registered");
+            run(&mut env);
+        }
+        // The one walk is the index build; every figure reads the index.
+        assert_eq!(env.usa().scan.walks(), 1, "USA case-study scan");
+        assert_eq!(env.rok().scan.walks(), 1, "ROK case-study scan");
     }
 
     #[test]

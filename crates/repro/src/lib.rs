@@ -41,13 +41,15 @@ pub mod pipeline;
 pub mod snapshot;
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use govscan_analysis::aggregate::AggregateIndex;
 use govscan_scanner::{ScanDataset, StudyOutput, StudyPipeline};
+use govscan_worldgen::usa::UsaDataset;
 use govscan_worldgen::{World, WorldConfig};
 
 /// The shared experiment environment: one generated world plus the study
-/// pipeline output, with case-study scans computed lazily.
+/// pipeline output, with the two case studies scanned lazily.
 pub struct Env {
     /// The generated world (mutable: the disclosure experiment mutates it).
     pub world: World,
@@ -56,8 +58,28 @@ pub struct Env {
     /// Single-pass aggregation over the worldwide scan, built once by
     /// [`Env::with`] and shared by every experiment via [`Env::index`].
     aggregate: AggregateIndex,
-    usa_scan: Option<ScanDataset>,
-    rok_scan: Option<ScanDataset>,
+    usa: OnceLock<CaseStudy>,
+    rok: OnceLock<CaseStudy>,
+}
+
+/// One §6 case study: the scan of its host list and the one index every
+/// figure reads from it.
+pub struct CaseStudy {
+    /// The scan of the case study's host list.
+    pub scan: ScanDataset,
+    /// The aggregation index over [`Self::scan`].
+    pub index: AggregateIndex,
+    /// GSA hostname → dataset tags, the input metadata of Tables
+    /// A.1/A.2; empty for the ROK.
+    pub tags: BTreeMap<String, Vec<UsaDataset>>,
+}
+
+impl CaseStudy {
+    fn new(world: &World, hosts: &[String], tags: BTreeMap<String, Vec<UsaDataset>>) -> Self {
+        let scan = StudyPipeline::new(world).scan_list(hosts);
+        let index = AggregateIndex::build(&scan);
+        CaseStudy { scan, index, tags }
+    }
 }
 
 impl Env {
@@ -92,8 +114,8 @@ impl Env {
             world,
             study,
             aggregate: index,
-            usa_scan: None,
-            rok_scan: None,
+            usa: OnceLock::new(),
+            rok: OnceLock::new(),
         }
     }
 
@@ -104,35 +126,29 @@ impl Env {
         &self.aggregate
     }
 
-    /// The USA GSA case-study scan (computed once).
-    pub fn usa_scan(&mut self) -> &ScanDataset {
-        if self.usa_scan.is_none() {
-            let scan = StudyPipeline::new(&self.world).scan_list(&self.world.gsa_hosts);
-            self.usa_scan = Some(scan);
-        }
-        self.usa_scan.as_ref().expect("just set")
+    /// The USA GSA case study, scanned and indexed on first use. A first
+    /// use after the disclosure experiment scans the remediated world.
+    pub fn usa(&self) -> &CaseStudy {
+        self.usa.get_or_init(|| {
+            let tags = self
+                .world
+                .gsa_hosts
+                .iter()
+                .filter_map(|h| {
+                    self.world
+                        .record(h)
+                        .map(|r| (h.clone(), r.gsa_datasets.clone()))
+                })
+                .collect();
+            CaseStudy::new(&self.world, &self.world.gsa_hosts, tags)
+        })
     }
 
-    /// The South Korea Government24 case-study scan (computed once).
-    pub fn rok_scan(&mut self) -> &ScanDataset {
-        if self.rok_scan.is_none() {
-            let scan = StudyPipeline::new(&self.world).scan_list(&self.world.rok_hosts);
-            self.rok_scan = Some(scan);
-        }
-        self.rok_scan.as_ref().expect("just set")
-    }
-
-    /// GSA hostname → dataset tags (input metadata for Table A.1/A.2).
-    pub fn gsa_tags(&self) -> BTreeMap<String, Vec<govscan_worldgen::usa::UsaDataset>> {
-        self.world
-            .gsa_hosts
-            .iter()
-            .filter_map(|h| {
-                self.world
-                    .record(h)
-                    .map(|r| (h.clone(), r.gsa_datasets.clone()))
-            })
-            .collect()
+    /// The South Korea Government24 case study, scanned and indexed on
+    /// first use, as [`Env::usa`] is.
+    pub fn rok(&self) -> &CaseStudy {
+        self.rok
+            .get_or_init(|| CaseStudy::new(&self.world, &self.world.rok_hosts, BTreeMap::new()))
     }
 }
 

@@ -34,28 +34,8 @@ pub fn scan_to(out: &Path) -> Result<String> {
 /// scan (previously-invalid + previously-unreachable pools) to `after`.
 /// `diff` over the two files then reproduces Figure 13 offline.
 pub fn rescan_to(before: &Path, after: &Path) -> Result<String> {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
     let mut env = Env::load();
-    let mut rng = StdRng::seed_from_u64(env.world.config.seed ^ 0xD15C);
-    let campaign =
-        govscan_disclosure::campaign::run(&env.study.scan, &mut rng, env.world.config.seed);
-    let unreachable: Vec<String> = env
-        .index()
-        .hosts
-        .iter()
-        .filter(|h| !h.available)
-        .map(|h| h.hostname.clone())
-        .collect();
-    govscan_disclosure::remediation::apply(
-        &mut env.world,
-        &env.study.scan,
-        &unreachable,
-        &campaign,
-        &mut rng,
-    );
-    let followup = govscan_disclosure::followup_scan(&env.world, &env.study.scan, &unreachable);
+    let followup = govscan_disclosure::run_arc(&mut env.world, &env.study.scan).followup;
     let b = Snapshot::write_file(before, &env.study.scan)?;
     let a = Snapshot::write_file(after, &followup)?;
     Ok(format!(

@@ -80,8 +80,8 @@ fn usa_and_rok_case_study_ordering() {
         .iter()
         .filter_map(|h| world.record(h).map(|r| (h.clone(), r.gsa_datasets.clone())))
         .collect();
-    let usa = analysis::casestudy::build_usa(&usa_scan, &tags);
-    let rok = analysis::casestudy::build_rok(&rok_scan);
+    let usa = analysis::casestudy::build_usa(&AggregateIndex::build(&usa_scan), &tags);
+    let rok = analysis::casestudy::build_rok(&AggregateIndex::build(&rok_scan));
     let u = usa.overall.headline_valid_rate().fraction();
     let k = rok.headline_valid_rate().fraction();
     // Paper: 81.12% vs 37.95% — a gap of ≈2×.

@@ -13,6 +13,10 @@
 //! one addressable epoch each; a chain whose deltas fail to resolve
 //! keeps its healthy prefix serving while requests naming the broken
 //! part answer 400 with the typed store error.
+//!
+//! The worker pool is sized by `GOVSCAN_THREADS`, as every pool in the
+//! workspace is. An unknown argument, or a flag left without its value,
+//! is a usage error (exit status 2).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -26,18 +30,16 @@ use govscan_serve::{ServeState, Server};
 struct Args {
     chains: Vec<ChainSpec>,
     port: u16,
-    threads: usize,
     self_check: bool,
 }
 
 const USAGE: &str = "usage: govscan-serve --archive <path> [--delta <path>...] ... \
-                     [--port N] [--threads N] [--self-check]";
+                     [--port N] [--self-check]";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         chains: Vec::new(),
         port: 0,
-        threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
         self_check: false,
     };
     let mut it = std::env::args().skip(1);
@@ -67,11 +69,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad --port: {e}"))?;
             }
-            "--threads" => {
-                args.threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("bad --threads: {e}"))?;
-            }
             "--self-check" => args.self_check = true,
             "--help" | "-h" => return Err(USAGE.to_owned()),
             other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
@@ -88,7 +85,7 @@ fn main() -> ExitCode {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("{msg}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
     let state = match ServeState::load_chains(&args.chains) {
@@ -115,7 +112,8 @@ fn main() -> ExitCode {
             b.chain, b.detail
         );
     }
-    let server = match Server::bind(("127.0.0.1", args.port), Arc::clone(&state), args.threads) {
+    let threads = govscan_exec::resolve_threads("GOVSCAN_THREADS");
+    let server = match Server::bind(("127.0.0.1", args.port), Arc::clone(&state), threads) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("failed to bind: {e}");

@@ -20,7 +20,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use govscan_analysis::aggregate::AggregateIndex;
-use govscan_analysis::{choropleth, table2, trend};
+use govscan_analysis::choropleth::{self, CountryRow};
+use govscan_analysis::{table2, trend};
 use govscan_exec::WorkerPool;
 use govscan_scanner::ErrorCategory;
 use govscan_store::{diff_datasets, Delta, Result, Snapshot, StoreError};
@@ -429,8 +430,7 @@ impl ServeState {
         let cc = cc.to_ascii_lowercase();
         self.cached(format!("country:{cc}:{}", archive.digest_hex), || {
             let index = archive.index().map_err(|e| store_error(&e))?;
-            let map = choropleth::build_from_index(&index);
-            let row = map.rows.get(cc.as_str()).ok_or_else(|| {
+            let members = index.by_country.get(cc.as_str()).ok_or_else(|| {
                 error(
                     404,
                     "unknown_country",
@@ -440,14 +440,12 @@ impl ServeState {
                     ),
                 )
             })?;
+            let mut row = CountryRow::default();
             let mut hsts = 0u64;
             let mut errors: Vec<(ErrorCategory, u64)> = Vec::new();
-            let mut hostnames = Vec::new();
-            for host in index
-                .hosts
-                .iter()
-                .filter(|h| h.country.is_some_and(|c| c == cc))
-            {
+            let mut hostnames = Vec::with_capacity(members.len());
+            for host in members.iter().map(|&pos| index.host(pos)) {
+                row.add(host);
                 hsts += u64::from(host.hsts);
                 if let Some(cat) = host.error {
                     match errors.iter_mut().find(|(c, _)| *c == cat) {
@@ -462,7 +460,7 @@ impl ServeState {
             Ok(CountryResponse {
                 snapshot: archive.digest_hex.clone(),
                 country: cc.clone(),
-                row: *row,
+                row,
                 hsts,
                 errors,
                 hostnames,

@@ -128,8 +128,6 @@ pub struct EpochHost {
     pub window: Option<(Time, i64)>,
     /// Received a disclosure notice at the disclosure epoch.
     pub disclosed: bool,
-    /// Epoch of the last behaviour change (0 = base world).
-    pub changed_epoch: u32,
 }
 
 impl EpochHost {
@@ -200,7 +198,6 @@ impl MonitorPlan {
                     generation: 0,
                     window,
                     disclosed: false,
-                    changed_epoch: 0,
                 }
             })
             .collect()
@@ -259,7 +256,6 @@ impl MonitorPlan {
                         h.record.issuer = None;
                         h.generation += 1;
                         h.window = Some(valid_window(seeder, &hostname, h.generation, now, true));
-                        h.changed_epoch = epoch;
                     }
                 }
                 // 3. Adoption: notified http-only hosts deploy https.
@@ -274,7 +270,6 @@ impl MonitorPlan {
                         };
                         h.generation += 1;
                         h.window = Some(valid_window(seeder, &hostname, h.generation, now, true));
-                        h.changed_epoch = epoch;
                     }
                 }
                 // 4. Renewal: in-horizon valid hosts reissue; HSTS may
@@ -298,7 +293,6 @@ impl MonitorPlan {
                         h.record.issuer = None;
                         h.generation += 1;
                         h.window = Some(valid_window(seeder, &hostname, h.generation, now, true));
-                        h.changed_epoch = epoch;
                     }
                 }
                 Posture::Unreachable => {}
@@ -369,7 +363,6 @@ impl MonitorPlan {
                     generation: 0,
                     window,
                     disclosed: false,
-                    changed_epoch: epoch,
                 });
             }
         }
