@@ -210,55 +210,6 @@ impl TrendSeries {
         }
         out
     }
-
-    /// The series as a JSON array (one object per epoch), for `monitor
-    /// --json`. (`govscan-serve`'s `/trends` encodes each point through
-    /// its own `api::epoch_point_json`.)
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("[");
-        for (i, p) in self.points.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                concat!(
-                    "{{\"label\":\"{}\",\"scan_time\":{},\"hosts\":{},",
-                    "\"available\":{},\"attempting\":{},\"valid\":{},",
-                    "\"validity\":{:.4},\"hsts\":{},\"errors\":{{"
-                ),
-                p.label.replace('\\', "\\\\").replace('"', "\\\""),
-                p.scan_time.map_or("null".to_string(), |t| t.0.to_string()),
-                p.hosts,
-                p.available,
-                p.attempting,
-                p.valid,
-                p.validity(),
-                p.hsts,
-            );
-            for (j, (label, count)) in p.errors.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{label}\":{count}");
-            }
-            out.push_str("},\"by_country\":{");
-            for (j, (cc, c)) in p.by_country.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "\"{cc}\":{{\"hosts\":{},\"available\":{},\"attempting\":{},\"valid\":{}}}",
-                    c.hosts, c.available, c.attempting, c.valid
-                );
-            }
-            out.push_str("}}");
-        }
-        out.push(']');
-        out
-    }
 }
 
 #[cfg(test)]
@@ -299,10 +250,6 @@ mod tests {
         let rendered = series.render();
         assert!(rendered.contains("epoch 0"), "{rendered}");
         assert!(rendered.contains("Error mix by epoch"), "{rendered}");
-        let json = series.to_json();
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert!(json.contains("\"label\":\"epoch 1\""), "{json}");
-        assert!(json.contains("\"validity\":"), "{json}");
         // Identical epochs must produce identical points.
         assert_eq!(series.points[0].errors, series.points[1].errors);
         assert_eq!(series.error_labels().len(), series.points[0].errors.len());

@@ -2,9 +2,10 @@
 //!
 //! The workspace's shared parallel executor: [`par_map`] and
 //! [`par_map_indexed`] for batch work (world generation, the scan
-//! engine, the monitor's shards), [`pipeline::run`] for the
-//! streamed producer/consumer pipeline, and [`WorkerPool`] for the
-//! daemon.
+//! engine, the monitor's shards) and [`pipeline::run`] for the
+//! streamed producer/consumer pipeline. Both start only
+//! `std::thread::scope` threads, as the query daemon and the
+//! distributed coordinator do for their connections.
 //!
 //! ## One claim protocol
 //!
@@ -31,9 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod pipeline;
-pub mod pool;
-
-pub use pool::WorkerPool;
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -8,15 +8,15 @@
 //! continue the shard order from the [`LeaseTable`] and appends them to
 //! a [`SnapshotWriter`], so the archive is byte-identical to the
 //! streamed pipeline's, which appends the same shards in the same
-//! order.
+//! order. Each accepted connection runs on a scoped thread of its own
+//! against the borrowed table, and the scope joins them all before
+//! [`Coordinator::run`] returns.
 
 use std::io::{Seek, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use govscan_exec::WorkerPool;
 use govscan_store::{Snapshot, SnapshotWriter};
 
 use crate::lease::{LeaseTable, OrchestrationStats};
@@ -26,8 +26,9 @@ use crate::{OrchestrateError, Result};
 /// Tunables for one orchestrated scan.
 #[derive(Debug, Clone)]
 pub struct OrchestratorConfig {
-    /// Expected worker connections, and the size of the pool of
-    /// connection handlers.
+    /// Expected worker connections: the run reports the fleet lost
+    /// only once this many have connected and gone, or
+    /// `startup_timeout` has passed.
     pub workers: usize,
     /// How long a granted lease lives before it expires and is
     /// re-issued.
@@ -69,13 +70,13 @@ pub struct OrchestrationReport {
 }
 
 /// The socket-mode coordinator: accepts worker connections and serves
-/// each one the Request/Grant/Result loop through a
-/// [`govscan_exec::WorkerPool`] of connection handlers.
+/// each one the Request/Grant/Result loop on a scoped thread of its
+/// own.
 pub struct Coordinator {
     listener: TcpListener,
     hosts: u64,
     config: OrchestratorConfig,
-    table: Arc<LeaseTable>,
+    table: LeaseTable,
 }
 
 impl Coordinator {
@@ -90,7 +91,7 @@ impl Coordinator {
     ) -> Result<Coordinator> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
-        let table = Arc::new(LeaseTable::new(shards, config.lease_timeout));
+        let table = LeaseTable::new(shards, config.lease_timeout);
         Ok(Coordinator {
             listener,
             hosts,
@@ -119,82 +120,79 @@ impl Coordinator {
             config,
             table,
         } = self;
-        let live = Arc::new(AtomicUsize::new(0));
-        let handler = {
-            let table = Arc::clone(&table);
-            let live = Arc::clone(&live);
-            let grace = config.result_grace;
-            move |stream: TcpStream| {
-                // Connection failures are per-worker events, fully
-                // accounted for in the lease table (abandons); the run
-                // itself only fails if *no* worker can finish.
-                let _ = serve_worker(&table, grace, stream);
-                live.fetch_sub(1, Ordering::SeqCst);
-            }
-        };
-        let pool = WorkerPool::new(config.workers.max(1), handler);
+        let live = AtomicUsize::new(0);
         let started = Instant::now();
         let mut seen = 0usize;
-        let mut drained = 0usize;
         let mut archived = 0u64;
-        let outcome = 'run: loop {
-            let ready = table.take_ready();
-            drained += ready.len();
-            for dataset in ready {
-                archived += dataset.len() as u64;
-                if let Err(e) = writer.append_records(dataset.records()) {
-                    break 'run Err(e.into());
-                }
-            }
-            if drained == table.shard_count() {
-                break Ok(());
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(false).is_err() || stream.set_nodelay(true).is_err() {
-                        continue; // connection already dead
-                    }
-                    let _ = stream.set_write_timeout(Some(config.result_grace));
-                    seen += 1;
-                    live.fetch_add(1, Ordering::SeqCst);
-                    if !pool.submit(stream) {
-                        live.fetch_sub(1, Ordering::SeqCst);
+        std::thread::scope(|s| {
+            let mut drained = 0usize;
+            let outcome = 'run: loop {
+                let ready = table.take_ready();
+                drained += ready.len();
+                for dataset in ready {
+                    archived += dataset.len() as u64;
+                    if let Err(e) = writer.append_records(dataset.records()) {
+                        break 'run Err(e.into());
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    // `live` only decrements after a handler has pushed
-                    // its final commit/abandon, so live == 0 means the
-                    // table already reflects everything those workers
-                    // will ever contribute.
-                    if live.load(Ordering::SeqCst) == 0 && !table.is_complete() {
-                        if seen >= config.workers {
-                            break Err(OrchestrateError::WorkersLost {
-                                detail: format!(
-                                    "all {seen} worker connections ended with shards uncommitted"
-                                ),
-                            });
+                if drained == table.shard_count() {
+                    break Ok(());
+                }
+                match listener.accept() {
+                    Ok((stream, _)) => {
+                        if stream.set_nonblocking(false).is_err()
+                            || stream.set_nodelay(true).is_err()
+                        {
+                            continue; // connection already dead
                         }
-                        if started.elapsed() > config.startup_timeout {
-                            break Err(OrchestrateError::WorkersLost {
-                                detail: format!(
-                                    "{seen} of {} workers connected within {:?}",
-                                    config.workers, config.startup_timeout
-                                ),
-                            });
-                        }
+                        let _ = stream.set_write_timeout(Some(config.result_grace));
+                        seen += 1;
+                        live.fetch_add(1, Ordering::SeqCst);
+                        let (table, live, grace) = (&table, &live, config.result_grace);
+                        s.spawn(move || {
+                            // Connection failures are per-worker events,
+                            // fully accounted for in the lease table
+                            // (abandons); the run itself only fails if
+                            // *no* worker can finish.
+                            let _ = serve_worker(table, grace, stream);
+                            live.fetch_sub(1, Ordering::SeqCst);
+                        });
                     }
-                    std::thread::sleep(Duration::from_millis(5));
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                        // `live` only decrements after a handler has
+                        // pushed its final commit/abandon, so live == 0
+                        // means the table already reflects everything
+                        // those workers will ever contribute.
+                        if live.load(Ordering::SeqCst) == 0 && !table.is_complete() {
+                            if seen >= config.workers {
+                                break Err(OrchestrateError::WorkersLost {
+                                    detail: format!(
+                                        "all {seen} worker connections ended with shards uncommitted"
+                                    ),
+                                });
+                            }
+                            if started.elapsed() > config.startup_timeout {
+                                break Err(OrchestrateError::WorkersLost {
+                                    detail: format!(
+                                        "{seen} of {} workers connected within {:?}",
+                                        config.workers, config.startup_timeout
+                                    ),
+                                });
+                            }
+                        }
+                        std::thread::sleep(Duration::from_millis(5));
+                    }
+                    Err(e) => break Err(e.into()),
                 }
-                Err(e) => break Err(e.into()),
+            };
+            drop(listener);
+            if outcome.is_err() {
+                // Unblock handlers waiting in acquire before the scope
+                // joins them.
+                table.fail();
             }
-        };
-        drop(listener);
-        if outcome.is_err() {
-            // Unblock handlers waiting in acquire so the pool drains.
-            table.fail();
-        }
-        pool.join();
-        outcome?;
+            outcome
+        })?;
         if archived != hosts {
             return Err(OrchestrateError::Coverage {
                 detail: format!("archived {archived} hosts of the plan's {hosts}"),

@@ -9,13 +9,10 @@
 
 use govscan_analysis::{casestudy, choropleth, hosting, issuers, table2};
 use govscan_disclosure::{rescan_from_datasets, run_arc};
-use govscan_repro::Env;
+use govscan_repro::{parse_scale, Env};
 
 fn main() {
-    let scale: f64 = std::env::var("GOVSCAN_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.015);
+    let scale = parse_scale(std::env::var("GOVSCAN_SCALE").ok().as_deref(), 0.015);
     // The world, the study pipeline and one aggregation index, which
     // serves every worldwide figure below.
     let mut env = Env::with(42, scale);

@@ -16,7 +16,6 @@ use std::process::ExitCode;
 
 use govscan_repro::distributed::{self, Options};
 use govscan_repro::env_params;
-use govscan_worldgen::WorldConfig;
 
 fn usage() -> ExitCode {
     eprintln!("usage: distributed [--workers N] [--inject-death] [--out <path>]");
@@ -54,10 +53,7 @@ fn main() -> ExitCode {
             _ => return usage(),
         }
     }
-    let (seed, scale) = env_params();
-    let mut config = WorldConfig::paper_scale(seed);
-    config.scale = scale;
-    match distributed::run(&config, &opts) {
+    match distributed::run(&env_params(), &opts) {
         Ok(report) => {
             println!("== distributed scan ==");
             print!("{report}");

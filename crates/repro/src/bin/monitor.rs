@@ -3,7 +3,7 @@
 //! ```text
 //! monitor --epochs 12 --out-dir chain/            weekly epochs, delta chain
 //! monitor --epochs 4 --self-check                 digest-prove every epoch
-//! monitor --epochs 12 --json                      trend series as JSON
+//! monitor --epochs 12 --json                      trend series as JSON (`/trends`' points)
 //! ```
 //!
 //! Runs the baseline full scan plus `--epochs` weekly epochs of the
@@ -25,7 +25,9 @@ use std::process::ExitCode;
 
 use govscan_monitor::{Monitor, MonitorConfig};
 use govscan_repro::env_params;
-use govscan_worldgen::{EvolveConfig, WorldConfig};
+use govscan_serve::api::epoch_point_json;
+use govscan_serve::json::Json;
+use govscan_worldgen::EvolveConfig;
 
 fn usage() -> ExitCode {
     eprintln!("usage: monitor [--epochs <N>] [--out-dir <dir>] [--self-check] [--json]");
@@ -55,13 +57,13 @@ fn main() -> ExitCode {
         }
     }
 
-    let (seed, scale) = env_params();
+    let world = env_params();
     let threads = govscan_exec::resolve_threads("GOVSCAN_THREADS");
-    let mut world = WorldConfig::paper_scale(seed);
-    world.scale = scale;
     eprintln!(
-        "[govscan] monitor: seed={seed}, scale={scale}, {epochs} weekly epochs, \
+        "[govscan] monitor: seed={}, scale={}, {epochs} weekly epochs, \
          {threads} threads{}, sha256={}",
+        world.seed,
+        world.scale,
         if self_check { ", self-check" } else { "" },
         govscan_crypto::sha256::kernel()
     );
@@ -77,7 +79,8 @@ fn main() -> ExitCode {
     match monitor.run() {
         Ok(report) => {
             if json {
-                println!("{}", report.trends.to_json());
+                let points = report.trends.points.iter().map(epoch_point_json);
+                println!("{}", Json::array(points).encode());
             } else {
                 print!("{}", report.render());
                 print!("{}", report.trends.render());

@@ -18,7 +18,6 @@ use std::process::ExitCode;
 
 use govscan_repro::env_params;
 use govscan_repro::pipeline::{materialize_scan_archive, stream_scan_archive};
-use govscan_worldgen::WorldConfig;
 
 fn usage() -> ExitCode {
     eprintln!("usage: pipeline --out <path> [--shard-window <K>] [--self-check]");
@@ -46,13 +45,12 @@ fn main() -> ExitCode {
         return usage();
     };
 
-    let (seed, scale) = env_params();
-    let mut config = WorldConfig::paper_scale(seed);
-    config.scale = scale;
-
+    let config = env_params();
     let threads = govscan_exec::resolve_threads("GOVSCAN_THREADS");
     eprintln!(
-        "[pipeline] seed={seed} scale={scale} window={window} threads={threads} sha256={}",
+        "[pipeline] seed={} scale={} window={window} threads={threads} sha256={}",
+        config.seed,
+        config.scale,
         govscan_crypto::sha256::kernel()
     );
 

@@ -85,8 +85,8 @@ impl CaseStudy {
 impl Env {
     /// Build from `GOVSCAN_SCALE` / `GOVSCAN_SEED`.
     pub fn load() -> Env {
-        let (seed, scale) = env_params();
-        Self::with(seed, scale)
+        let config = env_params();
+        Self::with(config.seed, config.scale)
     }
 
     /// Build with explicit parameters.
@@ -152,24 +152,50 @@ impl Env {
     }
 }
 
-/// `(seed, scale)` from `GOVSCAN_SEED` / `GOVSCAN_SCALE`, with the
-/// documented defaults. A scale that is not finite and positive counts
-/// as unparsable: an infinite one would size every population at
-/// `u64::MAX`.
-pub fn env_params() -> (u64, f64) {
-    let scale: f64 = std::env::var("GOVSCAN_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|s: &f64| s.is_finite() && *s > 0.0)
-        .unwrap_or(0.2);
+/// The world `GOVSCAN_SEED` / `GOVSCAN_SCALE` name, with the documented
+/// defaults: the paper-scale config at that seed, at that scale.
+pub fn env_params() -> WorldConfig {
     let seed: u64 = std::env::var("GOVSCAN_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0x60765CA9);
-    (seed, scale)
+    let mut config = WorldConfig::paper_scale(seed);
+    config.scale = parse_scale(std::env::var("GOVSCAN_SCALE").ok().as_deref(), 0.2);
+    config
+}
+
+/// A `GOVSCAN_SCALE` value as a world scale: the number it parses to if
+/// that is finite and positive, else `default`. Zero or a negative scale
+/// would build a near-empty world, and an infinite one would size every
+/// population at `u64::MAX`.
+pub fn parse_scale(value: Option<&str>, default: f64) -> f64 {
+    value
+        .and_then(|s| s.parse().ok())
+        .filter(|s: &f64| s.is_finite() && *s > 0.0)
+        .unwrap_or(default)
 }
 
 /// Format a paper-vs-measured row.
 pub fn cmp_row(label: &str, paper: &str, measured: &str) -> String {
     format!("  {label:<48} paper={paper:<18} measured={measured}\n")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_scale;
+
+    #[test]
+    fn scale_falls_back_unless_finite_and_positive() {
+        for value in [
+            Some("0"),
+            Some("-1"),
+            Some("nan"),
+            Some("inf"),
+            Some("abc"),
+            None,
+        ] {
+            assert_eq!(parse_scale(value, 0.2), 0.2, "{value:?}");
+        }
+        assert_eq!(parse_scale(Some("0.5"), 0.2), 0.5);
+    }
 }

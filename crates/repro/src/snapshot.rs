@@ -13,7 +13,7 @@ use govscan_analysis::aggregate::AggregateIndex;
 use govscan_analysis::{choropleth, durations, ev, hsts, issuers, keys, reuse, table2};
 use govscan_store::{diff_snapshot_files, Delta, Result, Snapshot, DELTA_MAGIC, MAGIC};
 
-use crate::Env;
+use crate::{experiments, Env};
 
 /// Run the study and archive the worldwide scan to `out`.
 ///
@@ -47,47 +47,33 @@ pub fn rescan_to(before: &Path, after: &Path) -> Result<String> {
     ))
 }
 
-/// Render the paper-figure report set from one dataset index.
-///
-/// Shared by the live and snapshot-backed paths, so "report from a
-/// file" is byte-for-byte the same renderer as "report from a scan".
+/// Render the paper-figure report set from one dataset index. Each
+/// section is titled with the registry label of the experiment whose
+/// figure it renders ([`experiments::all`]), so `snapshot report` names
+/// its sections as `repro` does.
 pub fn render_report(index: &AggregateIndex) -> String {
     let sections: [(&str, String); 8] = [
+        ("table2_worldwide", table2::build_from_index(index).render()),
         (
-            "Table 2: worldwide https",
-            table2::build_from_index(index).render(),
-        ),
-        (
-            "Figure 1: valid share by country",
+            "fig1_choropleth",
             choropleth::build_from_index(index).render(),
         ),
         (
-            "Figure 2: issuers",
+            "fig2_issuers",
             issuers::build_from_index(index, 40).render(),
         ),
         (
-            "Figure 3: validity durations",
+            "fig3_durations",
             durations::build_from_index(index).render(),
         ),
-        (
-            "Figure 4: key algorithms",
-            keys::build_from_index(index).render(),
-        ),
-        (
-            "§5.3.4: key/cert reuse",
-            reuse::build_from_index(index).render(),
-        ),
-        (
-            "§6.1: HSTS adoption",
-            hsts::build_from_index(index).render(),
-        ),
-        (
-            "§5.3.3: EV certificates",
-            ev::build_from_index(index).render(),
-        ),
+        ("fig4_keys", keys::build_from_index(index).render()),
+        ("reuse_keys", reuse::build_from_index(index).render()),
+        ("hsts_adoption", hsts::build_from_index(index).render()),
+        ("ev_issuers", ev::build_from_index(index).render()),
     ];
     let mut out = String::new();
-    for (title, body) in sections {
+    for (key, body) in sections {
+        let (title, _) = experiments::find(key).expect("every section is a registered experiment");
         out.push_str("--- ");
         out.push_str(title);
         out.push_str(" ---\n");
@@ -140,4 +126,35 @@ pub fn diff_files(before: &Path, after: &Path) -> Result<String> {
     out.push_str("-- §7.2.2 effectiveness (Figure 13) --\n");
     out.push_str(&govscan_disclosure::rescan_from_snapshots(before, after)?.render());
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use govscan_pki::Time;
+    use govscan_scanner::ScanDataset;
+
+    use super::*;
+
+    #[test]
+    fn report_sections_carry_the_registry_labels() {
+        let index = AggregateIndex::build(&ScanDataset::new(Vec::new(), Time(0)));
+        let report = render_report(&index);
+        let titles: Vec<&str> = report
+            .lines()
+            .filter_map(|line| line.strip_prefix("--- ")?.strip_suffix(" ---"))
+            .collect();
+        assert_eq!(
+            titles,
+            [
+                "table2_worldwide (Table 2)",
+                "fig1_choropleth (Figure 1)",
+                "fig2_issuers (Figure 2)",
+                "fig3_durations (Figure 3, §5.3.1)",
+                "fig4_keys (Figure 4, §5.3.2)",
+                "reuse_keys (§5.3.3)",
+                "hsts_adoption (extension, §8.2)",
+                "ev_issuers (Figures A.2/A.3/A.6)",
+            ]
+        );
+    }
 }

@@ -6,8 +6,13 @@
 //! --bogus` once ran the whole study and wrote the archive, and
 //! `snapshot info x.snap --whatever` and `repro table2_worldwide --bogus`
 //! each exited 0.
+//!
+//! `monitor --json` prints the trend series through the daemon's JSON
+//! encoder, as the points `/trends` serves.
 
 use std::process::Command;
+
+use govscan_serve::json::{self, Json};
 
 #[test]
 fn unknown_arguments_and_flags_without_values_are_usage_errors() {
@@ -52,5 +57,46 @@ fn unknown_arguments_and_flags_without_values_are_usage_errors() {
         assert!(stderr.starts_with(usage), "{binary} {args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{binary} {args:?} printed a report");
         assert!(!archive.exists(), "{binary} {args:?} wrote an archive");
+    }
+}
+
+#[test]
+fn monitor_json_prints_the_trends_points() {
+    let out = Command::new(env!("CARGO_BIN_EXE_monitor"))
+        .args(["--epochs", "1", "--json"])
+        .env("GOVSCAN_SCALE", "0.01")
+        .output()
+        .expect("the binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "monitor --epochs 1 --json: {stderr}");
+    let stdout = String::from_utf8(out.stdout).expect("UTF-8 stdout");
+    let series =
+        json::parse(stdout.trim_end()).unwrap_or_else(|e| panic!("bad JSON ({e}): {stdout}"));
+    let points = series.as_array().expect("a JSON array");
+    let labels: Vec<_> = points
+        .iter()
+        .map(|p| p.get("label").and_then(Json::as_str))
+        .collect();
+    assert_eq!(labels, [Some("epoch 0"), Some("epoch 1")]);
+    for point in points {
+        let Json::Object(pairs) = point else {
+            panic!("a point is an object: {point:?}");
+        };
+        let keys: Vec<&str> = pairs.iter().map(|(key, _)| key.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "label",
+                "scan_time",
+                "hosts",
+                "available",
+                "attempting",
+                "valid",
+                "validity",
+                "hsts",
+                "errors",
+                "by_country",
+            ]
+        );
     }
 }

@@ -415,7 +415,9 @@ impl TrendsResponse {
     }
 }
 
-fn epoch_point_json(p: &EpochPoint) -> Json {
+/// One trend point as JSON: the element of `/trends`' `points` array,
+/// and of the array `monitor --json` prints.
+pub fn epoch_point_json(p: &EpochPoint) -> Json {
     Json::object([
         ("label", Json::from(p.label.as_str())),
         ("scan_time", Json::from(p.scan_time.map(|t| t.0))),

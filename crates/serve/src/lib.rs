@@ -27,8 +27,8 @@
 //!   build these and never format strings inline.
 //! - [`server`] — archive registry, routing ([`ServeState::respond`]
 //!   is a pure function, tested without sockets), a digest-keyed
-//!   rendered-report cache, and the accept loop fanning out over a
-//!   [`govscan_exec::WorkerPool`].
+//!   rendered-report cache, and the scoped threads that each accept
+//!   from the one listener.
 //!
 //! Everything is `std`-only: no async runtime, no serde, no HTTP
 //! framework.

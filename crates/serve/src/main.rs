@@ -14,9 +14,9 @@
 //! keeps its healthy prefix serving while requests naming the broken
 //! part answer 400 with the typed store error.
 //!
-//! The worker pool is sized by `GOVSCAN_THREADS`, as every pool in the
-//! workspace is. An unknown argument, or a flag left without its value,
-//! is a usage error (exit status 2).
+//! `GOVSCAN_THREADS` sets the number of serving threads, as it sets
+//! every thread count in the workspace. An unknown argument, or a flag
+//! left without its value, is a usage error (exit status 2).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -143,9 +143,8 @@ fn main() -> ExitCode {
 /// Hit every endpoint against a live socket, verify each answer is
 /// well-formed JSON with the expected status, then shut down cleanly.
 /// Exercises the same code paths as production serving — the routing,
-/// the worker pool, and the real TCP layer.
+/// the serving threads, and the real TCP layer.
 fn self_check(server: Server, state: &ServeState, addr: std::net::SocketAddr) -> ExitCode {
-    let thread = std::thread::spawn(move || server.run());
     let first = &state.archives()[0];
     let mut paths = vec![
         "/snapshots".to_owned(),
@@ -175,43 +174,47 @@ fn self_check(server: Server, state: &ServeState, addr: std::net::SocketAddr) ->
             return ExitCode::FAILURE;
         }
     }
-    let mut failed = false;
-    for path in &paths {
-        match http::get(addr, path) {
-            Ok((200, body)) if json::parse(&body).is_ok() => {
-                eprintln!("ok   GET {path} ({} bytes)", body.len());
-            }
-            Ok((status, body)) => {
-                eprintln!("FAIL GET {path}: status {status}, body {body:.100}");
-                failed = true;
-            }
-            Err(e) => {
-                eprintln!("FAIL GET {path}: {e}");
-                failed = true;
+    let failed = std::thread::scope(|s| {
+        let thread = s.spawn(move || server.run());
+        let mut failed = false;
+        for path in &paths {
+            match http::get(addr, path) {
+                Ok((200, body)) if json::parse(&body).is_ok() => {
+                    eprintln!("ok   GET {path} ({} bytes)", body.len());
+                }
+                Ok((status, body)) => {
+                    eprintln!("FAIL GET {path}: status {status}, body {body:.100}");
+                    failed = true;
+                }
+                Err(e) => {
+                    eprintln!("FAIL GET {path}: {e}");
+                    failed = true;
+                }
             }
         }
-    }
-    let (hits, misses) = state.cache_stats();
-    eprintln!("report cache: {hits} hits, {misses} misses");
-    if hits == 0 {
-        eprintln!("FAIL: repeated /table2 was not served from the report cache");
-        failed = true;
-    }
-    if let Err(e) = http::get(addr, "/shutdown") {
-        eprintln!("FAIL GET /shutdown: {e}");
-        failed = true;
-    }
-    match thread.join() {
-        Ok(Ok(())) => {}
-        Ok(Err(e)) => {
-            eprintln!("FAIL: server exited with error: {e}");
+        let (hits, misses) = state.cache_stats();
+        eprintln!("report cache: {hits} hits, {misses} misses");
+        if hits == 0 {
+            eprintln!("FAIL: repeated /table2 was not served from the report cache");
             failed = true;
         }
-        Err(_) => {
-            eprintln!("FAIL: server thread panicked");
+        if let Err(e) = http::get(addr, "/shutdown") {
+            eprintln!("FAIL GET /shutdown: {e}");
             failed = true;
         }
-    }
+        match thread.join() {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => {
+                eprintln!("FAIL: server exited with error: {e}");
+                failed = true;
+            }
+            Err(_) => {
+                eprintln!("FAIL: server thread panicked");
+                failed = true;
+            }
+        }
+        failed
+    });
     if failed {
         ExitCode::FAILURE
     } else {

@@ -3,8 +3,8 @@
 //! [`ServeState::respond`] is a pure `Request -> Response` function so
 //! the integration tests and the `--self-check` mode exercise the exact
 //! production routing without a socket. [`Server`] adds the TCP layer:
-//! an accept loop that fans connections out across a
-//! [`govscan_exec::WorkerPool`], one exchange per connection.
+//! scoped threads that each accept from the shared listener, one
+//! exchange per connection.
 //!
 //! Rendered reports (`/table2`, `/choropleth`, `/countries/{cc}`,
 //! `/diff`) are cached keyed by the owning archive's content digest.
@@ -22,7 +22,6 @@ use std::time::Duration;
 use govscan_analysis::aggregate::AggregateIndex;
 use govscan_analysis::choropleth::{self, CountryRow};
 use govscan_analysis::{table2, trend};
-use govscan_exec::WorkerPool;
 use govscan_scanner::ErrorCategory;
 use govscan_store::{diff_datasets, Delta, Result, Snapshot, StoreError};
 
@@ -585,10 +584,10 @@ fn malformed_chain(b: &BrokenChain) -> Response {
 }
 
 /// Default per-socket I/O timeout: generous for a local JSON API, small
-/// enough that a stalled peer can't pin a pool worker for long.
+/// enough that a stalled peer can't pin a serving thread for long.
 const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// The TCP front: accept loop fanning connections out to a worker pool.
+/// The TCP front: `threads` scoped threads accepting from one listener.
 pub struct Server {
     listener: TcpListener,
     state: Arc<ServeState>,
@@ -614,7 +613,7 @@ impl Server {
 
     /// Override the per-socket read/write timeout (floored at 1ms —
     /// `set_read_timeout(Some(0))` is an error). Tests use this to
-    /// prove a dead-silent connection frees its worker quickly.
+    /// prove a dead-silent connection frees its thread quickly.
     pub fn with_io_timeout(mut self, timeout: Duration) -> Server {
         self.io_timeout = timeout.max(Duration::from_millis(1));
         self
@@ -625,54 +624,63 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Serve until a `GET /shutdown` arrives. Each accepted connection
-    /// is handed to the pool; a worker reads one request, routes it,
-    /// writes one response, and closes. Every accepted socket carries a
-    /// read/write timeout, so a client that connects and goes silent
-    /// (or stops draining its response) costs a worker at most
-    /// `io_timeout` per direction instead of pinning it forever.
-    /// Shutdown sets a flag and self-connects so the blocked `accept`
-    /// wakes up and observes it.
+    /// Serve until a `GET /shutdown` arrives. Each of `threads` scoped
+    /// threads accepts from the shared listener, reads one request,
+    /// routes it, writes one response, and closes. Every accepted socket
+    /// carries a read/write timeout, so a client that connects and goes
+    /// silent (or stops draining its response) costs a thread at most
+    /// `io_timeout` per direction instead of pinning it forever. The
+    /// thread that answers `/shutdown` sets a flag and self-connects
+    /// once per other thread, so each one blocked in `accept` wakes and
+    /// observes it. A handler panic reaches the caller when the scope
+    /// joins.
     pub fn run(self) -> std::io::Result<()> {
-        let stop = Arc::new(AtomicBool::new(false));
         let addr = self.local_addr()?;
-        let state = Arc::clone(&self.state);
-        let stop_handler = Arc::clone(&stop);
-        let pool = WorkerPool::new(self.threads, move |mut stream: TcpStream| {
-            handle(&state, &stop_handler, addr, &mut stream);
-        });
-        for conn in self.listener.incoming() {
-            if stop.load(Ordering::SeqCst) {
-                break;
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for _ in 0..self.threads {
+                s.spawn(|| self.serve(addr, &stop));
             }
-            if let Ok(stream) = conn {
-                if stream.set_read_timeout(Some(self.io_timeout)).is_err()
-                    || stream.set_write_timeout(Some(self.io_timeout)).is_err()
-                {
-                    continue; // connection already dead
+        });
+        Ok(())
+    }
+
+    /// One serving thread: accept, answer, repeat until the flag is set.
+    fn serve(&self, addr: SocketAddr, stop: &AtomicBool) {
+        while !stop.load(Ordering::SeqCst) {
+            let Ok((mut stream, _)) = self.listener.accept() else {
+                continue;
+            };
+            if stop.load(Ordering::SeqCst) {
+                return; // a wake-up connection, or a client arriving after /shutdown
+            }
+            if stream.set_read_timeout(Some(self.io_timeout)).is_err()
+                || stream.set_write_timeout(Some(self.io_timeout)).is_err()
+            {
+                continue; // connection already dead
+            }
+            if handle(&self.state, stop, &mut stream) {
+                for _ in 1..self.threads {
+                    let _ = TcpStream::connect(addr);
                 }
-                pool.submit(stream);
+                return;
             }
         }
-        pool.join();
-        Ok(())
     }
 }
 
-/// One exchange: parse, route (or flip the shutdown flag), respond.
-fn handle(state: &ServeState, stop: &AtomicBool, addr: SocketAddr, stream: &mut TcpStream) {
-    let response = match Request::read_from(stream) {
+/// One exchange: parse, route (or set the shutdown flag), respond.
+/// Returns whether the request was `/shutdown`.
+fn handle(state: &ServeState, stop: &AtomicBool, stream: &mut TcpStream) -> bool {
+    let (response, shutdown) = match Request::read_from(stream) {
         Ok(req) if req.path == "/shutdown" => {
             stop.store(true, Ordering::SeqCst);
-            Response::ok(Json::object([("shutting_down", Json::from(true))]).encode())
+            let body = Json::object([("shutting_down", Json::from(true))]).encode();
+            (Response::ok(body), true)
         }
-        Ok(req) => state.respond(&req),
-        Err(e) => error(400, "bad_request", e.to_string()),
+        Ok(req) => (state.respond(&req), false),
+        Err(e) => (error(400, "bad_request", e.to_string()), false),
     };
-    let shutting_down = stop.load(Ordering::SeqCst);
     let _ = response.write_to(stream);
-    if shutting_down {
-        // Wake the accept loop so it observes the flag and exits.
-        let _ = TcpStream::connect(addr);
-    }
+    shutdown
 }

@@ -1,10 +1,11 @@
-//! End-to-end over a real socket: bind an ephemeral port, serve from a
-//! worker pool, hit every endpoint with the shared client, shut down
+//! End-to-end over a real socket: bind an ephemeral port, serve from
+//! scoped threads, hit every endpoint with the shared client, shut down
 //! cleanly, and join the server thread.
 
 use std::sync::Arc;
 
-use govscan_scanner::StudyPipeline;
+use govscan_pki::Time;
+use govscan_scanner::{ScanDataset, StudyPipeline};
 use govscan_serve::{http, json, ServeState, Server};
 use govscan_store::Snapshot;
 use govscan_worldgen::{World, WorldConfig};
@@ -89,7 +90,7 @@ fn serves_every_endpoint_over_tcp_and_shuts_down() {
 }
 
 /// The Slowloris fix: a connection that never sends a byte must time
-/// out and release its pool worker — with one worker, a subsequent
+/// out and release its serving thread — with one thread, a subsequent
 /// real request only succeeds if the silent one stopped pinning it.
 #[test]
 fn silent_connection_times_out_and_frees_its_worker() {
@@ -110,11 +111,11 @@ fn silent_connection_times_out_and_frees_its_worker() {
     let addr = server.local_addr().expect("addr");
     let thread = std::thread::spawn(move || server.run());
 
-    // Occupy the only worker with a dead-silent connection.
+    // Occupy the only serving thread with a dead-silent connection.
     let mut silent = std::net::TcpStream::connect(addr).expect("connect");
-    std::thread::sleep(Duration::from_millis(50)); // let the pool pick it up
+    std::thread::sleep(Duration::from_millis(50)); // let the thread accept it
 
-    // The worker must shed the silent peer within the timeout and serve
+    // The thread must shed the silent peer within the timeout and serve
     // this real request.
     let (status, body) = http::get(addr, "/snapshots").expect("request after timeout");
     assert_eq!(status, 200, "{body}");
@@ -139,4 +140,51 @@ fn silent_connection_times_out_and_frees_its_worker() {
         .join()
         .expect("server thread")
         .expect("server exits cleanly");
+}
+
+/// The wake path: the thread that answers `/shutdown` self-connects
+/// once per other serving thread, so every thread blocked in `accept`
+/// wakes and `run` returns, also while one thread is still pinned by a
+/// silent connection.
+#[test]
+fn shutdown_wakes_every_serving_thread() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let dir = std::env::temp_dir().join(format!("govscan-serve-wake-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("empty.snap");
+    Snapshot::write_file(&path, &ScanDataset::new(Vec::new(), Time(0))).expect("write archive");
+    let state = Arc::new(ServeState::load(&[&path]).expect("load"));
+
+    for threads in [1, 2, 4] {
+        let server = Server::bind(("127.0.0.1", 0), Arc::clone(&state), threads)
+            .expect("bind")
+            .with_io_timeout(Duration::from_millis(200));
+        let addr = server.local_addr().expect("addr");
+        let (done, returned) = mpsc::channel();
+        let thread = std::thread::spawn(move || done.send(server.run()));
+
+        // Pin one serving thread with a connection that never sends a
+        // byte, so it is busy, not blocked in `accept`, at shutdown. The
+        // sleep only makes that likely: `run` must return either way.
+        let _silent = (threads >= 2).then(|| {
+            let silent = std::net::TcpStream::connect(addr).expect("connect");
+            std::thread::sleep(Duration::from_millis(50)); // let a thread accept it
+            silent
+        });
+
+        let (status, _) = http::get(addr, "/shutdown").expect("shutdown");
+        assert_eq!(status, 200);
+        returned
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|e| {
+                panic!("no return within 5 s of /shutdown at {threads} threads: {e}")
+            })
+            .expect("server exits cleanly");
+        thread
+            .join()
+            .expect("server thread")
+            .expect("result received");
+    }
 }

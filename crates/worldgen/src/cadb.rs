@@ -700,11 +700,6 @@ impl CaDb {
         &self.cas[idx]
     }
 
-    /// Mutable access (issuance draws serials).
-    pub fn get_mut(&mut self, idx: usize) -> &mut BuiltCa {
-        &mut self.cas[idx]
-    }
-
     /// The trust store for a profile.
     pub fn trust_store(&self, profile: TrustStoreProfile) -> &TrustStore {
         match profile {

@@ -101,7 +101,7 @@ impl StreamSeeder {
 ///
 /// [`World::generate`]: crate::World::generate
 pub fn stream_shards(config: &WorldConfig) -> StreamPlan {
-    StreamPlan::new(config)
+    StreamPlan::for_world(config).0
 }
 
 /// The cross-shard state of a world — everything whose construction
@@ -140,14 +140,10 @@ pub struct StreamPlan {
 }
 
 impl StreamPlan {
-    /// Run the planning walk for `config`.
-    pub fn new(config: &WorldConfig) -> StreamPlan {
-        StreamPlan::for_world(config).0
-    }
-
-    /// [`Self::new`], also handing back what the materialized world's
-    /// other two ranking lists continue from: the `("rankings", "")`
-    /// stream where Tranco left it, and the ranked pool Tranco drew.
+    /// Run the planning walk for `config` ([`stream_shards`]), also
+    /// handing back what the materialized world's other two ranking
+    /// lists continue from: the `("rankings", "")` stream where Tranco
+    /// left it, and the ranked pool Tranco drew.
     pub(crate) fn for_world(config: &WorldConfig) -> (StreamPlan, StdRng, Vec<String>) {
         let config = config.clone();
         let seeder = StreamSeeder::new(config.seed);
@@ -344,11 +340,6 @@ impl StreamPlan {
             hostnames: records.into_iter().map(|r| r.hostname).collect(),
             net,
         }
-    }
-
-    /// All shards, realized lazily in deterministic shard order.
-    pub fn shards(&self) -> impl Iterator<Item = ShardWorld> + '_ {
-        (0..self.shard_count()).map(|i| self.realize_shard(i))
     }
 }
 

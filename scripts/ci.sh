@@ -31,8 +31,10 @@ run cargo run --offline -q -p govscan-repro --bin snapshot -- diff "$snapdir/bef
 # Daemon smoke over the same two archives: bind an ephemeral port, hit
 # every endpoint through the real TCP path, verify each answer is
 # well-formed JSON and the repeated report is a cache hit, shut down
-# cleanly. All of that is `--self-check`.
-run cargo run --offline -q -p govscan-serve -- \
+# cleanly. All of that is `--self-check`. Four serving threads, so
+# `/shutdown` must wake the three still blocked in `accept` (on a
+# 2-core runner too).
+run env GOVSCAN_THREADS=4 cargo run --offline -q -p govscan-serve -- \
   --archive "$snapdir/before.snap" --archive "$snapdir/after.snap" --self-check
 rm -rf "$snapdir"
 # Streamed-pipeline smoke: generate→scan→archive one shard window at a
