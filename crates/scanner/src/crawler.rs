@@ -5,8 +5,19 @@
 //! the real HTML, keeps links whose hostname carries a valid country-code
 //! TLD, and enqueues unseen hostnames up to 7 levels deep. Growth per
 //! level is recorded for the Figure A.4 reproduction.
+//!
+//! The crawl is level-synchronous. Each level's frontier is fetched and
+//! parsed on the shared executor (`govscan_exec::par_map_indexed`), one
+//! job per host, and a job returns only its link count and its
+//! crawlable targets, never the page body. The targets then merge
+//! serially, in frontier order, into the seen set, the level's stats
+//! and the next frontier. That is the order a FIFO queue visits hosts
+//! in, so the report is the serial breadth-first crawl's at any thread
+//! count, with one merge per fetched level (depth-7 hosts are recorded
+//! but never fetched).
 
-use std::collections::{HashSet, VecDeque};
+use std::borrow::Cow;
+use std::collections::HashSet;
 
 use govscan_net::html;
 use govscan_net::{HttpOutcome, SimNet, TlsClientConfig};
@@ -17,7 +28,7 @@ use crate::filter::GovFilter;
 pub const MAX_DEPTH: u8 = 7;
 
 /// Per-level crawl statistics.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LevelStats {
     /// Hostnames first seen at this level.
     pub discovered: usize,
@@ -28,7 +39,7 @@ pub struct LevelStats {
 }
 
 /// The crawl result.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CrawlReport {
     /// Every unique hostname seen (seed + discovered).
     pub hostnames: Vec<String>,
@@ -62,75 +73,103 @@ impl CrawlReport {
 
 /// Fetch a page body for crawling: try http, follow a single redirect to
 /// https, fall back to https directly.
-fn fetch_page(net: &SimNet, client: &TlsClientConfig, host: &str) -> Option<String> {
+fn fetch_page(net: &SimNet, client: &TlsClientConfig, host: &str) -> Option<Cow<'static, str>> {
     match net.fetch(host, false, client) {
-        HttpOutcome::Response(r) if r.is_ok() => return Some(r.body().into_owned()),
+        HttpOutcome::Response(r) if r.is_ok() => return Some(r.body()),
         HttpOutcome::Response(r) if r.is_redirect() => {
             // Follow to https (the common http→https upgrade).
             if let HttpOutcome::Response(r2) = net.fetch(host, true, client) {
                 if r2.is_ok() {
-                    return Some(r2.body().into_owned());
+                    return Some(r2.body());
                 }
             }
         }
         _ => {}
     }
     match net.fetch(host, true, client) {
-        HttpOutcome::Response(r) if r.is_ok() => Some(r.body().into_owned()),
+        HttpOutcome::Response(r) if r.is_ok() => Some(r.body()),
         _ => None,
     }
 }
 
-/// Run the crawl.
+/// What one fetched page contributes to the crawl.
+struct Page {
+    /// Every link extracted, including rejected ones.
+    links: usize,
+    /// The crawlable link targets, in page order, duplicates kept.
+    targets: Vec<String>,
+}
+
+/// Fetch and parse `host`'s page; `None` if no page could be fetched.
+fn visit(net: &SimNet, client: &TlsClientConfig, filter: &GovFilter, host: &str) -> Option<Page> {
+    let body = fetch_page(net, client, host)?;
+    let links = html::extract_links(&body);
+    let targets = links
+        .iter()
+        .filter_map(|link| html::link_hostname(link))
+        // §4.2.2: only links with a valid country-code extension are
+        // followed (plus the US bare TLDs).
+        .filter(|target| filter.crawlable(target))
+        .collect();
+    Some(Page {
+        links: links.len(),
+        targets,
+    })
+}
+
+/// Run the crawl on `GOVSCAN_THREADS` workers.
 pub fn crawl(net: &SimNet, filter: &GovFilter, seeds: &[String]) -> CrawlReport {
+    crawl_on(
+        govscan_exec::resolve_threads("GOVSCAN_THREADS"),
+        net,
+        filter,
+        seeds,
+    )
+}
+
+/// [`crawl`] on `threads` workers; the report does not depend on it.
+pub(crate) fn crawl_on(
+    threads: usize,
+    net: &SimNet,
+    filter: &GovFilter,
+    seeds: &[String],
+) -> CrawlReport {
     let client = TlsClientConfig::default();
-    let mut report = CrawlReport::default();
+    let mut report = CrawlReport {
+        levels: vec![LevelStats::default(); MAX_DEPTH as usize + 1],
+        ..CrawlReport::default()
+    };
     let mut seen: HashSet<String> = HashSet::new();
-    let mut queue: VecDeque<(String, u8)> = VecDeque::new();
-
-    let mut level0 = LevelStats::default();
-    for host in seeds {
-        let host = host.to_ascii_lowercase();
+    let mut frontier: Vec<String> = Vec::new();
+    let mut discover = |host: String, level: &mut LevelStats, next: &mut Vec<String>| {
         if seen.insert(host.clone()) {
-            level0.discovered += 1;
+            level.discovered += 1;
             if filter.is_gov(&host) {
-                level0.government += 1;
+                level.government += 1;
             }
-            queue.push_back((host, 0));
+            next.push(host);
         }
+    };
+    for host in seeds {
+        discover(
+            host.to_ascii_lowercase(),
+            &mut report.levels[0],
+            &mut frontier,
+        );
     }
-    report.levels.push(level0);
-    report
-        .levels
-        .resize(MAX_DEPTH as usize + 1, LevelStats::default());
-
-    while let Some((host, depth)) = queue.pop_front() {
-        if depth >= MAX_DEPTH {
-            continue;
-        }
-        let Some(body) = fetch_page(net, &client, &host) else {
-            continue;
-        };
-        report.levels[depth as usize].fetched += 1;
-        for link in html::extract_links(&body) {
-            report.links_seen += 1;
-            let Some(target) = html::link_hostname(&link) else {
-                continue;
-            };
-            // §4.2.2: only links with a valid country-code extension are
-            // followed (plus the US bare TLDs).
-            if !filter.crawlable(&target) {
-                continue;
-            }
-            if seen.insert(target.clone()) {
-                let level = &mut report.levels[depth as usize + 1];
-                level.discovered += 1;
-                if filter.is_gov(&target) {
-                    level.government += 1;
-                }
-                queue.push_back((target, depth + 1));
+    for depth in 0..MAX_DEPTH as usize {
+        let pages = govscan_exec::par_map_indexed(threads, frontier.len(), |i| {
+            visit(net, &client, filter, &frontier[i])
+        });
+        let mut next = Vec::new();
+        for page in pages.into_iter().flatten() {
+            report.levels[depth].fetched += 1;
+            report.links_seen += page.links;
+            for target in page.targets {
+                discover(target, &mut report.levels[depth + 1], &mut next);
             }
         }
+        frontier = next;
     }
 
     let mut hostnames: Vec<String> = seen.into_iter().collect();
@@ -147,9 +186,100 @@ pub fn crawl(net: &SimNet, filter: &GovFilter, seeds: &[String]) -> CrawlReport 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StudyPipeline;
     use govscan_net::http::HttpResponse;
     use govscan_net::HostConfig;
+    use govscan_worldgen::{World, WorldConfig};
+    use std::collections::VecDeque;
     use std::net::Ipv4Addr;
+
+    /// The crawl as it ran before it was level-synchronous: one FIFO
+    /// queue, each page fetched and merged in turn. Kept as the
+    /// reference [`crawl_on`] must equal at any thread count.
+    fn reference_crawl(net: &SimNet, filter: &GovFilter, seeds: &[String]) -> CrawlReport {
+        let client = TlsClientConfig::default();
+        let mut report = CrawlReport::default();
+        let mut seen: HashSet<String> = HashSet::new();
+        let mut queue: VecDeque<(String, u8)> = VecDeque::new();
+
+        let mut level0 = LevelStats::default();
+        for host in seeds {
+            let host = host.to_ascii_lowercase();
+            if seen.insert(host.clone()) {
+                level0.discovered += 1;
+                if filter.is_gov(&host) {
+                    level0.government += 1;
+                }
+                queue.push_back((host, 0));
+            }
+        }
+        report.levels.push(level0);
+        report
+            .levels
+            .resize(MAX_DEPTH as usize + 1, LevelStats::default());
+
+        while let Some((host, depth)) = queue.pop_front() {
+            if depth >= MAX_DEPTH {
+                continue;
+            }
+            let Some(body) = fetch_page(net, &client, &host) else {
+                continue;
+            };
+            report.levels[depth as usize].fetched += 1;
+            for link in html::extract_links(&body) {
+                report.links_seen += 1;
+                let Some(target) = html::link_hostname(&link) else {
+                    continue;
+                };
+                if !filter.crawlable(&target) {
+                    continue;
+                }
+                if seen.insert(target.clone()) {
+                    let level = &mut report.levels[depth as usize + 1];
+                    level.discovered += 1;
+                    if filter.is_gov(&target) {
+                        level.government += 1;
+                    }
+                    queue.push_back((target, depth + 1));
+                }
+            }
+        }
+
+        let mut hostnames: Vec<String> = seen.into_iter().collect();
+        hostnames.sort();
+        report.government_hostnames = hostnames
+            .iter()
+            .filter(|h| filter.is_gov(h))
+            .cloned()
+            .collect();
+        report.hostnames = hostnames;
+        report
+    }
+
+    #[test]
+    fn level_synchronous_crawl_equals_the_serial_crawl() {
+        let filter = GovFilter::standard();
+        for seed in [321, 0xA11A] {
+            let world = World::generate(&WorldConfig::small(seed));
+            let discovery = StudyPipeline::new(&world).discover();
+            let mut seeds = discovery.seed_list;
+            seeds.extend(discovery.mturk.new_hostnames);
+            let reference = reference_crawl(&world.net, &filter, &seeds);
+            assert!(reference.levels[3].fetched > 0, "the crawl reaches level 3");
+            for threads in [1, 4] {
+                let report = crawl_on(threads, &world.net, &filter, &seeds);
+                assert_eq!(
+                    report.levels, reference.levels,
+                    "{threads} threads, seed {seed}"
+                );
+                assert_eq!(report.links_seen, reference.links_seen);
+                assert!(
+                    report == reference,
+                    "hostnames differ at {threads} threads, seed {seed}"
+                );
+            }
+        }
+    }
 
     fn ip(n: u8) -> Ipv4Addr {
         Ipv4Addr::new(192, 0, 2, n)

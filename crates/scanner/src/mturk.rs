@@ -33,11 +33,17 @@ pub struct MturkReport {
 /// The threshold below which a country gets MTurk tasks.
 pub const TASK_THRESHOLD: usize = 11;
 
+/// How many of a country's hosts its crowd directory holds.
+pub const DIRECTORY_CAP: usize = 40;
+
 /// Run the crowd model.
 ///
 /// `seed_counts` maps country → seed hostnames already known;
 /// `directory` returns the hostnames a local crowdworker could name for
-/// a country (in practice: the country's reachable government hosts).
+/// a country. In the study that is the country's first
+/// [`DIRECTORY_CAP`] reachable government hosts in generation
+/// (`World::gov_hosts`) order; each draw indexes into that list, so its
+/// order is part of the output.
 pub fn expand(
     rng: &mut impl Rng,
     countries: &[&'static str],

@@ -168,6 +168,24 @@ impl<'p> ShardScanner<'p> {
     }
 }
 
+/// The crowd directory (§4.2.1), built in one pass over `world.gov_hosts`:
+/// each country's reachable government hosts in generation order, the
+/// first [`mturk::DIRECTORY_CAP`] of each.
+fn crowd_directory(world: &World) -> HashMap<&'static str, Vec<String>> {
+    let mut directory: HashMap<&'static str, Vec<String>> = HashMap::new();
+    for h in &world.gov_hosts {
+        let r = &world.records[h];
+        if matches!(r.posture, Posture::Unreachable) {
+            continue;
+        }
+        let known = directory.entry(r.country).or_default();
+        if known.len() < mturk::DIRECTORY_CAP {
+            known.push(h.clone());
+        }
+    }
+    directory
+}
+
 /// Drives the full §4 methodology against a generated world.
 pub struct StudyPipeline<'w> {
     world: &'w World,
@@ -251,19 +269,9 @@ impl<'w> StudyPipeline<'w> {
             .map(|c| c.code)
             .collect();
         let mut rng = StdRng::seed_from_u64(self.world.config.seed ^ 0x4d74_726b);
-        let world = self.world;
+        let directory = crowd_directory(self.world);
         let mturk = mturk::expand(&mut rng, &countries, &seed_counts, &seed_set, |cc| {
-            // The crowd directory: reachable government hosts of `cc`.
-            world
-                .gov_hosts
-                .iter()
-                .filter(|h| {
-                    let r = &world.records[*h];
-                    r.country == cc && !matches!(r.posture, Posture::Unreachable)
-                })
-                .take(40)
-                .cloned()
-                .collect()
+            directory.get(cc).cloned().unwrap_or_default()
         });
 
         // §4.2.2: crawl from seed ∪ MTurk.
@@ -397,6 +405,37 @@ mod tests {
         let early: usize = g[1..4].iter().map(|l| l.discovered).sum();
         let late: usize = g[5..8].iter().map(|l| l.discovered).sum();
         assert!(early > late, "early {early} vs late {late}");
+    }
+
+    /// The crowd directory as it was built before [`crowd_directory`]:
+    /// every government host filtered once per country. Kept as the
+    /// reference the one-pass grouping must equal.
+    fn reference_directory(world: &World, cc: &str) -> Vec<String> {
+        world
+            .gov_hosts
+            .iter()
+            .filter(|h| {
+                let r = &world.records[*h];
+                r.country == cc && !matches!(r.posture, Posture::Unreachable)
+            })
+            .take(40)
+            .cloned()
+            .collect()
+    }
+
+    #[test]
+    fn crowd_directory_equals_the_per_country_filter() {
+        for seed in [321, 0xA11A] {
+            let world = World::generate(&WorldConfig::small(seed));
+            let directory = crowd_directory(&world);
+            for cc in govscan_worldgen::countries::active_countries().map(|c| c.code) {
+                assert_eq!(
+                    directory.get(cc).cloned().unwrap_or_default(),
+                    reference_directory(&world, cc),
+                    "{cc} at seed {seed}"
+                );
+            }
+        }
     }
 
     #[test]

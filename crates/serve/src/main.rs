@@ -20,7 +20,9 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
+use std::time::Duration;
 
 use govscan_serve::http;
 use govscan_serve::json;
@@ -140,10 +142,16 @@ fn main() -> ExitCode {
     }
 }
 
+/// How long `--self-check` waits for `Server::run` to return after
+/// `/shutdown` before it fails.
+const SHUTDOWN_DEADLINE: Duration = Duration::from_secs(5);
+
 /// Hit every endpoint against a live socket, verify each answer is
 /// well-formed JSON with the expected status, then shut down cleanly.
 /// Exercises the same code paths as production serving — the routing,
-/// the serving threads, and the real TCP layer.
+/// the serving threads, and the real TCP layer. A server still running
+/// [`SHUTDOWN_DEADLINE`] after `/shutdown` is a failure, and the
+/// process exits there.
 fn self_check(server: Server, state: &ServeState, addr: std::net::SocketAddr) -> ExitCode {
     let first = &state.archives()[0];
     let mut paths = vec![
@@ -175,7 +183,12 @@ fn self_check(server: Server, state: &ServeState, addr: std::net::SocketAddr) ->
         }
     }
     let failed = std::thread::scope(|s| {
-        let thread = s.spawn(move || server.run());
+        let (done, returned) = mpsc::channel();
+        let thread = s.spawn(move || {
+            // A send fails only once the receiver is gone, and then
+            // nothing waits for the result.
+            let _ = done.send(server.run());
+        });
         let mut failed = false;
         for path in &paths {
             match http::get(addr, path) {
@@ -202,16 +215,26 @@ fn self_check(server: Server, state: &ServeState, addr: std::net::SocketAddr) ->
             eprintln!("FAIL GET /shutdown: {e}");
             failed = true;
         }
-        match thread.join() {
+        match returned.recv_timeout(SHUTDOWN_DEADLINE) {
             Ok(Ok(())) => {}
             Ok(Err(e)) => {
                 eprintln!("FAIL: server exited with error: {e}");
                 failed = true;
             }
-            Err(_) => {
-                eprintln!("FAIL: server thread panicked");
-                failed = true;
+            Err(RecvTimeoutError::Timeout) => {
+                // The scope would wait for the server thread forever, and
+                // a scoped thread cannot be left behind: exit here.
+                eprintln!(
+                    "FAIL: server still running {} s after /shutdown",
+                    SHUTDOWN_DEADLINE.as_secs()
+                );
+                std::process::exit(1);
             }
+            Err(RecvTimeoutError::Disconnected) => {}
+        }
+        if thread.join().is_err() {
+            eprintln!("FAIL: server thread panicked");
+            failed = true;
         }
         failed
     });

@@ -2,7 +2,8 @@
 //! scoped threads, hit every endpoint with the shared client, shut down
 //! cleanly, and join the server thread.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use govscan_pki::Time;
 use govscan_scanner::{ScanDataset, StudyPipeline};
@@ -22,7 +23,8 @@ fn serves_every_endpoint_over_tcp_and_shuts_down() {
     let state = Arc::new(ServeState::load(&[&path]).expect("load"));
     let server = Server::bind(("127.0.0.1", 0), Arc::clone(&state), 4).expect("bind");
     let addr = server.local_addr().expect("addr");
-    let thread = std::thread::spawn(move || server.run());
+    let (done, returned) = mpsc::channel();
+    let thread = std::thread::spawn(move || done.send(server.run()));
 
     let host = scan.records()[0].hostname.clone();
     let cc = scan
@@ -83,10 +85,25 @@ fn serves_every_endpoint_over_tcp_and_shuts_down() {
 
     let (status, _) = http::get(addr, "/shutdown").expect("shutdown");
     assert_eq!(status, 200);
+    await_return(&returned, thread, "4 threads");
+}
+
+/// Wait at most 5 s for `run` to report through `returned` after
+/// `/shutdown`, then join its thread: a shutdown that fails to wake a
+/// serving thread fails the test instead of hanging it.
+fn await_return(
+    returned: &mpsc::Receiver<std::io::Result<()>>,
+    thread: std::thread::JoinHandle<Result<(), mpsc::SendError<std::io::Result<()>>>>,
+    server: &str,
+) {
+    returned
+        .recv_timeout(Duration::from_secs(5))
+        .unwrap_or_else(|e| panic!("no return within 5 s of /shutdown ({server}): {e}"))
+        .expect("server exits cleanly");
     thread
         .join()
         .expect("server thread")
-        .expect("server exits cleanly");
+        .expect("result received");
 }
 
 /// The Slowloris fix: a connection that never sends a byte must time
@@ -95,7 +112,6 @@ fn serves_every_endpoint_over_tcp_and_shuts_down() {
 #[test]
 fn silent_connection_times_out_and_frees_its_worker() {
     use std::io::Read;
-    use std::time::Duration;
 
     let dir = std::env::temp_dir().join(format!("govscan-serve-slow-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -109,7 +125,8 @@ fn silent_connection_times_out_and_frees_its_worker() {
         .expect("bind")
         .with_io_timeout(Duration::from_millis(200));
     let addr = server.local_addr().expect("addr");
-    let thread = std::thread::spawn(move || server.run());
+    let (done, returned) = mpsc::channel();
+    let thread = std::thread::spawn(move || done.send(server.run()));
 
     // Occupy the only serving thread with a dead-silent connection.
     let mut silent = std::net::TcpStream::connect(addr).expect("connect");
@@ -136,10 +153,7 @@ fn silent_connection_times_out_and_frees_its_worker() {
 
     let (status, _) = http::get(addr, "/shutdown").expect("shutdown");
     assert_eq!(status, 200);
-    thread
-        .join()
-        .expect("server thread")
-        .expect("server exits cleanly");
+    await_return(&returned, thread, "1 thread, silent peer shed");
 }
 
 /// The wake path: the thread that answers `/shutdown` self-connects
@@ -148,9 +162,6 @@ fn silent_connection_times_out_and_frees_its_worker() {
 /// silent connection.
 #[test]
 fn shutdown_wakes_every_serving_thread() {
-    use std::sync::mpsc;
-    use std::time::Duration;
-
     let dir = std::env::temp_dir().join(format!("govscan-serve-wake-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("empty.snap");
@@ -176,15 +187,6 @@ fn shutdown_wakes_every_serving_thread() {
 
         let (status, _) = http::get(addr, "/shutdown").expect("shutdown");
         assert_eq!(status, 200);
-        returned
-            .recv_timeout(Duration::from_secs(5))
-            .unwrap_or_else(|e| {
-                panic!("no return within 5 s of /shutdown at {threads} threads: {e}")
-            })
-            .expect("server exits cleanly");
-        thread
-            .join()
-            .expect("server thread")
-            .expect("result received");
+        await_return(&returned, thread, &format!("{threads} threads"));
     }
 }

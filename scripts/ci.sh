@@ -95,6 +95,13 @@ paper_rows() { grep 'paper=' "$1" | sed 's/^[[:space:]]*//'; }
 paper_rows EXPERIMENTS.md > "$expdir/documented.txt"
 paper_rows "$expdir/all.txt" > "$expdir/measured.txt"
 run diff -u "$expdir/documented.txt" "$expdir/measured.txt"
+# The same report on one thread must print the same bytes: every
+# executor consumer (worldgen, the scan, the crawl's levels, interlink's
+# pages) is bound to output that does not depend on the thread count.
+echo "==> GOVSCAN_THREADS=1 GOVSCAN_SCALE=0.2 repro all, whole stdout against the run above"
+GOVSCAN_THREADS=1 GOVSCAN_SCALE=0.2 cargo run --release --offline -q -p govscan-repro --bin repro -- all \
+  > "$expdir/all-1-thread.txt"
+run diff -u "$expdir/all.txt" "$expdir/all-1-thread.txt"
 rm -rf "$expdir"
 
 echo "CI OK"
