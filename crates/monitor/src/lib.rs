@@ -17,22 +17,26 @@
 //!    chain resolves back to full archives bit-for-bit.
 //!
 //! [`Monitor::run`] is one epoch step, repeated for epochs `0..=N`:
-//! scan against the previous epoch (none at the baseline), encode the
-//! archive and, past the baseline, the delta against the previous
-//! archive, write `epoch-0.snap` or `epoch-<k>.dlt`, then record the
-//! trend point and the receipt.
+//! advance each shard's state one epoch and scan it against the previous
+//! epoch (none at the baseline), encode the archive and, past the
+//! baseline, the delta from the previous epoch's dataset, write
+//! `epoch-0.snap` or `epoch-<k>.dlt`, then record the trend point and
+//! the receipt. A run with an output directory ends by resolving the
+//! on-disk chain and checking it against the final archive.
 //!
 //! The correctness story is *digest equality*: snapshot encoding is
 //! canonical, so "incremental scan ≡ full rescan" and "resolved delta
 //! chain ≡ full archive" are both one `Fingerprint` comparison. One
-//! scan, [`incremental_epoch_scan`], serves both arms: given no previous
-//! epoch it probes every host, and that is the full rescan, so the
-//! baseline is that scan. With `self_check` enabled, [`Monitor::run`]
-//! proves each epoch against full rescans at 1 and at `max(2, N)` worker
-//! threads (at the baseline, the one at N is the scan under test) and,
-//! past the baseline, against incremental rescans at the same counts
-//! and the applied delta; it re-resolves the delta chain at the end.
-//! CI runs exactly that.
+//! scan body serves every arm: given no previous epoch it probes every
+//! host, and that is the full rescan, so the baseline is that scan.
+//! [`Monitor::run`] feeds it the shard states it carries between
+//! epochs; [`incremental_epoch_scan`], the reference arm, replays them
+//! from the base. With `self_check` enabled, [`Monitor::run`] proves each
+//! epoch against full rescans at 1 and at `max(2, N)` worker threads (at
+//! the baseline, the one at N is the scan under test) and, past the
+//! baseline, against incremental rescans at the same counts and the
+//! applied delta. The rescans replay, so they also prove the carried
+//! state equal to the pure function of the epoch. CI runs exactly that.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,7 +51,7 @@ use govscan_scanner::{
     ShardScanner,
 };
 use govscan_store::{Delta, Snapshot, StoreError};
-use govscan_worldgen::{EvolveConfig, MonitorPlan, WorldConfig};
+use govscan_worldgen::{EpochHost, EvolveConfig, MonitorPlan, WorldConfig};
 
 /// Everything that can stop a monitor run.
 #[derive(Debug)]
@@ -93,8 +97,8 @@ pub struct MonitorConfig {
     /// Prove every epoch's archive against full rescans at 1 and at
     /// `max(2, threads)` workers and, past the baseline, against
     /// incremental rescans at the same counts and the applied delta
-    /// (digest equality); prove the delta chain against the final
-    /// archive.
+    /// (digest equality). The on-disk chain is checked against the final
+    /// archive whenever `out_dir` is set, with or without this.
     pub self_check: bool,
 }
 
@@ -215,6 +219,12 @@ impl MonitorReport {
 /// function of `(config, epoch, shard, prev)` and the merge order is
 /// fixed. Returns the merged dataset plus the aggregate selection
 /// stats.
+///
+/// This is the reference arm: each shard's state is replayed from the
+/// base through [`MonitorPlan::shard_state`]. [`Monitor::run`] runs the
+/// same scan on the states it carries from the previous epoch, so the
+/// self-check's rescans through this function prove the carried state
+/// equal to the pure function of the epoch.
 pub fn incremental_epoch_scan(
     plan: &MonitorPlan,
     epoch: u32,
@@ -222,19 +232,42 @@ pub fn incremental_epoch_scan(
     disclosed: &HashSet<String>,
     threads: usize,
 ) -> (ScanDataset, IncrementalStats) {
+    let replay = vec![None; plan.plan().shard_count()];
+    let (scan, stats, _) = epoch_scan(plan, epoch, prev, disclosed, threads, replay);
+    (scan, stats)
+}
+
+/// The one epoch scan behind [`incremental_epoch_scan`] and
+/// [`Monitor::run`]. `carried[i]` is shard `i`'s state at epoch
+/// `epoch - 1`, advanced here by one step, or `None` to replay it from
+/// the base. Returns every shard's state at `epoch` with the scan.
+fn epoch_scan(
+    plan: &MonitorPlan,
+    epoch: u32,
+    prev: Option<&ScanDataset>,
+    disclosed: &HashSet<String>,
+    threads: usize,
+    carried: Vec<Option<Vec<EpochHost>>>,
+) -> (ScanDataset, IncrementalStats, Vec<Vec<EpochHost>>) {
     let time = plan.epoch_time(epoch);
     let scanner = ShardScanner::new(plan.plan(), time);
     let policy = IncrementalPolicy {
         horizon_days: plan.evolve().renewal_horizon_days,
         recently_disclosed: disclosed.clone(),
     };
-    let shards = govscan_exec::par_map_indexed(threads, plan.plan().shard_count(), |i| {
-        let state = plan.shard_state(epoch, i);
+    let shards = govscan_exec::par_map(threads, carried, |i, carried| {
+        let state = match carried {
+            Some(mut state) => {
+                plan.advance_shard(i, &mut state, epoch);
+                state
+            }
+            None => plan.shard_state(epoch, i),
+        };
         let iplan = plan_rescan(
             &policy,
             time,
             state.iter().map(|h| h.record.hostname.as_str()),
-            |name| prev.and_then(|p| p.get(name)).cloned(),
+            |name| prev.and_then(|p| p.get(name)),
         );
         // The CAA relevant set climbs the DNS tree, so the plan's
         // realize set holds each probe's in-population ancestors too
@@ -257,11 +290,12 @@ pub fn incremental_epoch_scan(
                     .clone(),
             })
             .collect();
-        (records, iplan.stats)
+        (records, iplan.stats, state)
     });
     let mut stats = IncrementalStats::default();
     let mut records = Vec::new();
-    for (shard_records, s) in shards {
+    let mut states = Vec::with_capacity(shards.len());
+    for (shard_records, s, state) in shards {
         stats.total += s.total;
         stats.probed += s.probed;
         stats.spliced += s.spliced;
@@ -271,8 +305,9 @@ pub fn incremental_epoch_scan(
         stats.disclosed += s.disclosed;
         stats.ancestor_changed += s.ancestor_changed;
         records.extend(shard_records);
+        states.push(state);
     }
-    (ScanDataset::new(records, time), stats)
+    (ScanDataset::new(records, time), stats, states)
 }
 
 /// The hosts a disclosure notice goes to, judged from *measured* data:
@@ -350,8 +385,9 @@ impl Monitor {
         Ok(())
     }
 
-    /// Run the baseline plus `epochs` incremental epochs. See the
-    /// module docs for what `self_check` proves.
+    /// Run the baseline plus `epochs` incremental epochs, carrying each
+    /// shard's state from one epoch to the next. See the module docs for
+    /// what `self_check` proves.
     pub fn run(&self) -> Result<MonitorReport, MonitorError> {
         let cfg = &self.config;
         let evolve = self.plan.evolve();
@@ -363,18 +399,24 @@ impl Monitor {
         let mut disclosed = HashSet::new();
         let none = HashSet::new();
         let mut prev: Option<(ScanDataset, Snapshot)> = None;
+        // Each shard's state at the previous epoch; the baseline replays
+        // epoch 0, which is the base.
+        let mut states = vec![None; self.plan.plan().shard_count()];
         for epoch in 0..=cfg.epochs {
             let in_window = epoch > evolve.disclosure_epoch
                 && epoch <= evolve.disclosure_epoch + evolve.response_window;
             let window = if in_window { &disclosed } else { &none };
             let prev_scan = prev.as_ref().map(|(scan, _)| scan);
-            let (scan, stats) =
-                incremental_epoch_scan(&self.plan, epoch, prev_scan, window, cfg.threads);
+            let (scan, stats, next) =
+                epoch_scan(&self.plan, epoch, prev_scan, window, cfg.threads, states);
+            states = next.into_iter().map(Some).collect();
 
             let full_bytes = Snapshot::encode(&scan)?;
             let archive_bytes = full_bytes.len() as u64;
             let delta = match &prev {
-                Some((_, prev_snap)) => Some(Delta::encode(prev_snap, &scan)?),
+                Some((prev_scan, prev_snap)) => {
+                    Some(Delta::encode_from(prev_snap.digest(), prev_scan, &scan)?)
+                }
                 None => None,
             };
             if let Some(path) = self.out_path(epoch) {
@@ -400,6 +442,9 @@ impl Monitor {
             }
             prev = Some((scan, snap));
         }
+        // The last epoch's states are not needed again: free them before
+        // the chain walk builds its datasets.
+        drop(states);
 
         // The persisted chain must resolve back to the final epoch.
         if let (Some(base), Some((_, last))) = (self.out_path(0), &prev) {

@@ -8,12 +8,12 @@
 //!
 //! Runs the baseline full scan plus `--epochs` weekly epochs of the
 //! evolving world, rescanning incrementally and (with `--out-dir`)
-//! writing `epoch-0.snap` + `epoch-<k>.dlt` per epoch. `--self-check`
-//! proves each epoch's archive digest-identical to full rescans (the
-//! same scan with no previous epoch) at one and at `max(2,
-//! GOVSCAN_THREADS)` workers and, past the baseline, to incremental
-//! rescans at the same counts and the applied delta; and the on-disk
-//! chain identical to the final archive.
+//! writing `epoch-0.snap` + `epoch-<k>.dlt` per epoch; a run with
+//! `--out-dir` ends by proving the on-disk chain identical to the final
+//! archive. `--self-check` proves each epoch's archive digest-identical
+//! to full rescans (the same scan with no previous epoch) at one and at
+//! `max(2, GOVSCAN_THREADS)` workers and, past the baseline, to
+//! incremental rescans at the same counts and the applied delta.
 //!
 //! The start-up line names the SHA-256 kernel the CPU selected. Honours
 //! `GOVSCAN_SCALE`, `GOVSCAN_SEED` and `GOVSCAN_THREADS`. Any other
@@ -86,12 +86,15 @@ fn main() -> ExitCode {
                 print!("{}", report.trends.render());
             }
             if let Some(dir) = &out_dir {
-                eprintln!("[govscan] chain written under {}", dir.display());
+                eprintln!(
+                    "[govscan] chain written under {}, chain == final archive",
+                    dir.display()
+                );
             }
             if self_check {
                 eprintln!(
                     "[govscan] self-check passed: incremental == full at 1 and \
-                     {} threads, chain == final archive",
+                     {} threads",
                     threads.max(2)
                 );
             }

@@ -168,6 +168,16 @@ impl ScanDataset {
         self.index.get(hostname).map(|&i| &self.records[i])
     }
 
+    /// Index of `hostname`'s record in [`Self::records`].
+    pub fn position(&self, hostname: &str) -> Option<usize> {
+        self.index.get(hostname).copied()
+    }
+
+    /// The records, in order, moved out of the dataset.
+    pub fn into_records(self) -> Vec<ScanRecord> {
+        self.records
+    }
+
     /// Look up by hostname, mutably — for annotating records in place.
     ///
     /// The hostname itself must not be changed through the returned

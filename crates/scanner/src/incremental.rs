@@ -9,11 +9,12 @@
 //! epoch, and carry everyone else's record forward untouched.
 //!
 //! The planner is deliberately store-agnostic — the previous epoch
-//! arrives as a `hostname → ScanRecord` lookup, not an archive handle —
-//! so the scanner crate stays below `govscan-store` in the dependency
-//! order (the store depends on the scanner for [`ScanRecord`], not the
-//! reverse). The monitor supplies the closure from a snapshot and does
-//! the actual splicing.
+//! arrives as a `hostname → ScanRecord` lookup (owned or borrowed), not
+//! an archive handle — so the scanner crate stays below `govscan-store`
+//! in the dependency order (the store depends on the scanner for
+//! [`ScanRecord`], not the reverse). The monitor supplies the closure
+//! from the previous epoch's dataset, lending its records, and does the
+//! actual splicing.
 //!
 //! ## The selection predicate, and why splicing is safe
 //!
@@ -61,6 +62,7 @@
 //! the population realizes [`IncrementalPlan::realize`]: the probes plus
 //! those ancestors, which the planner collects on the same walk.
 
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 
 use govscan_pki::Time;
@@ -181,13 +183,15 @@ fn ancestors(name: &str) -> impl Iterator<Item = &str> {
 }
 
 /// Plan the rescan of `hostnames` at `now`, given lookup of the
-/// previous epoch's records. See the module docs for the predicate and
-/// the argument for why splicing the rest is lossless.
-pub fn plan_rescan<'a>(
+/// previous epoch's records. `prior` may hand out the records by
+/// reference (`|name| prev.get(name)`), so planning copies none of them.
+/// See the module docs for the predicate and the argument for why
+/// splicing the rest is lossless.
+pub fn plan_rescan<'a, R: Borrow<ScanRecord>>(
     policy: &IncrementalPolicy,
     now: Time,
     hostnames: impl IntoIterator<Item = &'a str>,
-    mut prior: impl FnMut(&str) -> Option<ScanRecord>,
+    mut prior: impl FnMut(&str) -> Option<R>,
 ) -> IncrementalPlan {
     let horizon = now.plus_days(policy.horizon_days);
     let names: Vec<&str> = hostnames.into_iter().collect();
@@ -196,6 +200,7 @@ pub fn plan_rescan<'a>(
         let decision = match prior(hostname) {
             None => Decision::Probe(SelectReason::New),
             Some(prev) => {
+                let prev = prev.borrow();
                 if prev.available && prev.https.error().is_some() {
                     Decision::Probe(SelectReason::PriorBroken)
                 } else if prev
@@ -521,14 +526,18 @@ mod tests {
     #[test]
     fn with_no_prior_epoch_everything_is_realized() {
         let names = ["agency.gov", "www.agency.gov", "other.gov", "x.other.gov"];
-        let plan = plan_rescan(&IncrementalPolicy::new(30), Time(0), names, |_| None);
+        let plan = plan_rescan(&IncrementalPolicy::new(30), Time(0), names, |_| {
+            None::<&ScanRecord>
+        });
         assert_eq!(plan.stats.new, names.len());
         assert_eq!(plan.realize, (0..names.len()).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_population_plans_cleanly() {
-        let plan = plan_rescan(&IncrementalPolicy::new(30), Time(0), [], |_| None);
+        let plan = plan_rescan(&IncrementalPolicy::new(30), Time(0), [], |_| {
+            None::<&ScanRecord>
+        });
         assert_eq!(plan.stats, IncrementalStats::default());
         assert!(plan.realize.is_empty());
         assert_eq!(plan.stats.probe_fraction(), 0.0);

@@ -4,32 +4,50 @@
 //! copy of the hostname, collected its labels into a `Vec` and split
 //! every exception into another, it made 15.3 allocation calls per
 //! scanned host. The crawl criteria (`has_cc_tld`, `crawlable`) share its
-//! country-code lookup and allocate nothing either. This file holds one
-//! test so that no other test allocates while it measures.
+//! country-code lookup and allocate nothing either. Only the measuring
+//! thread counts, so the test harness's own threads cannot allocate into
+//! the window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use govscan_scanner::filter::COUNTRY_CODES;
 use govscan_scanner::GovFilter;
 
-/// The system allocator, counting every allocation and reallocation.
+/// The system allocator, counting every allocation and reallocation
+/// made on a thread that has armed it.
 struct Counting;
 
 static CALLS: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Set while this thread runs the measured call.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Count one allocation call if the current thread is measuring. A
+/// `const`-initialized `Cell` needs no lazy setup, so reading it never
+/// allocates; `try_with` reads `false` on a thread being torn down.
+fn count() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        CALLS.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; bumping an atomic counter
-// allocates nothing and touches no memory the caller owns.
+// which upholds the `GlobalAlloc` contract; reading a thread-local flag
+// and bumping an atomic counter allocate nothing and touch no memory
+// the caller owns.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::SeqCst);
+        count();
         // SAFETY: the caller's guarantees for `layout` pass through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::SeqCst);
+        count();
         // SAFETY: the caller's guarantees for `layout` pass through.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -41,7 +59,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::SeqCst);
+        count();
         // SAFETY: the caller's guarantees for `ptr`, `layout` and
         // `new_size` pass through.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -110,10 +128,12 @@ fn classify_makes_no_allocation() {
     let before = CALLS.load(Ordering::SeqCst);
     let mut government = 0usize;
     let mut crawlable = 0usize;
+    ARMED.set(true);
     for host in &hosts {
         government += usize::from(filter.classify(host).is_some());
         crawlable += usize::from(filter.crawlable(host));
     }
+    ARMED.set(false);
     let calls = CALLS.load(Ordering::SeqCst) - before;
     assert_eq!(calls, 0, "classifying {} hostnames allocated", hosts.len());
     assert!(government > 1_000, "{government} government hostnames");

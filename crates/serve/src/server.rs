@@ -23,7 +23,7 @@ use govscan_analysis::aggregate::AggregateIndex;
 use govscan_analysis::choropleth::{self, CountryRow};
 use govscan_analysis::{table2, trend};
 use govscan_scanner::ErrorCategory;
-use govscan_store::{diff_datasets, Delta, Result, Snapshot, StoreError};
+use govscan_store::{diff_datasets, Result, Snapshot, StoreError};
 
 use crate::api::{
     ChoroplethResponse, CountryResponse, DiffResponse, ErrorResponse, HostResponse, SnapshotEntry,
@@ -152,8 +152,10 @@ impl ServeState {
     }
 
     /// Open each chain: the base archive lazily, then each delta
-    /// resolved in epoch order against the snapshot before it. Every
-    /// resolved epoch registers as an addressable archive.
+    /// resolved in epoch order through [`Snapshot::resolve_chain`], which
+    /// decodes only the base and carries each epoch's records forward to
+    /// the next. Every resolved epoch registers as an addressable
+    /// archive.
     ///
     /// A base that fails to open is a startup error — there is nothing
     /// to serve in its place. A delta that fails (corrupt file, wrong
@@ -165,23 +167,14 @@ impl ServeState {
         let mut archives: Vec<Archive> = Vec::new();
         let mut broken: Vec<BrokenChain> = Vec::new();
         for spec in specs {
-            let snap = Snapshot::open(&spec.base)?;
-            let digest_hex = snap.digest().to_hex();
-            let label = unique_label(&archives, stem_of(&spec.base), &digest_hex);
-            let chain = label.clone();
-            archives.push(Archive {
-                label,
-                digest_hex,
-                chain: chain.clone(),
-                epoch: 0,
-                snap,
-                index: OnceLock::new(),
-            });
-            for (i, path) in spec.deltas.iter().enumerate() {
-                let epoch = i as u32 + 1;
-                let resolved =
-                    Delta::open(path).and_then(|d| d.apply(&archives[archives.len() - 1].snap));
-                match resolved {
+            let base = Snapshot::open(&spec.base)?;
+            let links: Vec<Result<Snapshot>> =
+                Snapshot::resolve_chain(&base, &spec.deltas).collect();
+            let chain = unique_label(&archives, stem_of(&spec.base), &base.digest().to_hex());
+            let epochs =
+                std::iter::once((&spec.base, Ok(base))).chain(spec.deltas.iter().zip(links));
+            for (epoch, (path, snap)) in (0u32..).zip(epochs) {
+                match snap {
                     Ok(snap) => {
                         let digest_hex = snap.digest().to_hex();
                         let label = unique_label(&archives, stem_of(path), &digest_hex);
@@ -195,12 +188,12 @@ impl ServeState {
                         });
                     }
                     Err(e) => {
+                        let unresolved = &spec.deltas[epoch as usize - 1..];
                         broken.push(BrokenChain {
                             chain: chain.clone(),
-                            labels: spec.deltas[i..].iter().map(|p| stem_of(p)).collect(),
+                            labels: unresolved.iter().map(|p| stem_of(p)).collect(),
                             detail: format!("epoch {epoch} ({}): {e}", path.display()),
                         });
-                        break;
                     }
                 }
             }

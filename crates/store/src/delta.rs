@@ -43,9 +43,11 @@
 //! everywhere else. That requires unchanged records to keep their
 //! relative order between epochs — true for the monitor's evolution
 //! model, and checked at encode time ([`StoreError::Unrepresentable`]
-//! otherwise).
+//! otherwise). A chain resolves through [`Snapshot::resolve_chain`],
+//! which hands each link's merged records straight to the next link
+//! instead of decoding the archive it just encoded.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::io::Cursor;
 use std::path::Path;
 
@@ -93,7 +95,8 @@ impl SectionKind for DeltaSectionId {
 /// Construction ([`Delta::from_bytes`] / [`Delta::open`]) validates the
 /// header, section table, and meta section — the same cheap-open
 /// contract as [`Snapshot`]; the removed/positions/patch payloads are
-/// checksum-verified when [`Delta::apply`] touches them.
+/// checksum-verified when [`Delta::apply`] or [`Snapshot::resolve_chain`]
+/// touches them.
 pub struct Delta {
     bytes: Vec<u8>,
     frame: Frame,
@@ -144,7 +147,17 @@ impl Delta {
 
     // --- Construction (write side).
 
-    /// Encode the delta that carries `base` forward to `new`.
+    /// Encode the delta that carries `base` forward to `new`: decode
+    /// `base` and call [`Delta::encode_from`].
+    pub fn encode(base: &Snapshot, new: &ScanDataset) -> Result<Vec<u8>> {
+        Delta::encode_from(base.digest(), &base.dataset()?, new)
+    }
+
+    /// Encode the delta that carries `base` forward to `new`, where
+    /// `base` is the dataset in hand and `base_digest` the digest of its
+    /// archive. Canonical encoding round-trips losslessly, so this is
+    /// byte-equal to [`Delta::encode`] of that archive without decoding
+    /// it.
     ///
     /// Records are matched by hostname: records absent from `new` are
     /// recorded as removed; records that are new or compare unequal
@@ -153,19 +166,16 @@ impl Delta {
     /// carried implicitly. Unchanged records must keep their relative
     /// base order in `new` — the positional merge cannot express a
     /// reordering ([`StoreError::Unrepresentable`]).
-    pub fn encode(base: &Snapshot, new: &ScanDataset) -> Result<Vec<u8>> {
-        let base_ds = base.dataset()?;
-        let base_order: HashMap<&str, usize> = base_ds
-            .records()
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.hostname.as_str(), i))
-            .collect();
+    pub fn encode_from(
+        base_digest: Fingerprint,
+        base: &ScanDataset,
+        new: &ScanDataset,
+    ) -> Result<Vec<u8>> {
+        let base_records = base.records();
         let new_records = new.records();
         let new_names: HashSet<&str> = new_records.iter().map(|r| r.hostname.as_str()).collect();
 
-        let removed: Vec<&str> = base_ds
-            .records()
+        let removed: Vec<&str> = base_records
             .iter()
             .filter(|r| !new_names.contains(r.hostname.as_str()))
             .map(|r| r.hostname.as_str())
@@ -175,9 +185,8 @@ impl Delta {
         let mut patch = SnapshotWriter::new(Cursor::new(Vec::new()), new.scan_time)?;
         let mut last_carried: Option<usize> = None;
         for (pos, r) in new_records.iter().enumerate() {
-            match base_ds.get(&r.hostname) {
-                Some(prev) if prev == r => {
-                    let idx = base_order[r.hostname.as_str()];
+            match base.position(&r.hostname) {
+                Some(idx) if base_records[idx] == *r => {
                     if last_carried.is_some_and(|last| idx < last) {
                         return Err(StoreError::Unrepresentable {
                             field: "unchanged-record order",
@@ -197,7 +206,7 @@ impl Delta {
         let patch_bytes = patch.finish()?.into_inner();
 
         let mut meta = Encoder::new();
-        meta.bytes(base.digest().as_bytes());
+        meta.bytes(base_digest.as_bytes());
         encode_time(&mut meta, new.scan_time);
         meta.u64(new_records.len() as u64);
         meta.u64(positions.len() as u64);
@@ -280,18 +289,36 @@ impl Delta {
     /// (by content digest); anything else is a dangling chain and fails
     /// with [`StoreError::Corrupt`] naming both digests. The result is
     /// re-encoded canonically, so its digest equals the digest of a full
-    /// archive of the same epoch.
+    /// archive of the same epoch. A chain of deltas resolves through
+    /// [`Snapshot::resolve_chain`], which decodes no intermediate epoch.
     pub fn apply(&self, base: &Snapshot) -> Result<Snapshot> {
-        if base.digest() != self.base_digest {
+        self.check_base(base.digest())?;
+        Ok(self.merge(|| base.dataset())?.1)
+    }
+
+    /// Fail unless this delta was encoded against the archive whose
+    /// digest is `digest`.
+    fn check_base(&self, digest: Fingerprint) -> Result<()> {
+        if digest != self.base_digest {
             return Err(StoreError::Corrupt {
                 context: "delta base",
                 detail: format!(
                     "delta applies to base {} but was given {}",
                     self.base_digest, // Display prints full hex
-                    base.digest()
+                    digest
                 ),
             });
         }
+        Ok(())
+    }
+
+    /// The positional merge behind [`Delta::apply`] and
+    /// [`Snapshot::resolve_chain`]: decode this delta's sections, then
+    /// take the base records from `base` (called only once every section
+    /// has decoded, so a corrupt delta fails before its base is touched)
+    /// and merge, moving each record rather than cloning it. Returns the
+    /// next epoch's records and its canonical archive.
+    fn merge(&self, base: impl FnOnce() -> Result<ScanDataset>) -> Result<(ScanDataset, Snapshot)> {
         let removed = self.removed()?;
         let positions = self.positions()?;
         let patch = self.patch()?.dataset()?;
@@ -306,42 +333,42 @@ impl Delta {
             });
         }
 
-        let base_ds = base.dataset()?;
-        let mut skip: HashSet<&str> = HashSet::with_capacity(removed.len() + patch.len());
+        let base = base()?;
+        // Base records dropped by the merge: the removed ones and the
+        // ones a patch record supersedes.
+        let mut skip = vec![false; base.len()];
         for name in &removed {
-            if base_ds.get(name).is_none() {
+            let Some(i) = base.position(name) else {
                 return Err(StoreError::Corrupt {
                     context: "removed",
                     detail: format!("removed host {name} is not in the base archive"),
                 });
-            }
-            skip.insert(name.as_str());
+            };
+            skip[i] = true;
         }
-        let patch_records = patch.records();
-        for r in patch_records {
-            if base_ds.get(&r.hostname).is_some() {
-                skip.insert(r.hostname.as_str());
+        for r in patch.records() {
+            if let Some(i) = base.position(&r.hostname) {
+                skip[i] = true;
             }
         }
 
-        let mut carried = base_ds
-            .records()
-            .iter()
-            .filter(|r| !skip.contains(r.hostname.as_str()));
-        let mut patched = positions.iter().zip(patch_records).peekable();
         // The count is read from the file: reserve no more than the base
         // and patch records the merge can take.
-        let mut records = Vec::with_capacity(
-            self.new_host_count
-                .min((base_ds.len() + patch_records.len()) as u64) as usize,
-        );
+        let mut records =
+            Vec::with_capacity(self.new_host_count.min((base.len() + patch.len()) as u64) as usize);
+        let mut carried = base
+            .into_records()
+            .into_iter()
+            .zip(skip)
+            .filter_map(|(r, skip)| (!skip).then_some(r));
+        let mut patched = positions.into_iter().zip(patch.into_records()).peekable();
         for pos in 0..self.new_host_count {
-            if patched.peek().is_some_and(|(p, _)| **p as u64 == pos) {
+            if patched.peek().is_some_and(|(p, _)| u64::from(*p) == pos) {
                 let (_, r) = patched.next().expect("peeked");
-                records.push(r.clone());
+                records.push(r);
             } else {
                 match carried.next() {
-                    Some(r) => records.push(r.clone()),
+                    Some(r) => records.push(r),
                     None => {
                         return Err(StoreError::Corrupt {
                             context: "delta base",
@@ -369,10 +396,9 @@ impl Delta {
                 detail: "carried base records left over after the merge".to_string(),
             });
         }
-        Snapshot::from_bytes(Snapshot::encode(&assemble_dataset(
-            records,
-            self.scan_time,
-        ))?)
+        let merged = assemble_dataset(records, self.scan_time);
+        let snap = Snapshot::from_bytes(Snapshot::encode(&merged)?)?;
+        Ok((merged, snap))
     }
 
     /// A human-readable dump of the delta structure.
@@ -437,18 +463,64 @@ impl Delta {
 }
 
 impl Snapshot {
-    /// Resolve a delta chain: open `base`, then apply each delta in
-    /// order. Every link is digest-checked, so a reordered, skipped, or
+    /// Resolve a delta chain: open `base`, then resolve each delta in
+    /// order through [`Snapshot::resolve_chain`] and return the last
+    /// epoch. Every link is digest-checked, so a reordered, skipped, or
     /// wrong-family delta fails with a typed [`StoreError`] instead of
     /// resolving to a silently wrong epoch.
     pub fn open_chain<P: AsRef<Path>>(
         base: impl AsRef<Path>,
         deltas: impl IntoIterator<Item = P>,
     ) -> Result<Snapshot> {
-        let mut snap = Snapshot::open(base)?;
-        for path in deltas {
-            snap = Delta::open(path)?.apply(&snap)?;
+        let base = Snapshot::open(base)?;
+        let mut last = None;
+        for snap in Snapshot::resolve_chain(&base, deltas) {
+            last = Some(snap?);
         }
-        Ok(snap)
+        Ok(last.unwrap_or(base))
+    }
+
+    /// Walk a delta chain link by link: open each delta file in order,
+    /// resolve it against the epoch before it, and yield that epoch's
+    /// [`Snapshot`]. The walk stops after the first error, which it
+    /// yields in place of its epoch.
+    ///
+    /// Every check of [`Delta::apply`] runs on every link: the base
+    /// digest, each section's checksum, ascending positions, the meta
+    /// counts and the merge's leftovers. Unlike applying the deltas one
+    /// by one, the walk decodes only `base`, at the first link, and
+    /// carries each link's merged records forward to the next, so no
+    /// intermediate archive is decoded.
+    pub fn resolve_chain<'a, P: AsRef<Path>, I>(
+        base: &'a Snapshot,
+        deltas: I,
+    ) -> impl Iterator<Item = Result<Snapshot>> + 'a
+    where
+        I: IntoIterator<Item = P>,
+        I::IntoIter: 'a,
+    {
+        let mut deltas = deltas.into_iter();
+        // The digest the next link must name as its base; `None` once
+        // the walk has stopped.
+        let mut digest = Some(base.digest());
+        // The last resolved epoch's records; `None` until the first
+        // link decodes `base`.
+        let mut carried: Option<ScanDataset> = None;
+        std::iter::from_fn(move || {
+            let want = digest.take()?;
+            let path = deltas.next()?;
+            let link = Delta::open(path).and_then(|delta| {
+                delta.check_base(want)?;
+                delta.merge(|| match carried.take() {
+                    Some(records) => Ok(records),
+                    None => base.dataset(),
+                })
+            });
+            Some(link.map(|(records, snap)| {
+                digest = Some(snap.digest());
+                carried = Some(records);
+                snap
+            }))
+        })
     }
 }

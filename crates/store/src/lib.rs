@@ -26,8 +26,9 @@
 //!   chain churn, and per-country improvement rates.
 //! * [`delta`] — `GOVDLT1` delta snapshots for year-long monitoring:
 //!   one epoch's changed/added/removed records against a base archive
-//!   named by content digest, with [`Snapshot::open_chain`] resolving
-//!   a base + delta sequence back to the full archive bit-for-bit.
+//!   named by content digest, with [`Snapshot::resolve_chain`] walking
+//!   a base + delta sequence back to each full archive bit-for-bit
+//!   ([`Snapshot::open_chain`] keeps the last).
 //! * [`wire`], [`intern`], [`error`] — the byte codec, string
 //!   interning, and the typed [`StoreError`] every failure maps to.
 //!

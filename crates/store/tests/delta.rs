@@ -12,6 +12,7 @@ mod common;
 use std::sync::OnceLock;
 
 use common::{put_u64, reseal, u64_at, Case};
+use govscan_crypto::Fingerprint;
 use govscan_scanner::{ScanDataset, ScanRecord, StudyPipeline};
 use govscan_store::{Delta, Snapshot, StoreError, DELTA_VERSION};
 use govscan_worldgen::{World, WorldConfig};
@@ -340,4 +341,111 @@ fn crafted_counts_are_typed_errors_not_aborts() {
         let err = format!("{:?}", result.err().expect(name));
         assert!(err.starts_with(expected), "{name}: unexpected {err}");
     }
+}
+
+/// Resolve `deltas` against `base` one `Delta::apply` at a time: each
+/// epoch's digest until the first error, and that error.
+fn apply_by_apply(
+    base: &Snapshot,
+    deltas: &[std::path::PathBuf],
+) -> (Vec<Fingerprint>, Option<String>) {
+    let mut digests = Vec::new();
+    let mut snap = None;
+    for path in deltas {
+        match Delta::open(path).and_then(|d| d.apply(snap.as_ref().unwrap_or(base))) {
+            Ok(next) => {
+                digests.push(next.digest());
+                snap = Some(next);
+            }
+            Err(e) => return (digests, Some(format!("{e:?}"))),
+        }
+    }
+    (digests, None)
+}
+
+/// [`Snapshot::resolve_chain`] over `deltas`: each epoch's digest until
+/// the first error, and that error, which must end the walk.
+fn walk(base: &Snapshot, deltas: &[std::path::PathBuf]) -> (Vec<Fingerprint>, Option<String>) {
+    let mut digests = Vec::new();
+    let mut links = Snapshot::resolve_chain(base, deltas);
+    for link in links.by_ref() {
+        match link {
+            Ok(snap) => digests.push(snap.digest()),
+            Err(e) => {
+                assert!(links.next().is_none(), "the walk stops at its first error");
+                return (digests, Some(format!("{e:?}")));
+            }
+        }
+    }
+    (digests, None)
+}
+
+#[test]
+fn the_chain_walker_resolves_every_epoch_as_apply_does() {
+    const LINKS: usize = 4;
+    let dir = std::env::temp_dir().join(format!("govscan-store-walk-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut epochs = vec![scan().clone()];
+    for step in 1..=LINKS {
+        epochs.push(evolve_once(&epochs[step - 1], step));
+    }
+    let base_path = dir.join("e0.snap");
+    Snapshot::write_file(&base_path, &epochs[0]).unwrap();
+    let mut deltas = Vec::new();
+    for k in 1..=LINKS {
+        // The delta from the dataset in hand is the delta from the
+        // decoded archive, byte for byte.
+        let prev = Snapshot::from_bytes(Snapshot::encode(&epochs[k - 1]).unwrap()).unwrap();
+        let in_hand = Delta::encode_from(prev.digest(), &epochs[k - 1], &epochs[k]).unwrap();
+        assert_eq!(
+            in_hand,
+            Delta::encode(&prev, &epochs[k]).unwrap(),
+            "epoch {k}"
+        );
+        let path = dir.join(format!("e{k}.dlt"));
+        std::fs::write(&path, in_hand).unwrap();
+        deltas.push(path);
+    }
+
+    let base = Snapshot::open(&base_path).unwrap();
+    let (applied, none) = apply_by_apply(&base, &deltas);
+    assert_eq!(none, None);
+    let want: Vec<Fingerprint> = epochs[1..]
+        .iter()
+        .map(|e| Snapshot::digest_of(e).unwrap())
+        .collect();
+    assert_eq!(applied, want);
+    let base = Snapshot::open(&base_path).unwrap();
+    assert_eq!(walk(&base, &deltas), (want, None));
+    assert_eq!(
+        base.datasets_built(),
+        1,
+        "the walk decodes the base once and no epoch after it"
+    );
+
+    // A truncated middle delta, and a dangling one (epoch 3's delta in
+    // epoch 2's place): the walk yields the epochs before it, then the
+    // error apply-by-apply stops with.
+    let truncated = dir.join("e2-truncated.dlt");
+    let bytes = std::fs::read(&deltas[1]).unwrap();
+    std::fs::write(&truncated, &bytes[..bytes.len() / 2]).unwrap();
+    for broken in [
+        vec![deltas[0].clone(), truncated, deltas[2].clone()],
+        vec![deltas[0].clone(), deltas[2].clone(), deltas[3].clone()],
+    ] {
+        let (digests, err) = walk(&base, &broken);
+        assert_eq!(digests.len(), 1, "{err:?}");
+        assert!(err.is_some());
+        assert_eq!((digests, err), apply_by_apply(&base, &broken));
+    }
+    // A dangling base: the first link names epoch 1, not epoch 0.
+    let (digests, err) = walk(&base, &deltas[1..]);
+    assert!(digests.is_empty());
+    assert!(
+        err.as_deref()
+            .is_some_and(|e| e.starts_with(r#"Corrupt { context: "delta base""#)),
+        "{err:?}"
+    );
+    assert_eq!((digests, err), apply_by_apply(&base, &deltas[1..]));
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -70,19 +70,24 @@ fi
 # evolving world; --self-check digest-proves every epoch against full
 # rescans at one and at max(2, N) threads and, past the baseline,
 # against incremental rescans at the same counts and each applied
-# delta, then re-resolves the on-disk chain against the final archive
-# (exits non-zero on any mismatch). Scale 0.05 is the smallest world
-# where the default seed exercises the CAA ancestor-coupling rule
-# (www.* probed because its apex changed) — keep it there.
+# delta. The rescans replay each shard's state from the base, so they
+# also prove the state the run carries between epochs. Like every run
+# with --out-dir, it ends by resolving the on-disk chain against the
+# final archive (exits non-zero on any mismatch). Scale 0.05 is the
+# smallest world where the default seed exercises the CAA
+# ancestor-coupling rule (www.* probed because its apex changed) —
+# keep it there.
 mondir="$(mktemp -d)"
 run env GOVSCAN_SCALE=0.05 cargo run --offline -q -p govscan-repro --bin monitor -- \
   --epochs 4 --self-check --out-dir "$mondir" > /dev/null
-# Serve the chain the monitor just wrote: registers each delta as an
-# addressable epoch and hits every endpoint (including /trends over
-# the chain) through the real TCP path.
+# Serve the whole chain the monitor just wrote: the chain walker
+# resolves all four deltas, each registers as an addressable epoch, and
+# every endpoint (including /trends over the chain) is hit through the
+# real TCP path.
 run cargo run --offline -q -p govscan-serve -- \
   --archive "$mondir/epoch-0.snap" --delta "$mondir/epoch-1.dlt" \
-  --delta "$mondir/epoch-2.dlt" --self-check
+  --delta "$mondir/epoch-2.dlt" --delta "$mondir/epoch-3.dlt" \
+  --delta "$mondir/epoch-4.dlt" --self-check
 rm -rf "$mondir"
 # EXPERIMENTS.md must be what today's code prints: re-run its documented
 # command (release `repro all` at scale 0.2, default seed) and fail on
